@@ -19,28 +19,16 @@ from .errors import (
     EmptyFileError,
     GeoCdError,
     KTooLargeError,
+    NormalizationError,
     ParseError,
 )
 from .fit import Adam, FitConfig, FitTrace, ShapeSpec, fit, noisy_copy, sample_shape
-from .geodesic import (
-    GeoDistances,
-    HopState,
-    MaskConfig,
-    apply_mask,
-    minplus_hop,
-    propagate,
-    reconstruct_path,
-)
+from .geodesic import GeoDistances, MaskConfig, propagate, reconstruct_path
 from .graph import Adjacency, MergedSet, knn_adjacency, merge
 from .io import read_cloud, write_cloud
 from .loss import GeoCdConfig, LossReport, chamfer, geocd, geocd_batch, softmin
 from .metrics import MetricsReport, evaluate, f1_at, hausdorff
-from .oracle import (
-    OracleReport,
-    dijkstra_all_pairs,
-    finite_diff_grad,
-    hop_bounded_shortest_paths,
-)
+from .oracle import dijkstra_all_pairs, finite_diff_grad, hop_bounded_shortest_paths
 
 __version__ = "0.1.0"
 
@@ -55,18 +43,16 @@ __all__ = [
     "GeoCdConfig",
     "GeoCdError",
     "GeoDistances",
-    "HopState",
     "KTooLargeError",
     "LossReport",
     "MaskConfig",
     "MergedSet",
     "MetricsReport",
+    "NormalizationError",
     "NormalizationTransform",
-    "OracleReport",
     "ParseError",
     "PointCloud",
     "ShapeSpec",
-    "apply_mask",
     "chamfer",
     "dijkstra_all_pairs",
     "evaluate",
@@ -79,7 +65,6 @@ __all__ = [
     "hop_bounded_shortest_paths",
     "knn_adjacency",
     "merge",
-    "minplus_hop",
     "noisy_copy",
     "normalize_pair",
     "normalize_unit_bbox",

@@ -5,14 +5,13 @@ Subcommands: compute, fit, verify, sweep, convert. Reports are JSON
 are CSV, so external plotters can pick them up directly.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 config
-error. ``GEOCD_THREADS`` is the fallback for ``--threads``.
+error (including a pair whose kNN edges exceed the sentinel).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -25,11 +24,11 @@ from .errors import (
     EmptyFileError,
     GeoCdError,
     KTooLargeError,
+    NormalizationError,
     ParseError,
 )
 from .fit import FitConfig, ShapeSpec, fit, noisy_copy, sample_shape, SHAPE_KINDS
-from .geodesic import MaskConfig, propagate
-from .graph import knn_adjacency, merge
+from .geodesic import MaskConfig
 from .io import FORMAT_BINARY, FORMAT_XYZ, read_cloud, write_cloud
 from .loss import GeoCdConfig, geocd
 from .metrics import evaluate
@@ -42,27 +41,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "deterministic", False):
-        return 1
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("GEOCD_THREADS")
-    if env is not None:
-        threads = int(env)  # ValueError -> config-error exit
-        if threads < 1:
-            raise ValueError(f"GEOCD_THREADS must be >= 1, got {threads}")
-        return threads
-    return 1
-
-
 def _manifest(subcommand: str, args, config: dict, timings: dict, seed=None) -> dict:
     return {
         "subcommand": subcommand,
         "version": __version__,
         "seed": seed,
         "deterministic": bool(getattr(args, "deterministic", False)),
-        "threads": _resolve_threads(args),
         "config": config,
         "timings": timings,
     }
@@ -112,8 +96,9 @@ def _add_geo_flags(p: argparse.ArgumentParser, mask_default: bool = False) -> No
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=None, help="worker cap (default GEOCD_THREADS or 1)")
-    p.add_argument("--deterministic", action="store_true", help="single-threaded, bitwise-reproducible")
+    p.add_argument(
+        "--deterministic", action="store_true", help="mark the run bitwise-reproducible in the manifest"
+    )
 
 
 def cmd_compute(args) -> int:
@@ -308,10 +293,7 @@ def cmd_sweep(args) -> int:
         try:
             cfg = _apply_axis(_fit_config(args), args.axis, value)
             # graph statistics on the shared initial pair: rows are comparable
-            z = merge(init, gt)
-            adj = knn_adjacency(z, cfg.geo.k, cfg.geo.sentinel, cfg.geo.symmetrize)
-            geo = propagate(z, adj, cfg.geo.n_hops, cfg.geo.mask)
-            mean_cross = geo.mean_cross_distance()
+            mean_cross = geocd(init, gt, cfg.geo).diagnostics["mean_cross_distance"]
             trace = fit(init, gt, cfg)
             f = trace.final
             geocd_loss = f["geocd_loss"]
@@ -425,7 +407,7 @@ def main(argv=None) -> int:
     except (ParseError, EmptyFileError, DegenerateCloudError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KTooLargeError, DimensionMismatchError, ValueError) as exc:
+    except (KTooLargeError, DimensionMismatchError, NormalizationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

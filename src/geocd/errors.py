@@ -37,4 +37,8 @@ class KTooLargeError(GeoCdError):
 
 
 class DimensionMismatchError(GeoCdError):
-    """Matrices fed to the propagation step do not share a shape."""
+    """The adjacency fed to propagation does not match the merged set."""
+
+
+class NormalizationError(GeoCdError):
+    """A kNN edge is longer than the sentinel: the pair is not normalized."""

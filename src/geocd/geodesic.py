@@ -1,10 +1,16 @@
 """Multi-hop shortest-walk propagation over the merged kNN graph.
 
 Hop h holds, for every ordered pair, the cost of the cheapest directed walk
-of at most h edges (sentinel entries act as genuine cost-1 edges). One hop
-is a (min, +) product of the current state with the 1-hop matrix; the
-argmin intermediate of every improvement is recorded so the winning walk
-can be rebuilt exactly, which the loss gradient needs.
+of at most h edges (sentinel entries act as genuine cost-sentinel edges).
+One hop is a (min, +) product of the previous hop with the 1-hop matrix;
+the argmin intermediate of every improvement is recorded so the winning
+walk can be rebuilt exactly, which the loss gradient needs.
+
+Each hop is stored sparsely, as one ``Hop`` record of the pairs that hold
+a real walk, sorted by ``key = src * n + dst``. Every other off-diagonal
+pair holds the sentinel and the diagonal is zero. This module is the only
+one that reads the record format: callers use ``GeoDistances.cross``,
+``unroll``, ``reconstruct_path`` and the ``dense`` view.
 
 Masking freezes a point's outgoing row once its best cross-set distance
 drops below a threshold; frozen points still serve as intermediates for
@@ -17,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NormalizationError
 from .graph import Adjacency, MergedSet
 
-NO_PRED = -1  # entry still holds its 1-hop value (direct edge or sentinel)
+NO_VIA = -1  # entry still holds its 1-hop value (a direct edge)
 
 
 @dataclass
@@ -30,102 +36,122 @@ class MaskConfig:
 
 
 @dataclass
-class HopState:
-    h: int
-    dist: np.ndarray  # (n, n) float64, entries in [0, sentinel]
-    pred: np.ndarray  # (n, n) int32, NO_PRED or the argmin intermediate
-    active: np.ndarray  # (n,) bool; False rows are frozen
-    n_pred: int
+class Hop:
+    """The real walks of one hop, sorted by ``key = src * n + dst``."""
+
+    key: np.ndarray  # (e,) int64
+    dist: np.ndarray  # (e,) float64, every entry <= sentinel
+    via: np.ndarray  # (e,) int64, NO_VIA or the walk's last intermediate
+
+    def find(self, key):
+        """Positions of ``key`` in the record and whether each is present."""
+        pos = np.minimum(np.searchsorted(self.key, key), self.key.size - 1)
+        return pos, self.key[pos] == key
 
 
 @dataclass
 class GeoDistances:
-    """Cross-set blocks of the final hop plus the records needed to rebuild
-    the winning walks (adjacency, per-hop predecessor matrices)."""
+    """Per-hop walk records plus the merged set and adjacency they index."""
 
-    d_xy: np.ndarray  # (N, M) predicted -> ground truth
-    d_yx: np.ndarray  # (M, N) ground truth -> predicted
     merged: MergedSet
     adj: Adjacency
-    states: list[HopState]
-    sentinel_fraction: float  # cross entries never touched by a real walk
+    hops: list[Hop]
     masked_per_hop: list[float] = field(default_factory=list)
     mask_threshold: float | None = None
 
     @property
     def hops_used(self) -> int:
-        return self.states[-1].h
+        return len(self.hops)
+
+    def dense(self, h: int = -1) -> np.ndarray:
+        """(n, n) distance matrix of ``self.hops[h]``, for oracles and tests."""
+        n = self.merged.size
+        out = np.full((n, n), self.adj.sentinel)
+        np.fill_diagonal(out, 0.0)
+        out.flat[self.hops[h].key] = self.hops[h].dist
+        return out
+
+    @property
+    def d_xy(self) -> np.ndarray:
+        """(N, M) final distances, predicted -> ground truth."""
+        n = self.merged.n_pred
+        return self.dense()[:n, n:]
+
+    @property
+    def d_yx(self) -> np.ndarray:
+        """(M, N) final distances, ground truth -> predicted."""
+        n = self.merged.n_pred
+        return self.dense()[n:, :n]
+
+    def cross(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(src, dst, dist) of the last hop's real walks between the two clouds, in key order."""
+        n_pred = self.merged.n_pred
+        src, dst = np.divmod(self.hops[-1].key, self.merged.size)
+        c = (src < n_pred) != (dst < n_pred)
+        return src[c], dst[c], self.hops[-1].dist[c]
+
+    @property
+    def sentinel_fraction(self) -> float:
+        """Share of cross entries never touched by a real walk."""
+        total = 2 * self.merged.n_pred * self.merged.n_gt
+        return (total - self.cross()[0].size) / total
 
     def mean_cross_distance(self) -> float:
-        return float((self.d_xy.sum() + self.d_yx.sum()) / (self.d_xy.size + self.d_yx.size))
+        _, _, d = self.cross()
+        total = 2 * self.merged.n_pred * self.merged.n_gt
+        return float((d.sum() + (total - d.size) * self.adj.sentinel) / total)
 
 
-def initial_state(adj: Adjacency, n_pred: int) -> HopState:
-    n = adj.size
-    return HopState(
-        h=1,
-        dist=adj.dist.copy(),
-        pred=np.full((n, n), NO_PRED, dtype=np.int32),
-        active=np.ones(n, dtype=bool),
-        n_pred=n_pred,
-    )
+def cross_width(merged: MergedSet) -> np.ndarray:
+    """Cross-block row length of every merged point: the other cloud's size."""
+    return np.where(merged.is_pred(), merged.n_gt, merged.n_pred)
 
 
-def minplus_hop(prev: HopState, adj: Adjacency) -> HopState:
+def row_min(rows: np.ndarray, d: np.ndarray, width: np.ndarray, sentinel: float) -> np.ndarray:
+    """Per-row minimum of a row set given by its real entries.
+
+    Row r has ``width[r]`` entries in all; the ones not listed in
+    (``rows``, ``d``) hold the sentinel.
+    """
+    out = np.where(np.bincount(rows, minlength=width.size) < width, sentinel, np.inf)
+    np.minimum.at(out, rows, d)
+    return out
+
+
+def _extend(prev: Hop, active: np.ndarray, ptr, dst, length, sentinel: float) -> Hop:
     """One (min, +) update: out[i,j] = min(prev[i,j], min_k prev[i,k] + adj[k,j]).
 
-    Exact ties keep the previous value; among improving intermediates the
-    lowest index wins. Frozen rows are copied unchanged.
+    Candidates read the previous hop only (Jacobi). Exact ties keep the
+    previous value; among improving intermediates the lowest index wins.
+    Frozen rows are copied unchanged.
 
-    Only real in-edges of each column are scanned: a candidate routed
-    through a sentinel entry costs at least the sentinel, and prev is
-    bounded by the sentinel, so such candidates can never strictly improve.
-    The result is identical to the dense formula above.
+    Only real walks are extended, by real edges: a candidate routed through
+    a sentinel entry costs at least the sentinel, and every entry is bounded
+    by the sentinel, so it can never strictly improve. Neither can one that
+    returns to its start or reaches the sentinel. The result is identical to
+    the dense formula above.
     """
-    if prev.dist.shape != adj.dist.shape:
-        raise DimensionMismatchError(
-            f"state is {prev.dist.shape}, adjacency is {adj.dist.shape}"
-        )
-    n = adj.size
-    dist = prev.dist.copy()
-    pred = prev.pred.copy()
-    act = np.flatnonzero(prev.active)
-    if act.size:
-        rows = prev.dist[act]  # Jacobi: candidates read the previous hop only
-        lanes = np.arange(act.size)
-        for j in range(n):
-            ks = np.flatnonzero(adj.edge_mask[:, j])
-            if ks.size == 0:
-                continue
-            cand = rows[:, ks] + adj.dist[ks, j]
-            best = np.argmin(cand, axis=1)  # first minimum -> lowest k
-            val = cand[lanes, best]
-            improved = val < dist[act, j]
-            if improved.any():
-                r = act[improved]
-                dist[r, j] = val[improved]
-                pred[r, j] = ks[best[improved]].astype(np.int32)
-    return HopState(prev.h + 1, dist, pred, prev.active.copy(), prev.n_pred)
+    n = active.size
+    i, k = np.divmod(prev.key, n)
+    live = np.flatnonzero(active[i])
+    start = ptr[k[live]]  # out-edges of k sit at ptr[k] .. ptr[k+1] in the edge arrays
+    deg = ptr[k[live] + 1] - start
+    walk = np.repeat(live, deg)  # the extended entry of every candidate
+    edge = np.repeat(start - (np.cumsum(deg) - deg), deg) + np.arange(walk.size)
+    ci, cj, cv = i[walk], dst[edge], prev.dist[walk] + length[edge]
+    ok = (cj != ci) & (cv < sentinel)
 
-
-def apply_mask(state: HopState, cross_threshold: float) -> HopState:
-    """Freeze every point whose best cross-set distance is <= the threshold."""
-    if cross_threshold <= 0:
-        raise ValueError("cross_threshold must be positive")
-    n_pred = state.n_pred
-    n = state.dist.shape[0]
-    mc = np.empty(n)
-    mc[:n_pred] = state.dist[:n_pred, n_pred:].min(axis=1)
-    mc[n_pred:] = state.dist[n_pred:, :n_pred].min(axis=1)
-    active = state.active & (mc > cross_threshold)
-    return HopState(state.h, state.dist, state.pred, active, n_pred)
-
-
-def default_mask_threshold(adj: Adjacency) -> float:
-    edges = adj.dist[adj.edge_mask]
-    if edges.size == 0:
-        return adj.sentinel
-    return 2.0 * float(edges.mean())
+    key = np.concatenate([prev.key, ci[ok] * n + cj[ok]])
+    dist = np.concatenate([prev.dist, cv[ok]])
+    via = np.concatenate([prev.via, k[walk[ok]]])
+    fresh = np.arange(key.size) >= prev.key.size
+    # per key: lowest value, then the previous entry, then the lowest intermediate
+    order = np.lexsort((via, fresh, dist, key))
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    keep = order[first]
+    return Hop(key[first], dist[keep], via[keep])
 
 
 def propagate(
@@ -134,42 +160,69 @@ def propagate(
     n_hops: int = 2,
     mask: MaskConfig | None = None,
 ) -> GeoDistances:
-    """Run n_hops of propagation and extract the cross-set blocks.
+    """Run n_hops of propagation and record the real walks of every hop.
 
-    n_hops = 1 returns the adjacency blocks themselves. The mask, when
-    enabled, is re-evaluated after every completed hop.
+    n_hops = 1 returns the adjacency itself. The mask, when enabled, is
+    re-evaluated after every completed hop.
+
+    Raises NormalizationError when a kNN edge is longer than the sentinel:
+    the pair is not normalized, and sentinel entries would no longer bound
+    the real walks.
     """
     if n_hops < 1:
         raise ValueError(f"n_hops must be >= 1, got {n_hops}")
+    if adj.size != merged.size:
+        raise DimensionMismatchError(
+            f"adjacency is {adj.dist.shape}, merged set has {merged.size} points"
+        )
+    src, dst = np.nonzero(adj.edge_mask)
+    length = adj.dist[src, dst]
+    if (length > adj.sentinel).any():
+        raise NormalizationError(
+            f"kNN edge of length {length.max():.6g} exceeds the sentinel {adj.sentinel:g}; "
+            "normalize the pair first"
+        )
     mask = mask or MaskConfig()
     threshold = None
     if mask.enabled:
-        threshold = mask.threshold if mask.threshold is not None else default_mask_threshold(adj)
+        threshold = mask.threshold if mask.threshold is not None else 2.0 * float(length.mean())
+        if threshold <= 0:
+            raise ValueError(f"mask threshold must be positive, got {threshold}")
 
-    state = initial_state(adj, merged.n_pred)
-    states = [state]
-    masked_per_hop: list[float] = []
+    n = merged.size
+    ptr = np.searchsorted(src, np.arange(n + 1))
+    hop1 = Hop(src * n + dst, length, np.full(src.size, NO_VIA))
+    geo = GeoDistances(merged, adj, [hop1], mask_threshold=threshold)
+    active = np.ones(n, dtype=bool)
     for _ in range(n_hops - 1):
         if mask.enabled:
-            state = apply_mask(state, threshold)
-            masked_per_hop.append(float(1.0 - state.active.mean()))
-        state = minplus_hop(state, adj)
-        states.append(state)
+            rows, _, d = geo.cross()
+            active &= row_min(rows, d, cross_width(merged), adj.sentinel) > threshold
+            geo.masked_per_hop.append(float(1.0 - active.mean()))
+        geo.hops.append(_extend(geo.hops[-1], active, ptr, dst, length, adj.sentinel))
+    return geo
 
-    n, m = merged.n_pred, merged.n_gt
-    final = states[-1]
-    const = (final.pred == NO_PRED) & ~adj.edge_mask
-    n_const = int(const[:n, n:].sum() + const[n:, :n].sum())
-    return GeoDistances(
-        d_xy=final.dist[:n, n:].copy(),
-        d_yx=final.dist[n:, :n].copy(),
-        merged=merged,
-        adj=adj,
-        states=states,
-        sentinel_fraction=n_const / (2 * n * m),
-        masked_per_hop=masked_per_hop,
-        mask_threshold=threshold,
-    )
+
+def unroll(geo: GeoDistances, starts: np.ndarray, ends: np.ndarray):
+    """Yield the edges of the recorded walks starts[t] -> ends[t], last edge first.
+
+    Each batch (idx, a, b) holds one edge per unfinished walk: walk idx[u]
+    uses the edge a[u] -> b[u]. A walk is finished once its first edge has
+    been yielded. Every pair must hold a real walk in the last hop.
+    """
+    n = geo.merged.size
+    idx = np.arange(starts.size)
+    cur = np.asarray(ends)
+    for hop in reversed(geo.hops):
+        if idx.size == 0:
+            return
+        pos, found = hop.find(starts[idx] * n + cur)
+        # a recorded intermediate always carries a real prefix walk
+        assert found.all(), "walk routed through a sentinel entry"
+        via = hop.via[pos]
+        direct = via == NO_VIA
+        yield idx, np.where(direct, starts[idx], via), cur
+        idx, cur = idx[~direct], via[~direct]
 
 
 def reconstruct_path(geo: GeoDistances, i: int, j: int) -> list[int] | None:
@@ -181,16 +234,9 @@ def reconstruct_path(geo: GeoDistances, i: int, j: int) -> list[int] | None:
     """
     if i == j:
         return [i]
-
-    def rec(h: int, a: int, b: int) -> list[int] | None:
-        k = int(geo.states[h - 1].pred[a, b])
-        if k == NO_PRED:
-            if geo.adj.edge_mask[a, b]:
-                return [a, b]
-            return None
-        head = rec(h - 1, a, k)
-        # a recorded intermediate always carries a real prefix walk
-        assert head is not None, "predecessor routed through a sentinel entry"
-        return head + [b]
-
-    return rec(len(geo.states), i, j)
+    if not geo.hops[-1].find(i * geo.merged.size + j)[1]:
+        return None
+    path = [j]
+    for _, a, _ in unroll(geo, np.array([i]), np.array([j])):
+        path.append(int(a[0]))
+    return path[::-1]

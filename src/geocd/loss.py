@@ -13,7 +13,6 @@ the README before mixing learning rates.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 from .cloud import PointCloud
 from .distances import pairwise_distances
 from .errors import GeoCdError
-from .geodesic import NO_PRED, GeoDistances, MaskConfig, propagate
+from .geodesic import GeoDistances, MaskConfig, cross_width, propagate, row_min, unroll
 from .graph import knn_adjacency, merge
 
 DEGENERATE_EDGE = 1e-12  # edges shorter than this get no gradient
@@ -65,12 +64,17 @@ def softmin(row) -> float:
     return m - float(np.log(np.exp(-(row - m)).sum()))
 
 
-def _softmin_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise softmin values and softmax(-d) weights of a matrix."""
-    m = d.min(axis=1, keepdims=True)
-    w = np.exp(-(d - m))
-    s = w.sum(axis=1, keepdims=True)
-    return (m - np.log(s)).ravel(), w / s
+def _softmin_rows(rows, d, width, sentinel) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmin values, and the softmax(-d) weight of every real entry.
+
+    Row r has ``width[r]`` entries; the ones not listed in (``rows``, ``d``)
+    hold the sentinel and join the row's sum in closed form.
+    """
+    m = row_min(rows, d, width, sentinel)
+    w = np.exp(-(d - m[rows]))
+    missing = width - np.bincount(rows, minlength=width.size)
+    s = np.bincount(rows, weights=w, minlength=width.size) + missing * np.exp(-(sentinel - m))
+    return m - np.log(s), w / s[rows]
 
 
 def chamfer(
@@ -124,10 +128,10 @@ def geocd(
     geo = propagate(z, adj, cfg.n_hops, cfg.mask)
     t2 = time.perf_counter()
 
-    vx, wx = _softmin_rows(geo.d_xy)
-    vy, wy = _softmin_rows(geo.d_yx)
+    src, dst, d = geo.cross()
+    v, w = _softmin_rows(src, d, cross_width(z), adj.sentinel)
     n, m = z.n_pred, z.n_gt
-    value = float(vx.mean() + vy.mean())
+    value = float(v[:n].mean() + v[n:].mean())
 
     diagnostics = {
         "sentinel_fraction": geo.sentinel_fraction,
@@ -139,7 +143,7 @@ def geocd(
 
     grad_pred = grad_gt = None
     if with_grad:
-        grad_full, degenerate = _path_gradients(geo, wx / n, wy / m)
+        grad_full, degenerate = _path_gradients(geo, src, dst, w / np.where(src < n, n, m))
         diagnostics["degenerate_edges"] = degenerate
         grad_pred = grad_full[:n]
         if with_gt_grad:
@@ -150,41 +154,18 @@ def geocd(
 
 
 def _path_gradients(
-    geo: GeoDistances, wx: np.ndarray, wy: np.ndarray
+    geo: GeoDistances, starts: np.ndarray, ends: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Scatter softmin weights along every recorded cross-set walk.
 
     For a walk edge (a, b) with weight w, grad[a] += w * (z_a - z_b)/|z_a - z_b|
-    and grad[b] gets the negation. Walks are unrolled level by level from
-    the last hop, mirroring the recursive reconstruction.
+    and grad[b] gets the negation.
     """
     z = geo.merged.points
-    n, m = geo.merged.n_pred, geo.merged.n_gt
-    final = geo.states[-1]
-    grad = np.zeros((n + m, 3))
+    grad = np.zeros_like(z)
     degenerate = 0
-
-    const = (final.pred == NO_PRED) & ~geo.adj.edge_mask
-    xi, xj = np.nonzero(~const[:n, n:])
-    yi, yj = np.nonzero(~const[n:, :n])
-    starts = np.concatenate([xi, yi + n])
-    ends = np.concatenate([xj + n, yj])
-    weights = np.concatenate([wx[xi, xj], wy[yi, yj]])
-
-    cur = ends.copy()
-    alive = np.ones(starts.size, dtype=bool)
-    for h in range(len(geo.states), 0, -1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        k = geo.states[h - 1].pred[starts[idx], cur[idx]]
-        direct = k == NO_PRED
-        # settled walks close with their 1-hop edge; others emit the last
-        # edge of the recorded detour and continue one level down
-        a = np.where(direct, starts[idx], k)
-        degenerate += _emit_edges(grad, z, a, cur[idx], weights[idx])
-        cur[idx[~direct]] = k[~direct]
-        alive[idx[direct]] = False
+    for idx, a, b in unroll(geo, starts, ends):
+        degenerate += _emit_edges(grad, z, a, b, weights[idx])
     return grad, degenerate
 
 
@@ -204,12 +185,11 @@ def geocd_batch(
     batch: Batch,
     cfg: GeoCdConfig | None = None,
     with_grad: bool = False,
-    threads: int = 1,
 ) -> list[PairResult]:
     """Map ``geocd`` over independent pairs, collecting per-pair errors.
 
     A failing pair yields an error entry instead of aborting the batch.
-    Results keep input order regardless of the worker count.
+    Results keep input order.
     """
 
     def run(item):
@@ -219,8 +199,4 @@ def geocd_batch(
         except (GeoCdError, ValueError) as exc:
             return PairResult(index, error=f"{type(exc).__name__}: {exc}")
 
-    items = list(enumerate(batch))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(run, items))
-    return [run(item) for item in items]
+    return [run(item) for item in enumerate(batch)]

@@ -8,19 +8,10 @@ set, and gradients come from central finite differences.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Adjacency
-
-
-@dataclass
-class OracleReport:
-    max_abs_diff: float = 0.0
-    max_rel_diff: float = 0.0
-    mismatch_count: int = 0
-    skipped_tie_components: int = 0
 
 
 def hop_bounded_shortest_paths(adj: Adjacency, n_hops: int) -> np.ndarray:

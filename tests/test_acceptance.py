@@ -74,8 +74,8 @@ def test_c04_minplus_monotonicity():
         pred, gt = random_normalized_pair(rng, int(rng.integers(8, 25)), int(rng.integers(8, 25)))
         z = merge(pred, gt)
         geo = propagate(z, knn_adjacency(z, 3), n_hops=4)
-        for prev, cur in zip(geo.states, geo.states[1:]):
-            ok = ok and bool((cur.dist <= prev.dist).all())
+        for h in range(1, geo.hops_used):
+            ok = ok and bool((geo.dense(h) <= geo.dense(h - 1)).all())
     _report(4, "elementwise monotonicity across hops", ok, "(20 instances, exact)")
 
 

@@ -100,6 +100,18 @@ def test_compute_no_normalize_preserves_l_shape(tmp_path, capsys):
     assert "normalization" not in two
 
 
+def test_compute_no_normalize_rejects_raw_coordinates(tmp_path, capsys):
+    # raw coordinates span 50 units, so kNN edges exceed the sentinel 1
+    rng = np.random.default_rng(4)
+    p = tmp_path / "p.xyz"
+    g = tmp_path / "g.xyz"
+    write_cloud(PointCloud(rng.random((24, 3)) * 50.0), p)
+    write_cloud(PointCloud(rng.random((20, 3)) * 50.0), g)
+    assert main(["compute", str(p), str(g), "--k", "3", "--no-normalize"]) == 3
+    assert "sentinel" in capsys.readouterr().err
+    assert main(["compute", str(p), str(g), "--k", "3"]) == 0
+
+
 def test_compute_deterministic_json(small_pair, capsys):
     a, b = small_pair
     argv = ["compute", str(a), str(b), "--k", "3", "--deterministic"]
@@ -250,23 +262,3 @@ def test_convert_roundtrip(tmp_path):
     a = read_cloud(src).points
     b = read_cloud(back).points
     assert np.abs(a - b).max() < 1e-7  # one f32 quantization step
-
-
-def test_threads_env_fallback(small_pair, capsys, monkeypatch):
-    a, b = small_pair
-    monkeypatch.setenv("GEOCD_THREADS", "2")
-    code, report = run_json(capsys, ["compute", str(a), str(b), "--k", "3"])
-    assert code == 0
-    assert report["manifest"]["threads"] == 2
-    monkeypatch.setenv("GEOCD_THREADS", "bogus")
-    assert main(["compute", str(a), str(b), "--k", "3"]) == 3
-
-
-def test_deterministic_forces_single_thread(small_pair, capsys, monkeypatch):
-    a, b = small_pair
-    monkeypatch.setenv("GEOCD_THREADS", "4")
-    code, report = run_json(
-        capsys, ["compute", str(a), str(b), "--k", "3", "--deterministic"]
-    )
-    assert code == 0
-    assert report["manifest"]["threads"] == 1

@@ -3,15 +3,14 @@ import pytest
 
 from geocd import (
     DimensionMismatchError,
+    NormalizationError,
     PointCloud,
-    apply_mask,
     knn_adjacency,
     merge,
-    minplus_hop,
     propagate,
     reconstruct_path,
 )
-from geocd.geodesic import NO_PRED, MaskConfig, initial_state
+from geocd.geodesic import NO_VIA, MaskConfig
 from geocd.fit import ShapeSpec, noisy_copy, sample_shape
 from geocd import normalize_pair
 from conftest import random_normalized_pair
@@ -42,15 +41,15 @@ def naive_minplus(prev_dist, adj_dist):
 
 def test_l_shape_two_hop_improvement():
     z, adj = l_shape()
-    state1 = initial_state(adj, z.n_pred)
-    assert state1.dist[0, 2] == 1.0  # sentinel at hop 1
-    state2 = minplus_hop(state1, adj)
-    assert state2.dist[0, 2] == pytest.approx(0.7, abs=1e-12)
-    assert state2.pred[0, 2] == 1
+    geo = propagate(z, adj, n_hops=2)
+    hop1, hop2 = geo.dense(0), geo.dense(1)
+    assert hop1[0, 2] == 1.0  # sentinel at hop 1
+    assert hop2[0, 2] == pytest.approx(0.7, abs=1e-12)
+    assert reconstruct_path(geo, 0, 2) == [0, 1, 2]
     # everything else keeps its hop-1 value
     keep = np.ones((3, 3), dtype=bool)
     keep[0, 2] = False
-    assert np.array_equal(state2.dist[keep], state1.dist[keep])
+    assert np.array_equal(hop2[keep], hop1[keep])
 
 
 def test_l_shape_propagate_cross_blocks():
@@ -78,10 +77,9 @@ def test_straight_line_complete_graph_fixed_point():
     pts = np.array([[0.1 * i, 0.0, 0.0] for i in range(6)])
     z = merge(PointCloud(pts[:3]), PointCloud(pts[3:]))
     adj = knn_adjacency(z, k=5)
-    state1 = initial_state(adj, 3)
-    state2 = minplus_hop(state1, adj)
-    assert np.allclose(state2.dist, state1.dist, atol=1e-12)
-    assert (state2.pred == NO_PRED).all()
+    geo = propagate(z, adj, n_hops=2)
+    assert np.allclose(geo.dense(1), geo.dense(0), atol=1e-12)
+    assert (geo.hops[1].via == NO_VIA).all()
 
 
 def test_isolated_pair_stays_sentinel():
@@ -90,11 +88,9 @@ def test_isolated_pair_stays_sentinel():
     gt = PointCloud(np.array([[0.01, 0.0, 0.0], [0.91, 0.9, 0.9]]))
     z = merge(pred, gt)
     adj = knn_adjacency(z, k=1)
-    state = initial_state(adj, 2)
-    for _ in range(3):
-        state = minplus_hop(state, adj)
-    assert state.dist[0, 3] == 1.0  # no walk beats the sentinel
-    assert state.pred[0, 3] == NO_PRED
+    geo = propagate(z, adj, n_hops=4)
+    assert geo.dense()[0, 3] == 1.0  # no walk beats the sentinel
+    assert reconstruct_path(geo, 0, 3) is None
 
 
 def test_minplus_matches_naive_dense(rng):
@@ -102,20 +98,31 @@ def test_minplus_matches_naive_dense(rng):
         pred, gt = random_normalized_pair(rng, 8, 8)
         z = merge(pred, gt)
         adj = knn_adjacency(z, 3)
-        state = initial_state(adj, 8)
-        for _hop in range(3):
-            ref = naive_minplus(state.dist, adj.dist)
-            state = minplus_hop(state, adj)
-            assert np.abs(state.dist - ref).max() < 1e-15
+        geo = propagate(z, adj, n_hops=4)
+        for h in range(1, 4):
+            ref = naive_minplus(geo.dense(h - 1), adj.dist)
+            assert np.abs(geo.dense(h) - ref).max() < 1e-15
 
 
 def test_minplus_dimension_mismatch(rng):
     pred, gt = random_normalized_pair(rng, 5, 5)
     z = merge(pred, gt)
     small = knn_adjacency(merge(pred, PointCloud(gt.points[:3])), 2)
-    state = initial_state(knn_adjacency(z, 2), 5)
     with pytest.raises(DimensionMismatchError):
-        minplus_hop(state, small)
+        propagate(z, small, n_hops=2)
+
+
+def test_edges_beyond_sentinel_rejected():
+    # raw coordinates: the 1-NN edges are 3 long against the sentinel 1
+    pred = PointCloud(np.array([[0.0, 0.0, 0.0]]))
+    gt = PointCloud(np.array([[3.0, 0.0, 0.0], [3.0, 0.5, 0.0]]))
+    z = merge(pred, gt)
+    with pytest.raises(NormalizationError):
+        propagate(z, knn_adjacency(z, 1), n_hops=2)
+    # an edge exactly as long as the sentinel is still a real edge
+    z = merge(PointCloud(np.zeros((1, 3))), PointCloud(np.array([[1.0, 0.0, 0.0]])))
+    geo = propagate(z, knn_adjacency(z, 1), n_hops=2)
+    assert reconstruct_path(geo, 0, 1) == [0, 1]
 
 
 def test_elementwise_monotonicity_and_sentinel_ceiling(rng):
@@ -124,9 +131,9 @@ def test_elementwise_monotonicity_and_sentinel_ceiling(rng):
         z = merge(pred, gt)
         adj = knn_adjacency(z, 3)
         geo = propagate(z, adj, n_hops=4)
-        for prev, cur in zip(geo.states, geo.states[1:]):
-            assert (cur.dist <= prev.dist).all()
-        assert (geo.states[-1].dist <= adj.sentinel).all()
+        for h in range(1, geo.hops_used):
+            assert (geo.dense(h) <= geo.dense(h - 1)).all()
+        assert (geo.dense() <= adj.sentinel).all()
 
 
 def test_pred_decomposition_invariant(rng):
@@ -135,52 +142,55 @@ def test_pred_decomposition_invariant(rng):
     z = merge(pred, gt)
     adj = knn_adjacency(z, 3)
     geo = propagate(z, adj, n_hops=4)
-    for prev, cur in zip(geo.states, geo.states[1:]):
-        ii, jj = np.nonzero(cur.pred != NO_PRED)
-        if ii.size == 0:
+    for h in range(1, geo.hops_used):
+        hop = geo.hops[h]
+        routed = hop.via != NO_VIA
+        if not routed.any():
             continue
-        kk = cur.pred[ii, jj]
-        recomposed = prev.dist[ii, kk] + adj.dist[kk, jj]
-        assert np.abs(cur.dist[ii, jj] - recomposed).max() < 1e-12
+        ii, jj = np.divmod(hop.key[routed], z.size)
+        kk = hop.via[routed]
+        recomposed = geo.dense(h - 1)[ii, kk] + adj.dist[kk, jj]
+        assert np.abs(geo.dense(h)[ii, jj] - recomposed).max() < 1e-12
 
 
 def test_path_consistency(rng):
     pred, gt = random_normalized_pair(rng, 10, 12)
     z = merge(pred, gt)
     adj = knn_adjacency(z, 3)
-    geo = propagate(z, adj, n_hops=3)
-    final = geo.states[-1]
-    checked = 0
-    for i in range(z.size):
-        for j in range(z.size):
-            if i == j:
-                continue
-            path = reconstruct_path(geo, i, j)
-            if path is None:
-                assert final.dist[i, j] == adj.sentinel
-                continue
-            length = sum(
-                np.linalg.norm(z.points[a] - z.points[b]) for a, b in zip(path, path[1:])
-            )
-            assert abs(length - final.dist[i, j]) < 1e-9
-            checked += 1
-    assert checked > 0
+    for hops, mask in ((3, MaskConfig()), (4, MaskConfig(enabled=True))):
+        geo = propagate(z, adj, n_hops=hops, mask=mask)
+        final = geo.dense()
+        checked = 0
+        for i in range(z.size):
+            for j in range(z.size):
+                if i == j:
+                    continue
+                path = reconstruct_path(geo, i, j)
+                if path is None:
+                    assert final[i, j] == adj.sentinel
+                    continue
+                length = sum(
+                    np.linalg.norm(z.points[a] - z.points[b]) for a, b in zip(path, path[1:])
+                )
+                assert abs(length - final[i, j]) < 1e-9
+                checked += 1
+        assert checked > 0
 
 
 def test_mask_threshold_zero_rejected(rng):
     pred, gt = random_normalized_pair(rng, 5, 5)
     z = merge(pred, gt)
-    state = initial_state(knn_adjacency(z, 2), 5)
     with pytest.raises(ValueError):
-        apply_mask(state, 0.0)
+        propagate(z, knn_adjacency(z, 2), n_hops=2, mask=MaskConfig(enabled=True, threshold=0.0))
 
 
 def test_mask_tiny_threshold_keeps_everyone_active(rng):
     pred, gt = random_normalized_pair(rng, 8, 8)
     z = merge(pred, gt)
-    state = initial_state(knn_adjacency(z, 3), 8)
-    masked = apply_mask(state, 1e-15)  # distinct points sit farther than this
-    assert masked.active.all()
+    # distinct points sit farther apart than this
+    tiny = MaskConfig(enabled=True, threshold=1e-15)
+    geo = propagate(z, knn_adjacency(z, 3), n_hops=2, mask=tiny)
+    assert geo.masked_per_hop == [0.0]
 
 
 def test_mask_threshold_at_sentinel_freezes_all(rng):
@@ -236,10 +246,10 @@ def test_masked_rows_still_serve_as_intermediates():
     adj = knn_adjacency(z, k=1)
     geo = propagate(z, adj, n_hops=2, mask=MaskConfig(enabled=True, threshold=0.1))
     assert geo.masked_per_hop[0] == 0.5
-    final, first = geo.states[-1], geo.states[0]
+    final, first = geo.dense(), geo.dense(0)
     # frozen rows copied verbatim
-    assert np.array_equal(final.dist[1], first.dist[1])
-    assert np.array_equal(final.dist[2], first.dist[2])
+    assert np.array_equal(final[1], first[1])
+    assert np.array_equal(final[2], first[2])
     # active z1 improved its walk to p2 through the frozen intermediate g1
-    assert final.dist[0, 1] == pytest.approx(0.45, abs=1e-12)
-    assert final.pred[0, 1] == 2
+    assert final[0, 1] == pytest.approx(0.45, abs=1e-12)
+    assert reconstruct_path(geo, 0, 1) == [0, 2, 1]

@@ -62,7 +62,7 @@ def test_oracle_matches_propagation(rng):
         z = merge(pred, gt)
         adj = knn_adjacency(z, int(rng.choice([2, 3, 5])))
         hops = int(rng.integers(1, 5))
-        got = propagate(z, adj, hops).states[-1].dist
+        got = propagate(z, adj, hops).dense()
         assert np.abs(got - hop_bounded_shortest_paths(adj, hops)).max() < 1e-9
 
 
