@@ -144,14 +144,17 @@ def _extend(prev: Hop, active: np.ndarray, ptr, dst, length, sentinel: float) ->
     key = np.concatenate([prev.key, ci[ok] * n + cj[ok]])
     dist = np.concatenate([prev.dist, cv[ok]])
     via = np.concatenate([prev.via, k[walk[ok]]])
-    fresh = np.arange(key.size) >= prev.key.size
-    # per key: lowest value, then the previous entry, then the lowest intermediate
-    order = np.lexsort((via, fresh, dist, key))
-    key = key[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    keep = order[first]
-    return Hop(key[first], dist[keep], via[keep])
+    # A stable sort by key keeps each key's entries in concatenation order:
+    # the previous entry first, then the candidates by rising intermediate.
+    # The first entry at the key's minimum is therefore the winner.
+    order = np.argsort(key, kind="stable")
+    key, dist, via = key[order], dist[order], via[order]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    best = np.repeat(np.minimum.reduceat(dist, start), np.diff(np.r_[start, key.size]))
+    hit = np.flatnonzero(dist == best)
+    group = np.searchsorted(start, hit, side="right")
+    keep = hit[np.r_[True, group[1:] != group[:-1]]]
+    return Hop(key[keep], dist[keep], via[keep])
 
 
 def propagate(

@@ -16,6 +16,8 @@ from .cloud import PointCloud
 from .distances import pairwise_distances
 from .errors import KTooLargeError
 
+SORT_ROWS = 64  # row block of the distance and sort passes: small, reused temporaries
+
 
 @dataclass
 class MergedSet:
@@ -74,15 +76,16 @@ def knn_adjacency(
         raise ValueError(f"k must be >= 1, got {k}")
     if k > n - 1:
         raise KTooLargeError(f"k={k} exceeds the {n - 1} other points in the merged set")
-    d = pairwise_distances(z.points, z.points)
-    sel = d.copy()
-    np.fill_diagonal(sel, np.inf)  # self is never its own neighbour
-    # stable sort: equal distances keep index order, i.e. ties -> lower index
-    order = np.argsort(sel, axis=1, kind="stable")[:, :k]
+    dist = pairwise_distances(z.points, z.points, block=SORT_ROWS)
+    np.fill_diagonal(dist, np.inf)  # self is never its own neighbour
     mask = np.zeros((n, n), dtype=bool)
-    mask[np.arange(n)[:, None], order] = True
+    for r0 in range(0, n, SORT_ROWS):
+        rows = slice(r0, r0 + SORT_ROWS)
+        # stable sort: equal distances keep index order, i.e. ties -> lower index
+        order = np.argsort(dist[rows], axis=1, kind="stable")[:, :k]
+        mask[np.arange(n)[rows, None], order] = True
     if symmetrize:
         mask |= mask.T
-    dist = np.where(mask, d, float(sentinel))
+    np.putmask(dist, ~mask, float(sentinel))
     np.fill_diagonal(dist, 0.0)
     return Adjacency(dist=dist, edge_mask=mask, k=k, sentinel=float(sentinel))

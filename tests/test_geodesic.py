@@ -104,6 +104,20 @@ def test_minplus_matches_naive_dense(rng):
             assert np.abs(geo.dense(h) - ref).max() < 1e-15
 
 
+def test_exact_ties_keep_previous_then_lowest_intermediate():
+    # lengths are exact binary fractions, so the tied sums compare equal
+    square = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0], [0.0, 0.25, 0.0], [0.25, 0.25, 0.0]])
+    z = merge(PointCloud(square[:1]), PointCloud(square[1:]))
+    geo = propagate(z, knn_adjacency(z, k=2), n_hops=2)
+    assert geo.dense()[0, 3] == 0.5  # via 1 and via 2 tie
+    assert reconstruct_path(geo, 0, 3) == [0, 1, 3]
+    line = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    z = merge(PointCloud(line[:1]), PointCloud(line[1:]))
+    geo = propagate(z, knn_adjacency(z, k=2), n_hops=2)
+    assert geo.dense()[0, 2] == 0.5  # the direct edge ties the walk via 1
+    assert reconstruct_path(geo, 0, 2) == [0, 2]
+
+
 def test_minplus_dimension_mismatch(rng):
     pred, gt = random_normalized_pair(rng, 5, 5)
     z = merge(pred, gt)
