@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .distances import pairwise_distances
+from .distances import BLOCK, pairwise_distances
 from .errors import KTooLargeError
-
-SORT_ROWS = 64  # row block of the distance and sort passes: small, reused temporaries
 
 
 @dataclass
@@ -76,14 +74,20 @@ def knn_adjacency(
         raise ValueError(f"k must be >= 1, got {k}")
     if k > n - 1:
         raise KTooLargeError(f"k={k} exceeds the {n - 1} other points in the merged set")
-    dist = pairwise_distances(z.points, z.points, block=SORT_ROWS)
+    dist = pairwise_distances(z.points, z.points)
     np.fill_diagonal(dist, np.inf)  # self is never its own neighbour
-    mask = np.zeros((n, n), dtype=bool)
-    for r0 in range(0, n, SORT_ROWS):
-        rows = slice(r0, r0 + SORT_ROWS)
-        # stable sort: equal distances keep index order, i.e. ties -> lower index
-        order = np.argsort(dist[rows], axis=1, kind="stable")[:, :k]
-        mask[np.arange(n)[rows, None], order] = True
+    mask = np.empty((n, n), dtype=bool)
+    for r0 in range(0, n, BLOCK):
+        d, sel = dist[r0 : r0 + BLOCK], mask[r0 : r0 + BLOCK]
+        kth = np.partition(d, k - 1, axis=1)[:, k - 1, None]
+        np.less_equal(d, kth, out=sel)
+        # rows with more than k entries at or below the k-th distance keep
+        # the lowest-index ties, as a stable sort of the row would
+        tied = np.flatnonzero(np.count_nonzero(sel, axis=1) > k)
+        dt, kt = d[tied], kth[tied]
+        eq = dt == kt
+        free = k - np.count_nonzero(dt < kt, axis=1)
+        sel[tied] &= ~eq | (np.cumsum(eq, axis=1) <= free[:, None])
     if symmetrize:
         mask |= mask.T
     np.putmask(dist, ~mask, float(sentinel))

@@ -112,6 +112,17 @@ def test_compute_no_normalize_rejects_raw_coordinates(tmp_path, capsys):
     assert main(["compute", str(p), str(g), "--k", "3"]) == 0
 
 
+def test_compute_json_stage_timings(small_pair, tmp_path, schema):
+    a, b = small_pair
+    out = tmp_path / "report.json"
+    assert main(["compute", str(a), str(b), "--k", "3", "--json", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    validate(report, schema, "compute_report")
+    timings = report["manifest"]["timings"]
+    assert set(timings) == {"graph", "propagation", "loss", "gradient", "total"}
+    assert timings["gradient"] == 0.0  # compute takes no gradient
+
+
 def test_compute_deterministic_json(small_pair, capsys):
     a, b = small_pair
     argv = ["compute", str(a), str(b), "--k", "3", "--deterministic"]

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from geocd import GeoCdConfig, normalize_pair
+from geocd import GeoCdConfig, chamfer, normalize_pair
 from geocd.fit import (
     Adam,
     FitConfig,
@@ -122,6 +122,13 @@ def test_fit_reduces_chamfer():
     assert phases.count("cd") == 60 and phases.count("geocd") == 5
     # step indices restart per phase and stay contiguous
     assert [s.step for s in trace.steps if s.phase == "geocd"] == list(range(5))
+
+
+def test_fit_final_chamfer_loss_is_final_cd():
+    init, gt = normalized_problem(n=40, seed=2)
+    trace = fit(init, gt, FitConfig(steps_cd=5, steps_geocd=1, geo=GeoCdConfig(k=3)))
+    assert trace.final["chamfer_loss"] == trace.final["cd"]
+    assert trace.final["cd"] == chamfer(trace.final_pred, gt).value
 
 
 def test_fit_determinism():

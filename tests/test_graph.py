@@ -103,3 +103,33 @@ def test_symmetrize_flag(rng):
     adj = knn_adjacency(z, 2, symmetrize=True)
     assert (adj.edge_mask == adj.edge_mask.T).all()
     assert np.allclose(adj.dist, adj.dist.T)
+
+
+def stable_sort_knn_mask(points, k, symmetrize):
+    """Reference: the first k entries of a stable sort of each distance row."""
+    diff = points[:, None, :] - points[None, :, :]
+    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+    d = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    np.fill_diagonal(d, np.inf)
+    mask = np.zeros(d.shape, dtype=bool)
+    order = np.argsort(d, axis=1, kind="stable")[:, :k]
+    mask[np.arange(len(d))[:, None], order] = True
+    return (mask | mask.T) if symmetrize else mask, d
+
+
+@pytest.mark.parametrize("n_pred,n_gt", [(20, 23), (30, 35), (70, 75)])  # merged 43, 65, 145
+def test_boundary_ties_keep_lowest_indices(n_pred, n_gt):
+    # a coarse lattice with repeated points: most rows have more entries at
+    # their k-th distance than free slots
+    pts = np.random.default_rng(n_pred).integers(0, 4, (n_pred + n_gt, 3)) * 0.25
+    z = merge(PointCloud(pts[:n_pred]), PointCloud(pts[n_pred:]))
+    for k in range(1, 9):
+        for symmetrize in (False, True):
+            ref, d = stable_sort_knn_mask(z.points, k, symmetrize)
+            kth = np.sort(d, axis=1)[:, k - 1, None]
+            assert ((d <= kth).sum(axis=1) > k).any()  # the fixture does tie
+            adj = knn_adjacency(z, k, symmetrize=symmetrize)
+            assert np.array_equal(adj.edge_mask, ref)
+            expected = np.where(ref, d, 1.0)
+            np.fill_diagonal(expected, 0.0)
+            assert np.array_equal(adj.dist, expected)

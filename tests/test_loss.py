@@ -212,6 +212,7 @@ def test_geocd_gt_gradients_off_by_default(rng):
     rep = geocd(pred, gt, GeoCdConfig(k=3), with_grad=True)
     assert rep.grad_pred is not None
     assert rep.grad_gt is None
+    assert rep.diagnostics["timings"]["gradient"] > 0.0
 
 
 # ---------------------------------------------------------------- batching
