@@ -90,17 +90,6 @@ class GeoDistances:
         c = (src < n_pred) != (dst < n_pred)
         return src[c], dst[c], self.hops[-1].dist[c]
 
-    @property
-    def sentinel_fraction(self) -> float:
-        """Share of cross entries never touched by a real walk."""
-        total = 2 * self.merged.n_pred * self.merged.n_gt
-        return (total - self.cross()[0].size) / total
-
-    def mean_cross_distance(self) -> float:
-        _, _, d = self.cross()
-        total = 2 * self.merged.n_pred * self.merged.n_gt
-        return float((d.sum() + (total - d.size) * self.adj.sentinel) / total)
-
 
 def cross_width(merged: MergedSet) -> np.ndarray:
     """Cross-block row length of every merged point: the other cloud's size."""
@@ -176,10 +165,9 @@ def propagate(
         raise ValueError(f"n_hops must be >= 1, got {n_hops}")
     if adj.size != merged.size:
         raise DimensionMismatchError(
-            f"adjacency is {adj.dist.shape}, merged set has {merged.size} points"
+            f"adjacency has {adj.size} points, merged set has {merged.size}"
         )
-    src, dst = np.nonzero(adj.edge_mask)
-    length = adj.dist[src, dst]
+    src, dst, length = adj.src, adj.dst, adj.length
     if (length > adj.sentinel).any():
         raise NormalizationError(
             f"kNN edge of length {length.max():.6g} exceeds the sentinel {adj.sentinel:g}; "

@@ -1,9 +1,10 @@
 """1-hop kNN adjacency over the merged predicted + ground-truth set.
 
-Non-neighbour entries hold a finite sentinel (1.0 by default) instead of
-infinity; after unit-bounding-box normalization every true distance stays
-below it, so sentinel entries barely influence the softmin while keeping
-the arithmetic finite.
+The graph is one edge list sorted by (src, dst). Non-neighbour entries hold
+a finite sentinel (1.0 by default) instead of infinity; after
+unit-bounding-box normalization every true distance stays below it, so
+sentinel entries barely influence the softmin while keeping the arithmetic
+finite.
 """
 
 from __future__ import annotations
@@ -37,23 +38,27 @@ class MergedSet:
 
 @dataclass
 class Adjacency:
-    """Dense 1-hop matrix: Euclidean length to the k nearest neighbours of
-    each row, sentinel elsewhere, zero diagonal.
+    """Directed 1-hop kNN edges, sorted by (src, dst).
 
-    kNN is directed, so the matrix is generally asymmetric. ``edge_mask``
-    records which entries are real edges; this matters because an edge
-    length can coincide with the sentinel value (two points at opposite
-    corners of the unit box), yet must still carry gradient.
+    Edge ``e`` runs from ``src[e]`` to ``dst[e]`` with Euclidean length
+    ``length[e]``. Every pair not listed holds the sentinel, and the diagonal
+    is zero. kNN is directed, so the edge set is generally asymmetric. An
+    edge whose length equals the sentinel (two points at opposite corners of
+    the unit box) is still an edge and still carries gradient.
     """
 
-    dist: np.ndarray
-    edge_mask: np.ndarray
-    k: int
+    src: np.ndarray  # (e,) intp
+    dst: np.ndarray  # (e,) intp
+    length: np.ndarray  # (e,) float64
+    size: int
     sentinel: float
 
-    @property
-    def size(self) -> int:
-        return self.dist.shape[0]
+    def dense(self) -> np.ndarray:
+        """(size, size) 1-hop matrix, for oracles and tests."""
+        out = np.full((self.size, self.size), self.sentinel)
+        np.fill_diagonal(out, 0.0)
+        out[self.src, self.dst] = self.length
+        return out
 
 
 def merge(pred: PointCloud, gt: PointCloud) -> MergedSet:
@@ -74,13 +79,13 @@ def knn_adjacency(
         raise ValueError(f"k must be >= 1, got {k}")
     if k > n - 1:
         raise KTooLargeError(f"k={k} exceeds the {n - 1} other points in the merged set")
-    dist = pairwise_distances(z.points, z.points)
-    np.fill_diagonal(dist, np.inf)  # self is never its own neighbour
-    mask = np.empty((n, n), dtype=bool)
+    src, dst, length = [], [], []
     for r0 in range(0, n, BLOCK):
-        d, sel = dist[r0 : r0 + BLOCK], mask[r0 : r0 + BLOCK]
+        d = pairwise_distances(z.points[r0 : r0 + BLOCK], z.points)
+        own = np.arange(d.shape[0])
+        d[own, own + r0] = np.inf  # self is never its own neighbour
         kth = np.partition(d, k - 1, axis=1)[:, k - 1, None]
-        np.less_equal(d, kth, out=sel)
+        sel = d <= kth
         # rows with more than k entries at or below the k-th distance keep
         # the lowest-index ties, as a stable sort of the row would
         tied = np.flatnonzero(np.count_nonzero(sel, axis=1) > k)
@@ -88,8 +93,14 @@ def knn_adjacency(
         eq = dt == kt
         free = k - np.count_nonzero(dt < kt, axis=1)
         sel[tied] &= ~eq | (np.cumsum(eq, axis=1) <= free[:, None])
+        r, c = np.nonzero(sel)
+        src.append(r + r0)
+        dst.append(c)
+        length.append(d[r, c])
+    src, dst, length = (np.concatenate(a) for a in (src, dst, length))
     if symmetrize:
-        mask |= mask.T
-    np.putmask(dist, ~mask, float(sentinel))
-    np.fill_diagonal(dist, 0.0)
-    return Adjacency(dist=dist, edge_mask=mask, k=k, sentinel=float(sentinel))
+        # the reverse edge has the same length: (a-b)^2 equals (b-a)^2 exactly
+        key, first = np.unique(np.r_[src * n + dst, dst * n + src], return_index=True)
+        src, dst = np.divmod(key, n)
+        length = np.r_[length, length][first]
+    return Adjacency(src, dst, length, n, float(sentinel))

@@ -134,11 +134,12 @@ def geocd(
     n, m = z.n_pred, z.n_gt
     value = float(v[:n].mean() + v[n:].mean())
 
+    total = 2 * n * m  # cross entries; the unlisted ones hold the sentinel
     diagnostics = {
-        "sentinel_fraction": geo.sentinel_fraction,
+        "sentinel_fraction": (total - d.size) / total,
         "masked_fraction": geo.masked_per_hop[-1] if geo.masked_per_hop else 0.0,
         "hops_used": geo.hops_used,
-        "mean_cross_distance": geo.mean_cross_distance(),
+        "mean_cross_distance": float((d.sum() + (total - d.size) * adj.sentinel) / total),
         "degenerate_edges": 0,
     }
 

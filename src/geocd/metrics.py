@@ -25,14 +25,6 @@ from .loss import chamfer  # noqa: F401
 
 
 @dataclass
-class F1Score:
-    precision: float
-    recall: float
-    f1: float
-    threshold_used: float
-
-
-@dataclass
 class MetricsReport:
     cd: float
     hd: float
@@ -53,15 +45,14 @@ def f1_at(
     gt: PointCloud,
     tau_fraction: float = 0.01,
     diag_source: str = "gt",
-) -> F1Score:
+) -> MetricsReport:
     """Precision/recall/F1 with threshold tau = tau_fraction x bbox diagonal.
 
     The diagonal comes from the ground-truth cloud by default (the reference
     shape defines the scale); ``diag_source="union"`` uses the joint box.
+    The report is ``evaluate``'s, whose cd and hd come from the same pass.
     """
-    tau = _threshold(pred, gt, tau_fraction, diag_source)
-    _, sq_p, _, sq_q = nearest(pred.points, gt.points)
-    return _f1(sq_p, sq_q, tau)
+    return evaluate(pred, gt, tau_fraction, diag_source)
 
 
 def evaluate(
@@ -73,14 +64,14 @@ def evaluate(
     """Chamfer + Hausdorff + F1 in one report, from one nearest-neighbour pass."""
     tau = _threshold(pred, gt, tau_fraction, diag_source)
     _, sq_p, _, sq_q = nearest(pred.points, gt.points)
-    f = _f1(sq_p, sq_q, tau)
+    precision, recall, f1 = _f1(sq_p, sq_q, tau)
     return MetricsReport(
         cd=float(sq_p.mean() + sq_q.mean()),  # the value of ``loss.chamfer``
         hd=_hausdorff(sq_p, sq_q),
-        f1=f.f1,
-        precision=f.precision,
-        recall=f.recall,
-        threshold_used=f.threshold_used,
+        f1=f1,
+        precision=precision,
+        recall=recall,
+        threshold_used=tau,
     )
 
 
@@ -88,11 +79,12 @@ def _hausdorff(sq_p: np.ndarray, sq_q: np.ndarray) -> float:
     return float(np.sqrt(max(sq_p.max(), sq_q.max())))
 
 
-def _f1(sq_p: np.ndarray, sq_q: np.ndarray, tau: float) -> F1Score:
+def _f1(sq_p: np.ndarray, sq_q: np.ndarray, tau: float) -> tuple[float, float, float]:
+    """(precision, recall, f1) of the matches within ``tau``."""
     precision = float((np.sqrt(sq_p) <= tau).mean())
     recall = float((np.sqrt(sq_q) <= tau).mean())
     f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
-    return F1Score(precision, recall, f1, tau)
+    return precision, recall, f1
 
 
 def _threshold(pred: PointCloud, gt: PointCloud, tau_fraction: float, diag_source: str) -> float:

@@ -23,7 +23,7 @@ def hop_bounded_shortest_paths(adj: Adjacency, n_hops: int) -> np.ndarray:
     """
     if n_hops < 1:
         raise ValueError("n_hops must be >= 1")
-    w = adj.dist
+    w = adj.dense()
     n = w.shape[0]
     out = np.empty_like(w)
     for s in range(n):
@@ -36,7 +36,7 @@ def hop_bounded_shortest_paths(adj: Adjacency, n_hops: int) -> np.ndarray:
 
 def dijkstra_all_pairs(adj: Adjacency) -> np.ndarray:
     """Converged shortest paths (no hop bound) on the same dense graph."""
-    w = adj.dist
+    w = adj.dense()
     n = w.shape[0]
     out = np.empty_like(w)
     for s in range(n):

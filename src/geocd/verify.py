@@ -111,7 +111,8 @@ def propagation_signature(pred_points: np.ndarray, gt: PointCloud, cfg: GeoCdCon
     z = merge(PointCloud(pred_points), gt)
     adj = knn_adjacency(z, cfg.k, cfg.sentinel, cfg.symmetrize)
     geo = propagate(z, adj, cfg.n_hops, cfg.mask)
-    return (adj.edge_mask.tobytes(), tuple(h.key.tobytes() + h.via.tobytes() for h in geo.hops))
+    hops = tuple(h.key.tobytes() + h.via.tobytes() for h in geo.hops)
+    return (adj.src.tobytes(), adj.dst.tobytes(), hops)
 
 
 def check_gradients(

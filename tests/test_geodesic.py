@@ -3,8 +3,10 @@ import pytest
 
 from geocd import (
     DimensionMismatchError,
+    GeoCdConfig,
     NormalizationError,
     PointCloud,
+    geocd,
     knn_adjacency,
     merge,
     propagate,
@@ -58,7 +60,9 @@ def test_l_shape_propagate_cross_blocks():
     assert np.allclose(geo.d_xy, [[0.4, 0.7]], atol=1e-12)
     # nothing links back to z1, so the reverse block stays at the sentinel
     assert np.array_equal(geo.d_yx, [[1.0], [1.0]])
-    assert geo.sentinel_fraction == pytest.approx(0.5)
+    pred, gt = PointCloud(z.points[:1]), PointCloud(z.points[1:])
+    rep = geocd(pred, gt, GeoCdConfig(k=1, n_hops=2))
+    assert rep.diagnostics["sentinel_fraction"] == pytest.approx(0.5)
     assert reconstruct_path(geo, 0, 2) == [0, 1, 2]
     assert reconstruct_path(geo, 1, 0) is None
 
@@ -68,8 +72,8 @@ def test_propagate_single_hop_is_adjacency(rng):
     z = merge(pred, gt)
     adj = knn_adjacency(z, 3)
     geo = propagate(z, adj, n_hops=1)
-    assert np.array_equal(geo.d_xy, adj.dist[:9, 9:])
-    assert np.array_equal(geo.d_yx, adj.dist[9:, :9])
+    assert np.array_equal(geo.d_xy, adj.dense()[:9, 9:])
+    assert np.array_equal(geo.d_yx, adj.dense()[9:, :9])
 
 
 def test_straight_line_complete_graph_fixed_point():
@@ -100,7 +104,7 @@ def test_minplus_matches_naive_dense(rng):
         adj = knn_adjacency(z, 3)
         geo = propagate(z, adj, n_hops=4)
         for h in range(1, 4):
-            ref = naive_minplus(geo.dense(h - 1), adj.dist)
+            ref = naive_minplus(geo.dense(h - 1), adj.dense())
             assert np.abs(geo.dense(h) - ref).max() < 1e-15
 
 
@@ -163,7 +167,7 @@ def test_pred_decomposition_invariant(rng):
             continue
         ii, jj = np.divmod(hop.key[routed], z.size)
         kk = hop.via[routed]
-        recomposed = geo.dense(h - 1)[ii, kk] + adj.dist[kk, jj]
+        recomposed = geo.dense(h - 1)[ii, kk] + adj.dense()[kk, jj]
         assert np.abs(geo.dense(h)[ii, jj] - recomposed).max() < 1e-12
 
 

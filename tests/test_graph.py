@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,11 @@ from conftest import random_cloud
 
 def cloud(*pts):
     return PointCloud(np.array(pts, dtype=np.float64))
+
+
+def keys(adj):
+    """Edge keys ``src * n + dst``, in the adjacency's order."""
+    return adj.src * adj.size + adj.dst
 
 
 def test_merge_order_and_origin():
@@ -35,10 +42,10 @@ def test_collinear_k1_fixture():
             [1.0, 0.35, 0.0],
         ]
     )
-    assert np.allclose(adj.dist, expected, atol=1e-12)
+    assert np.allclose(adj.dense(), expected, atol=1e-12)
     # directed: 1->2 is sentinel while 2->1 is a real edge
-    assert adj.dist[1, 2] != adj.dist[2, 1]
-    assert not adj.edge_mask[1, 2] and adj.edge_mask[2, 1]
+    assert adj.dense()[1, 2] != adj.dense()[2, 1]
+    assert list(zip(adj.src.tolist(), adj.dst.tolist())) == [(0, 1), (1, 0), (2, 1)]
 
 
 def test_complete_graph_equals_distance_matrix(rng):
@@ -47,8 +54,8 @@ def test_complete_graph_equals_distance_matrix(rng):
     adj = knn_adjacency(z, k=z.size - 1)
     diffs = z.points[:, None, :] - z.points[None, :, :]
     full = np.sqrt((diffs**2).sum(-1))
-    assert np.allclose(adj.dist, full, atol=1e-12)
-    assert adj.edge_mask.sum() == z.size * (z.size - 1)
+    assert np.allclose(adj.dense(), full, atol=1e-12)
+    assert adj.src.size == z.size * (z.size - 1)
 
 
 def test_k_too_large(rng):
@@ -68,41 +75,41 @@ def test_row_sparsity_and_diagonal(rng):
     z = merge(random_cloud(rng, 14), random_cloud(rng, 9))
     for k in (1, 3, 7):
         adj = knn_adjacency(z, k)
-        off_diag = adj.edge_mask.sum(axis=1)
+        off_diag = np.bincount(adj.src, minlength=z.size)
         assert (off_diag == k).all()
-        assert not adj.edge_mask.diagonal().any()
-        assert (adj.dist.diagonal() == 0).all()
+        assert (adj.src != adj.dst).all()
+        assert (adj.dense().diagonal() == 0).all()
 
 
 def test_monotone_in_k(rng):
     z = merge(random_cloud(rng, 12), random_cloud(rng, 12))
-    prev = knn_adjacency(z, 2).edge_mask
+    prev = keys(knn_adjacency(z, 2))
     for k in (3, 4, 6):
-        cur = knn_adjacency(z, k).edge_mask
-        assert (prev <= cur).all()  # edge set grows with k
+        cur = keys(knn_adjacency(z, k))
+        assert np.isin(prev, cur).all()  # edge set grows with k
         prev = cur
 
 
 def test_edges_match_direct_recomputation(rng):
     z = merge(random_cloud(rng, 10), random_cloud(rng, 11))
     adj = knn_adjacency(z, 4)
-    for i, j in zip(*np.nonzero(adj.edge_mask)):
+    for i, j, length in zip(adj.src, adj.dst, adj.length):
         direct = float(np.linalg.norm(z.points[i] - z.points[j]))
-        assert adj.dist[i, j] == pytest.approx(direct, rel=1e-12)
+        assert length == pytest.approx(direct, rel=1e-12)
 
 
 def test_tie_break_prefers_lower_index():
     # indices 1 and 2 are both at distance 0.5 from index 0
     z = merge(cloud([0, 0, 0]), cloud([0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.9]))
     adj = knn_adjacency(z, k=1)
-    assert adj.edge_mask[0, 1] and not adj.edge_mask[0, 2]
+    assert adj.dst[adj.src == 0].tolist() == [1]
 
 
 def test_symmetrize_flag(rng):
     z = merge(random_cloud(rng, 8), random_cloud(rng, 8))
     adj = knn_adjacency(z, 2, symmetrize=True)
-    assert (adj.edge_mask == adj.edge_mask.T).all()
-    assert np.allclose(adj.dist, adj.dist.T)
+    assert np.array_equal(np.sort(adj.dst * z.size + adj.src), keys(adj))
+    assert np.allclose(adj.dense(), adj.dense().T)
 
 
 def stable_sort_knn_mask(points, k, symmetrize):
@@ -129,7 +136,37 @@ def test_boundary_ties_keep_lowest_indices(n_pred, n_gt):
             kth = np.sort(d, axis=1)[:, k - 1, None]
             assert ((d <= kth).sum(axis=1) > k).any()  # the fixture does tie
             adj = knn_adjacency(z, k, symmetrize=symmetrize)
-            assert np.array_equal(adj.edge_mask, ref)
+            assert np.array_equal(np.c_[adj.src, adj.dst], np.argwhere(ref))
             expected = np.where(ref, d, 1.0)
             np.fill_diagonal(expected, 0.0)
-            assert np.array_equal(adj.dist, expected)
+            assert np.array_equal(adj.dense(), expected)
+
+
+@pytest.mark.parametrize("n_pred,n_gt", [(20, 23), (30, 35), (70, 75)])  # merged 43, 65, 145
+def test_edge_list_invariants(n_pred, n_gt):
+    rng = np.random.default_rng(n_gt)
+    lattice = rng.integers(0, 4, (n_pred + n_gt, 3)) * 0.25
+    for pts in (rng.random((n_pred + n_gt, 3)), lattice):
+        z = merge(PointCloud(pts[:n_pred]), PointCloud(pts[n_pred:]))
+        for k in (1, 3, 8):
+            adj = knn_adjacency(z, k)
+            assert (np.diff(keys(adj)) > 0).all()  # sorted by (src, dst), no duplicates
+            assert (adj.src != adj.dst).all()
+            assert (np.bincount(adj.src, minlength=z.size) == k).all()
+            sym = knn_adjacency(z, k, symmetrize=True)
+            assert (np.diff(keys(sym)) > 0).all()
+            assert (sym.src != sym.dst).all()
+            assert np.array_equal(np.sort(sym.dst * z.size + sym.src), keys(sym))
+            assert np.isin(keys(adj), keys(sym)).all()
+
+
+def test_knn_memory_stays_below_dense(rng):
+    # 2048 merged points: a dense float64 matrix alone would take 32 MiB
+    z = merge(random_cloud(rng, 1024), random_cloud(rng, 1024))
+    tracemalloc.start()
+    try:
+        knn_adjacency(z, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < z.size**2 * 8 / 4

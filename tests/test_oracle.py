@@ -25,7 +25,7 @@ def test_single_hop_returns_adjacency(rng):
     pred, gt = random_normalized_pair(rng, 8, 8)
     z = merge(pred, gt)
     adj = knn_adjacency(z, 3)
-    assert np.array_equal(hop_bounded_shortest_paths(adj, 1), adj.dist)
+    assert np.array_equal(hop_bounded_shortest_paths(adj, 1), adj.dense())
 
 
 def test_l_shape_two_hops():
@@ -90,7 +90,7 @@ def test_finite_diff_flags_structure_changes():
 
     def sig(pts):
         z = merge(PointCloud(pts), q)
-        return knn_adjacency(z, 1).edge_mask.tobytes()
+        return knn_adjacency(z, 1).dst.tobytes()
 
     _, flagged = finite_diff_grad(
         lambda pts: geocd(PointCloud(pts), q, cfg).value, p.points, signature_fn=sig
