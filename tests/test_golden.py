@@ -1,0 +1,54 @@
+"""Golden equivalence gate: the current tree against the recorded file.
+
+``tests/golden/geocd_golden.json`` holds, for 200 fixed seeds, the digests
+of the graph, the hop records and the ``evaluate`` fields, every error text,
+and the loss and gradient values (see ``tests/golden/generate.py``). A
+change that moves none of them passes unchanged; one that means to move a
+value re-records the file and says which digests moved and why.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from golden.generate import GOLDEN, SEEDS, instance, record
+
+REL_TOL = 1e-12  # loss and gradients pass through np.exp / np.log
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_numpy_version(golden):
+    assert golden["numpy"] == np.__version__, (
+        f"the golden file was recorded with numpy {golden['numpy']}, this run has "
+        f"numpy {np.__version__}; the digests pin numpy's exact arithmetic, so check "
+        "the tree against its parent and re-record with tests/golden/generate.py"
+    )
+
+
+def test_golden_outputs_unchanged(golden):
+    assert [r["seed"] for r in golden["instances"]] == list(SEEDS)
+    problems = []
+    for want in golden["instances"]:
+        got = record(want["seed"])
+        moved = []
+        for key in ("evaluate", "evaluate_error", "graph", "hops", "error"):
+            if got.get(key) != want.get(key):
+                moved.append(f"{key}: {want.get(key)!r} -> {got.get(key)!r}")
+        if ("loss" in got) != ("loss" in want):
+            moved.append("loss: present in one record only")
+        elif "loss" in want:
+            if abs(got["loss"] - want["loss"]) > REL_TOL * abs(want["loss"]):
+                moved.append(f"loss: {want['loss']!r} -> {got['loss']!r}")
+            for key in ("grad_pred", "grad_gt"):
+                # [2-norm, projection]: both within REL_TOL of the norm
+                tol = REL_TOL * want[key][0]
+                if any(abs(g - w) > tol for g, w in zip(got[key], want[key])):
+                    moved.append(f"{key}: {want[key]} -> {got[key]}")
+        if moved:
+            problems.append(f"seed {want['seed']} {instance(want['seed'])[0]}: " + "; ".join(moved))
+    assert not problems, f"{len(problems)} golden instances moved:\n" + "\n".join(problems)
