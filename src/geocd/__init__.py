@@ -26,7 +26,7 @@ from .fit import Adam, FitConfig, FitTrace, ShapeSpec, fit, noisy_copy, sample_s
 from .geodesic import GeoDistances, MaskConfig, propagate, reconstruct_path
 from .graph import Adjacency, MergedSet, knn_adjacency, merge
 from .io import read_cloud, write_cloud
-from .loss import GeoCdConfig, LossReport, chamfer, geocd, geocd_batch, softmin
+from .loss import GeoCdConfig, LossReport, chamfer, geocd, softmin
 from .metrics import MetricsReport, evaluate, f1_at, hausdorff
 from .oracle import dijkstra_all_pairs, finite_diff_grad, hop_bounded_shortest_paths
 
@@ -60,7 +60,6 @@ __all__ = [
     "finite_diff_grad",
     "fit",
     "geocd",
-    "geocd_batch",
     "hausdorff",
     "hop_bounded_shortest_paths",
     "knn_adjacency",

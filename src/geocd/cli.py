@@ -52,7 +52,7 @@ def _manifest(subcommand: str, args, config: dict, timings: dict, seed=None) -> 
     }
 
 
-def _emit_json(obj: dict, path: str | None) -> None:
+def _emit_json(obj: dict, path: str | Path | None) -> None:
     text = json.dumps(obj, indent=2) + "\n"
     if path:
         Path(path).write_text(text, encoding="utf-8")
@@ -76,6 +76,19 @@ def _geo_config(args) -> GeoCdConfig:
     )
 
 
+def _geo_echo(args, geo: GeoCdConfig) -> dict:
+    """The geodesic settings a report echoes into its ``config``."""
+    return {
+        "k": geo.k,
+        "hops": geo.n_hops,
+        "sentinel": geo.sentinel,
+        "symmetrize": geo.symmetrize,
+        "mask": geo.mask.enabled,
+        "mask_threshold": geo.mask.threshold,
+        "tau_fraction": args.tau,
+    }
+
+
 def _add_geo_flags(p: argparse.ArgumentParser, mask_default: bool = False) -> None:
     p.add_argument("--k", type=int, default=5, help="neighbours per point (default 5)")
     p.add_argument("--hops", type=int, default=2, help="propagation hops (default 2)")
@@ -93,6 +106,20 @@ def _add_geo_flags(p: argparse.ArgumentParser, mask_default: bool = False) -> No
         default=None,
         help="explicit mask threshold (implies --mask; default 2x mean edge length)",
     )
+
+
+def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--target", choices=SHAPE_KINDS, default="hemisphere")
+    p.add_argument("--target-file", default=None, help="fit against this cloud instead of a shape")
+    p.add_argument("--init-file", default=None, help="initial guess (default: noisy target copy)")
+    p.add_argument("--n-points", type=int, default=512)
+    p.add_argument("--noise", type=float, default=0.05, help="sigma of the initial perturbation")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps-cd", type=int, default=200)
+    p.add_argument("--steps-geocd", type=int, default=20)
+    p.add_argument("--lr", type=float, default=5e-4)
+    _add_geo_flags(p, mask_default=True)
+    p.add_argument("--tau", type=float, default=0.01)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -122,13 +149,7 @@ def cmd_compute(args) -> int:
         "pred": str(args.pred),
         "gt": str(args.gt),
         "format": args.format,
-        "k": args.k,
-        "hops": args.hops,
-        "sentinel": args.sentinel,
-        "symmetrize": args.symmetrize,
-        "mask": cfg.mask.enabled,
-        "mask_threshold": cfg.mask.threshold,
-        "tau_fraction": args.tau,
+        **_geo_echo(args, cfg),
         "f1_diag": args.f1_diag,
         "normalize": not args.no_normalize,
     }
@@ -209,13 +230,7 @@ def cmd_fit(args) -> int:
         "steps_cd": args.steps_cd,
         "steps_geocd": args.steps_geocd,
         "lr": args.lr,
-        "k": args.k,
-        "hops": args.hops,
-        "sentinel": args.sentinel,
-        "symmetrize": args.symmetrize,
-        "mask": cfg.geo.mask.enabled,
-        "mask_threshold": cfg.geo.mask.threshold,
-        "tau_fraction": args.tau,
+        **_geo_echo(args, cfg.geo),
         "normalization": {
             "translation": [float(v) for v in transform.translation],
             "scale": transform.scale,
@@ -232,7 +247,7 @@ def cmd_fit(args) -> int:
             "target": str(out_dir / "target.xyz"),
         },
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    _emit_json(manifest, out_dir / "manifest.json")
     if not args.quiet:
         print(json.dumps(manifest["final"], indent=2))
     return 0
@@ -240,7 +255,7 @@ def cmd_fit(args) -> int:
 
 def cmd_verify(args) -> int:
     t_start = time.perf_counter()
-    result = run_verification(
+    report = run_verification(
         trials=args.trials,
         seed=args.seed,
         size_range=(args.min_points, args.max_points),
@@ -258,10 +273,10 @@ def cmd_verify(args) -> int:
         "manifest": _manifest(
             "verify", args, config, {"total": time.perf_counter() - t_start}, seed=args.seed
         ),
-        **result.as_dict(),
+        **report,
     }
     _emit_json(out, args.json)
-    return 0 if result.passed else 1
+    return 0 if report["passed"] else 1
 
 
 def _sweep_value(axis: str, raw: str):
@@ -346,17 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("fit", help="two-phase coordinate fit against a target")
-    p.add_argument("--target", choices=SHAPE_KINDS, default="hemisphere")
-    p.add_argument("--target-file", default=None, help="fit against this cloud instead of a shape")
-    p.add_argument("--init-file", default=None, help="initial guess (default: noisy target copy)")
-    p.add_argument("--n-points", type=int, default=512)
-    p.add_argument("--noise", type=float, default=0.05, help="sigma of the initial perturbation")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps-cd", type=int, default=200)
-    p.add_argument("--steps-geocd", type=int, default=20)
-    p.add_argument("--lr", type=float, default=5e-4)
-    _add_geo_flags(p, mask_default=True)
-    p.add_argument("--tau", type=float, default=0.01)
+    _add_fit_flags(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--quiet", action="store_true")
     _add_common_flags(p)
@@ -376,17 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="repeat fit across one parameter axis")
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")
-    p.add_argument("--target", choices=SHAPE_KINDS, default="hemisphere")
-    p.add_argument("--target-file", default=None)
-    p.add_argument("--init-file", default=None)
-    p.add_argument("--n-points", type=int, default=512)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps-cd", type=int, default=200)
-    p.add_argument("--steps-geocd", type=int, default=20)
-    p.add_argument("--lr", type=float, default=5e-4)
-    _add_geo_flags(p, mask_default=True)
-    p.add_argument("--tau", type=float, default=0.01)
+    _add_fit_flags(p)
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     _add_common_flags(p)
     p.set_defaults(func=cmd_sweep)

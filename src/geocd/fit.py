@@ -48,9 +48,6 @@ class FitConfig:
     steps_cd: int = 200
     steps_geocd: int = 20
     lr: float = 5e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     geo: GeoCdConfig = field(default_factory=_training_geo_config)
     seed: int = 0
     tau_fraction: float = 0.01
@@ -151,7 +148,7 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
     for phase, n_steps, loss_fn in phases:
         if aborted:
             break
-        adam = Adam(params.shape, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        adam = Adam(params.shape, cfg.lr)
         for s in range(n_steps):
             cloud = PointCloud(params, name=pred_init.name)
             rep = loss_fn(cloud)

@@ -177,7 +177,7 @@ def propagate(
     threshold = None
     if mask.enabled:
         threshold = mask.threshold if mask.threshold is not None else 2.0 * float(length.mean())
-        if threshold <= 0:
+        if not threshold > 0:  # also rejects NaN
             raise ValueError(f"mask threshold must be positive, got {threshold}")
 
     n = merged.size

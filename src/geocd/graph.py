@@ -79,6 +79,8 @@ def knn_adjacency(
         raise ValueError(f"k must be >= 1, got {k}")
     if k > n - 1:
         raise KTooLargeError(f"k={k} exceeds the {n - 1} other points in the merged set")
+    if not np.isfinite(sentinel):
+        raise ValueError(f"sentinel must be finite, got {sentinel}")
     src, dst, length = [], [], []
     for r0 in range(0, n, BLOCK):
         d = pairwise_distances(z.points[r0 : r0 + BLOCK], z.points)

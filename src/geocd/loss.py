@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .cloud import PointCloud
 from .distances import nearest
-from .errors import GeoCdError
 from .geodesic import GeoDistances, MaskConfig, cross_width, propagate, row_min, unroll
 from .graph import knn_adjacency, merge
 
@@ -28,9 +26,6 @@ from .graph import knn_adjacency, merge
 from .distances import pairwise_distances  # noqa: F401
 
 DEGENERATE_EDGE = 1e-12  # edges shorter than this get no gradient
-
-# A batch is a sequence of independent (predicted, ground-truth) pairs.
-Batch = Sequence[tuple[PointCloud, PointCloud]]
 
 
 @dataclass
@@ -48,13 +43,6 @@ class LossReport:
     grad_pred: np.ndarray | None = None
     grad_gt: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass
-class PairResult:
-    index: int
-    report: LossReport | None = None
-    error: str | None = None
 
 
 def softmin(row) -> float:
@@ -188,24 +176,3 @@ def _emit_edges(grad, z, a, b, w) -> int:
     np.add.at(grad, a, contrib)
     np.add.at(grad, b, -contrib)
     return int((~ok).sum())
-
-
-def geocd_batch(
-    batch: Batch,
-    cfg: GeoCdConfig | None = None,
-    with_grad: bool = False,
-) -> list[PairResult]:
-    """Map ``geocd`` over independent pairs, collecting per-pair errors.
-
-    A failing pair yields an error entry instead of aborting the batch.
-    Results keep input order.
-    """
-
-    def run(item):
-        index, (pred, gt) = item
-        try:
-            return PairResult(index, report=geocd(pred, gt, cfg, with_grad))
-        except (GeoCdError, ValueError) as exc:
-            return PairResult(index, error=f"{type(exc).__name__}: {exc}")
-
-    return [run(item) for item in enumerate(batch)]

@@ -88,8 +88,8 @@ def _f1(sq_p: np.ndarray, sq_q: np.ndarray, tau: float) -> tuple[float, float, f
 
 
 def _threshold(pred: PointCloud, gt: PointCloud, tau_fraction: float, diag_source: str) -> float:
-    if tau_fraction <= 0:
-        raise ValueError("tau_fraction must be positive")
+    if not 0 < tau_fraction < np.inf:
+        raise ValueError(f"tau_fraction must be positive and finite, got {tau_fraction}")
     if diag_source == "gt":
         diag = gt.bbox_diagonal()
     elif diag_source == "union":

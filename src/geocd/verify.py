@@ -10,8 +10,6 @@ Both draw instances from a seeded generator so failures are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .cloud import PointCloud, normalize_pair
@@ -24,22 +22,6 @@ PROPAGATION_TOL = 1e-9
 GRADIENT_REL_TOL = 1e-4
 GRADIENT_STEP = 1e-5
 _REL_FLOOR = 1e-6  # guards the relative-error quotient for near-zero components
-
-
-@dataclass
-class VerificationResult:
-    oracle: dict  # max_abs_diff, max_rel_diff, mismatch_count, skipped_tie_components
-    passed: bool
-    propagation: dict = field(default_factory=dict)
-    gradients: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "oracle": self.oracle,
-            "propagation": self.propagation,
-            "gradients": self.gradients,
-        }
 
 
 def random_pair(rng, n: int, m: int) -> tuple[PointCloud, PointCloud]:
@@ -185,23 +167,19 @@ def run_verification(
     size_range: tuple[int, int] = (16, 32),
     grad_trials: int | None = None,
     inject_fault: bool = False,
-) -> VerificationResult:
-    """Full check battery; ``passed`` mirrors the verify exit status."""
+) -> dict:
+    """Full check battery: the verify report's ``passed``, ``oracle``,
+    ``propagation`` and ``gradients`` blocks.
+
+    ``passed`` mirrors the verify exit status.
+    """
     if grad_trials is None:
         grad_trials = max(1, trials // 5) if trials else 0
-    prop = (
-        check_propagation(trials, seed, size_range=size_range, inject_fault=inject_fault)
-        if trials
-        else {"trials": 0, "max_abs_diff": 0.0, "max_rel_diff": 0.0, "mismatch_count": 0, "worst_offenders": []}
-    )
-    grad = (
-        check_gradients(grad_trials, seed + 1)
-        if grad_trials
-        else {"trials": 0, "components": 0, "matched": 0, "skipped_tie_components": 0, "worst_offenders": []}
-    )
+    prop = check_propagation(trials, seed, size_range=size_range, inject_fault=inject_fault)
+    grad = check_gradients(grad_trials, seed + 1)
     oracle = {
         "max_abs_diff": prop["max_abs_diff"],
-        "max_rel_diff": prop.get("max_rel_diff", 0.0),
+        "max_rel_diff": prop["max_rel_diff"],
         "mismatch_count": prop["mismatch_count"],
         "skipped_tie_components": grad["skipped_tie_components"],
     }
@@ -211,4 +189,4 @@ def run_verification(
         and grad["skipped_tie_components"] <= 0.05 * grad["components"]
     )
     passed = prop["mismatch_count"] == 0 and grads_ok
-    return VerificationResult(oracle=oracle, passed=passed, propagation=prop, gradients=grad)
+    return {"passed": passed, "oracle": oracle, "propagation": prop, "gradients": grad}

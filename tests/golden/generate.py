@@ -26,9 +26,18 @@ from pathlib import Path
 
 import numpy as np
 
-from geocd import GeoCdConfig, GeoCdError, MaskConfig, PointCloud, evaluate, geocd, normalize_pair
-from geocd.geodesic import propagate
-from geocd.graph import knn_adjacency, merge
+from geocd import (
+    GeoCdConfig,
+    GeoCdError,
+    MaskConfig,
+    PointCloud,
+    evaluate,
+    geocd,
+    knn_adjacency,
+    merge,
+    normalize_pair,
+    propagate,
+)
 
 GOLDEN = Path(__file__).with_name("geocd_golden.json")
 SEEDS = range(200)

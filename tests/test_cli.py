@@ -54,6 +54,16 @@ def test_compute_k_too_large_exits_3(small_pair, capsys):
     assert "k=5000 exceeds the" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tau", "nan"), ("--tau", "inf"), ("--sentinel", "nan"), ("--mask-threshold", "nan")],
+)
+def test_compute_non_finite_setting_exits_3(small_pair, capsys, flag, value):
+    a, b = small_pair
+    assert main(["compute", str(a), str(b), flag, value]) == 3
+    assert f"got {value}" in capsys.readouterr().err
+
+
 def test_compute_parse_error_exits_2(tmp_path, small_pair):
     bad = tmp_path / "bad.xyz"
     bad.write_text("1 2\n")
@@ -202,10 +212,14 @@ def test_verify_default_passes(capsys, schema):
     validate(report, schema, "verify_report")
 
 
-def test_verify_zero_trials(capsys):
+def test_verify_zero_trials(capsys, schema):
     code, report = run_json(capsys, ["verify", "--trials", "0", "--grad-trials", "0"])
     assert code == 0
     assert report["oracle"]["mismatch_count"] == 0
+    validate(report, schema, "verify_report")
+    _, full = run_json(capsys, ["verify", "--trials", "3"])
+    for block in ("oracle", "propagation", "gradients"):
+        assert list(report[block]) == list(full[block])
 
 
 def test_verify_injected_fault_fails(capsys):

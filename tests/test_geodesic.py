@@ -198,8 +198,10 @@ def test_path_consistency(rng):
 def test_mask_threshold_zero_rejected(rng):
     pred, gt = random_normalized_pair(rng, 5, 5)
     z = merge(pred, gt)
-    with pytest.raises(ValueError):
-        propagate(z, knn_adjacency(z, 2), n_hops=2, mask=MaskConfig(enabled=True, threshold=0.0))
+    adj = knn_adjacency(z, 2)
+    for threshold in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            propagate(z, adj, n_hops=2, mask=MaskConfig(enabled=True, threshold=threshold))
 
 
 def test_mask_tiny_threshold_keeps_everyone_active(rng):

@@ -13,7 +13,6 @@ from geocd import (
     chamfer,
     finite_diff_grad,
     geocd,
-    geocd_batch,
     knn_adjacency,
     merge,
     normalize_pair,
@@ -213,36 +212,6 @@ def test_geocd_gt_gradients_off_by_default(rng):
     assert rep.grad_pred is not None
     assert rep.grad_gt is None
     assert rep.diagnostics["timings"]["gradient"] > 0.0
-
-
-# ---------------------------------------------------------------- batching
-
-
-def test_batch_single_pair_matches_direct(rng):
-    pred, gt = random_normalized_pair(rng, 10, 10)
-    cfg = GeoCdConfig(k=3)
-    [res] = geocd_batch([(pred, gt)], cfg, with_grad=True)
-    direct = geocd(pred, gt, cfg, with_grad=True)
-    assert res.error is None
-    assert res.report.value == direct.value
-    assert np.array_equal(res.report.grad_pred, direct.grad_pred)
-
-
-def test_batch_identical_pairs_identical_reports(rng):
-    pred, gt = random_normalized_pair(rng, 9, 9)
-    results = geocd_batch([(pred, gt)] * 3, GeoCdConfig(k=3))
-    values = [r.report.value for r in results]
-    assert values[0] == values[1] == values[2]
-    assert [r.index for r in results] == [0, 1, 2]
-
-
-def test_batch_isolates_errors(rng):
-    good, gt = random_normalized_pair(rng, 10, 10)
-    tiny = (cloud([0, 0, 0]), cloud([0.5, 0, 0]))  # merged size 2 < k+1
-    results = geocd_batch([(good, gt), tiny, (good, gt)], GeoCdConfig(k=5))
-    assert results[0].error is None and results[2].error is None
-    assert results[1].report is None
-    assert "KTooLarge" in results[1].error
 
 
 def test_geocd_k_too_large_propagates():

@@ -118,8 +118,8 @@ def test_check_gradients_clean():
 
 def test_run_verification_roundtrip():
     res = run_verification(trials=3, seed=2, grad_trials=1)
-    assert res.passed
-    d = res.as_dict()
-    assert d["oracle"]["mismatch_count"] == 0
+    assert list(res) == ["passed", "oracle", "propagation", "gradients"]
+    assert res["passed"]
+    assert res["oracle"]["mismatch_count"] == 0
     bad = run_verification(trials=2, seed=2, grad_trials=0, inject_fault=True)
-    assert not bad.passed
+    assert not bad["passed"]
