@@ -4,9 +4,13 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/generate.py
 
-Each instance is drawn from its seed alone: a random, lattice-tie,
-duplicate-point or raw-scale pair with k in 1..8, 1..4 hops, the mask and
-``symmetrize`` on or off. Arrays built by exact arithmetic (the graph edges,
+Each instance is drawn from its seed alone. Seeds 0-199 give a random,
+lattice-tie, duplicate-point or raw-scale pair of 1-40 points per cloud
+with k in 1..8, 1..4 hops, the mask and ``symmetrize`` on or off. Seeds
+200-211 give ``sample_shape`` surfaces at 300-2500 points per cloud, large
+enough to spread the kNN graph over many grid cells: one of them adds a far
+outlier cluster, whose sparse rows the grid cannot certify, and one is
+left at raw scale with a large offset. Arrays built by exact arithmetic (the graph edges,
 every hop record, ``masked_per_hop`` and the ``evaluate`` fields) are stored
 as sha256 digests of their raw bytes, cut to 16 hex digits, and an error as
 its text. The loss and the gradients pass through ``np.exp`` and ``np.log``,
@@ -38,10 +42,13 @@ from geocd import (
     normalize_pair,
     propagate,
 )
+from geocd.fit import SHAPE_KINDS, ShapeSpec, sample_shape
 
 GOLDEN = Path(__file__).with_name("geocd_golden.json")
-SEEDS = range(200)
+SEEDS = range(212)
 KINDS = ("random", "lattice", "duplicate", "raw")
+SURFACES = range(200, 212)
+OUTLIER_SEED, OFFSET_SEED = 210, 211
 
 
 def _digest(*arrays) -> str:
@@ -78,8 +85,43 @@ def _gradient_summary(g: np.ndarray) -> list[float]:
     return [float(np.sqrt((g * g).sum())), float((g * w).sum())]
 
 
+def _surface_instance(seed: int) -> tuple[dict, PointCloud, PointCloud]:
+    rng = np.random.default_rng(seed)
+    shape = SHAPE_KINDS[seed % len(SHAPE_KINDS)]
+    n, m = (int(v) for v in rng.integers(300, 2501, 2))
+    kind = {OUTLIER_SEED: "outlier", OFFSET_SEED: "offset"}.get(seed, "surface")
+    spec = {
+        "kind": f"{kind}:{shape}",
+        "n": n,
+        "m": m,
+        "k": 1 + seed % 8,
+        "hops": int(rng.integers(1, 3)),
+        "mask": bool(rng.random() < 0.5),
+        "threshold": None,
+        "symmetrize": seed % 2 == 1,
+        "tau": 0.01,
+        "diag": "gt",
+    }
+    p = sample_shape(ShapeSpec(shape, n, 0.02, seed)).points
+    q = sample_shape(ShapeSpec(shape, m, 0.02, seed + 1000)).points
+    if kind == "outlier":
+        # a sparse cluster far from the surface, its own kNN lengths far
+        # above the surface's
+        q = np.vstack([q, 4.0 + 0.5 * rng.random((40, 3))])
+        spec["m"] += 40
+    if kind == "offset":
+        # raw scale: every kNN edge stays below the sentinel 1 without
+        # normalizing, at coordinates around 1e6
+        offset = np.array([1.0e6, -2.5e6, 3.0e5])
+        return spec, PointCloud(p + offset), PointCloud(q + offset)
+    pred, gt, _ = normalize_pair(PointCloud(p), PointCloud(q))
+    return spec, pred, gt
+
+
 def instance(seed: int) -> tuple[dict, PointCloud, PointCloud]:
     """The spec and the pair of one seed."""
+    if seed in SURFACES:
+        return _surface_instance(seed)
     rng = np.random.default_rng(seed)
     kind = KINDS[seed % len(KINDS)]
     n, m = (int(v) for v in rng.integers(1, 41, 2))

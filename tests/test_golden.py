@@ -1,6 +1,6 @@
 """Golden equivalence gate: the current tree against the recorded file.
 
-``tests/golden/geocd_golden.json`` holds, for 200 fixed seeds, the digests
+``tests/golden/geocd_golden.json`` holds, for 212 fixed seeds, the digests
 of the graph, the hop records and the ``evaluate`` fields, every error text,
 and the loss and gradient values (see ``tests/golden/generate.py``). A
 change that moves none of them passes unchanged; one that means to move a
