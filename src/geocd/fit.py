@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import GeoCdError
+from .errors import GeoCdError, NormalizationError
 from .geodesic import MaskConfig
 from .loss import GeoCdConfig, chamfer, geocd
 from .metrics import evaluate
@@ -134,9 +134,13 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
 
     Each trace row holds the loss and metrics at the coordinates *before*
     that step's update. A phase aborts (reported, not raised) if its loss
-    or gradient turns non-finite; the last finite coordinates are kept.
+    or gradient turns non-finite, or if its points have left the unit box
+    so far that a kNN edge exceeds the sentinel; the last good coordinates
+    are kept.
     """
     cfg = cfg or FitConfig()
+    if not (np.isfinite(cfg.lr) and cfg.lr > 0):
+        raise ValueError(f"lr must be positive and finite, got {cfg.lr}")
     params = pred_init.points.copy()
     steps: list[FitStep] = []
     aborted = None
@@ -151,7 +155,11 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
         adam = Adam(params.shape, cfg.lr)
         for s in range(n_steps):
             cloud = PointCloud(params, name=pred_init.name)
-            rep = loss_fn(cloud)
+            try:
+                rep = loss_fn(cloud)
+            except NormalizationError:
+                aborted = phase
+                break
             met = evaluate(cloud, gt, cfg.tau_fraction)
             steps.append(FitStep(phase, s, rep.value, met.cd, met.hd, met.f1))
             if not (np.isfinite(rep.value) and np.isfinite(rep.grad_pred).all()):

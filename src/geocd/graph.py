@@ -17,6 +17,9 @@ from .cloud import PointCloud
 from .distances import BLOCK, pairwise_distances
 from .errors import KTooLargeError
 
+CHUNK = 128  # grid rows per pass: the padded candidate matrices stay small
+CELLS = 2**20  # most cells along an axis, so that cell ids fit an intp
+
 
 @dataclass
 class MergedSet:
@@ -65,6 +68,76 @@ def merge(pred: PointCloud, gt: PointCloud) -> MergedSet:
     return MergedSet(np.vstack([pred.points, gt.points]), pred.size, gt.size)
 
 
+def _select(d: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of each row's k smallest entries, and each row's k-th length.
+
+    ``cols`` (broadcast to ``d``) holds the point index of every entry. Ties
+    at the k-th length keep the lowest point indices, as a stable sort of the
+    full distance row would.
+    """
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1, None]
+    sel = d <= kth
+    tied = np.flatnonzero(np.count_nonzero(sel, axis=1) > k)
+    dt, kt, ct = d[tied], kth[tied], np.broadcast_to(cols, d.shape)[tied]
+    eq = dt == kt
+    free = k - np.count_nonzero(dt < kt, axis=1)
+    # the free-th lowest point index among each row's tied entries
+    cut = np.sort(np.where(eq, ct, np.iinfo(np.intp).max), axis=1)[np.arange(tied.size), free - 1]
+    sel[tied] &= ~eq | (ct <= cut[:, None])
+    return sel, kth[:, 0]
+
+
+def _cell_edge(pts: np.ndarray, kth: np.ndarray) -> tuple[float, float]:
+    """Cell edge ``h`` from a sample's k-th lengths, and the grid's ``reach``.
+
+    Every point outside the 3x3x3 block of cells around a point has a
+    computed length above ``reach`` from it.
+    """
+    # 1.4 times the sample's 90th percentile k-th length: surfaces and
+    # volumes alike get small blocks, few rows fall back to the dense pass,
+    # and far outliers up to a tenth of the points leave h unchanged
+    kth = np.sort(kth)
+    lo = pts.min(axis=0)
+    extent = float((pts.max(axis=0) - lo).max())
+    h = 1.4 * float(kth[9 * (kth.size - 1) // 10])
+    h = max(min(h, extent), extent / CELLS, 2 * np.sqrt(np.finfo(np.float64).tiny))
+    # With u = 2**-53, the quotient fl(fl(p - lo) / h) behind a cell is off
+    # by a relative 2u + u*u at most, and p - lo <= extent. So two points
+    # whose cells differ by two or more along an axis lie more than
+    # h - (4u + 2u*u) * extent apart along it. The square of that gap is a
+    # normal number, as h >= 2 * sqrt(tiny) and h >= extent / CELLS, so the
+    # roundings of the length's difference, squares, sums and square root
+    # shrink it by a relative 4u at most: it is above h - 5u * (extent + h).
+    # A margin of 4 * eps = 8u times (extent + h) covers that and the
+    # rounding of ``reach`` itself. An infinite extent gives a NaN reach,
+    # which certifies no row.
+    return h, h - 4 * np.finfo(np.float64).eps * (extent + h)
+
+
+def _grid(pts: np.ndarray, h: float):
+    """Sort the points into cubic cells of edge ``h``.
+
+    Returns ``order`` (point indices sorted by cell), ``cell_of`` (the cell
+    of each position in ``order``), and for every occupied cell where each
+    of the 27 cells of its 3x3x3 block starts in ``order`` and how many
+    points it holds.
+    """
+    # cell coordinates start at 1, so that every block cell has coordinates
+    # >= 0 and one id. h >= extent / CELLS bounds them, and fmin also maps
+    # the NaN of an overflowing p - lo into range.
+    cell = np.floor(np.fmin((pts - pts.min(axis=0)) / h, CELLS)).astype(np.intp) + 1
+    dims = cell.max(axis=0) + 2
+    cid = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    step = np.arange(-1, 2)
+    block = ((step[:, None, None] * dims[1] + step[:, None]) * dims[2] + step).ravel()
+    order = np.argsort(cid, kind="stable")
+    cells, first, count = np.unique(cid[order], return_index=True, return_counts=True)
+    near = cells[:, None] + block
+    at = np.minimum(np.searchsorted(cells, near), cells.size - 1)
+    block_size = np.where(cells[at] == near, count[at], 0)
+    return order, np.repeat(np.arange(cells.size), count), first[at], block_size
+
+
 def knn_adjacency(
     z: MergedSet, k: int, sentinel: float = 1.0, symmetrize: bool = False
 ) -> Adjacency:
@@ -73,36 +146,96 @@ def knn_adjacency(
     Ties at the k-th neighbour distance break toward the lower point index,
     making the graph deterministic across platforms. ``symmetrize`` adds the
     reverse of every edge (off by default).
+
+    An evenly spaced sample of rows is searched against all points, and its
+    k-th lengths size a grid of cells. Every other row searches the 3x3x3
+    block of cells around its point, unless that block holds over a quarter
+    of all points. The result stands when the row's k-th length lies below
+    the block's reach, which no point outside the block can undercut; the
+    remaining rows are searched against all points. Either way a row gets
+    the neighbours and lengths of its full distance row.
     """
     n = z.size
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > n - 1:
         raise KTooLargeError(f"k={k} exceeds the {n - 1} other points in the merged set")
-    if not np.isfinite(sentinel):
-        raise ValueError(f"sentinel must be finite, got {sentinel}")
+    if not (np.isfinite(sentinel) and sentinel > 0):
+        raise ValueError(f"sentinel must be positive and finite, got {sentinel}")
+    pts = z.points
+    everyone = np.arange(n)
     src, dst, length = [], [], []
-    for r0 in range(0, n, BLOCK):
-        d = pairwise_distances(z.points[r0 : r0 + BLOCK], z.points)
-        own = np.arange(d.shape[0])
-        d[own, own + r0] = np.inf  # self is never its own neighbour
-        kth = np.partition(d, k - 1, axis=1)[:, k - 1, None]
-        sel = d <= kth
-        # rows with more than k entries at or below the k-th distance keep
-        # the lowest-index ties, as a stable sort of the row would
-        tied = np.flatnonzero(np.count_nonzero(sel, axis=1) > k)
-        dt, kt = d[tied], kth[tied]
-        eq = dt == kt
-        free = k - np.count_nonzero(dt < kt, axis=1)
-        sel[tied] &= ~eq | (np.cumsum(eq, axis=1) <= free[:, None])
+
+    def full_rows(rows: np.ndarray) -> np.ndarray:
+        d = pairwise_distances(pts[rows], pts)
+        d[np.arange(rows.size), rows] = np.inf  # self is never its own neighbour
+        sel, kth = _select(d, everyone, k)
         r, c = np.nonzero(sel)
-        src.append(r + r0)
+        src.append(rows[r])
         dst.append(c)
         length.append(d[r, c])
-    src, dst, length = (np.concatenate(a) for a in (src, dst, length))
+        return kth
+
+    sample = everyone[:: -(-n // BLOCK)]  # one dense block of evenly spaced rows
+    h, reach = _cell_edge(pts, full_rows(sample))
+    order, cell_of, block_first, block_size = _grid(pts, h)
+    width_of = block_size.sum(axis=1)
+    sampled = np.zeros(n, dtype=bool)
+    sampled[sample] = True
+    sampled = sampled[order]
+    # a grid candidate costs several dense entries, so rows whose block
+    # holds over a quarter of all points are searched against all points;
+    # this also keeps a chunk's candidates below half a dense block's
+    wide = width_of[cell_of] > n // 4
+    rest = [order[~sampled & wide]]
+    on_grid = ~(sampled | wide)
+    grid_rows, grid_cells = order[on_grid], cell_of[on_grid]
+    px, py, pz = (np.ascontiguousarray(pts[:, a]) for a in range(3))
+
+    for r0 in range(0, grid_rows.size, CHUNK):
+        # rows in cell order, so that a chunk's rows share most candidates
+        rows, cells = grid_rows[r0 : r0 + CHUNK], grid_cells[r0 : r0 + CHUNK]
+        size, per_row = block_size[cells].ravel(), width_of[cells]
+        width = max(per_row.max(), k)  # partition needs k columns
+        # each row's candidates, cell after cell, and their flat slots in a
+        # (rows, width) matrix padded with infinite lengths
+        pos = np.repeat(block_first[cells].ravel() - (np.cumsum(size) - size), size)
+        pos += np.arange(pos.size)
+        slot = np.repeat(np.arange(rows.size) * width - (np.cumsum(per_row) - per_row), per_row)
+        slot += np.arange(slot.size)
+        i, j = np.repeat(rows, per_row), order[pos]
+        # the distance kernel's expression, (dx*dx + dy*dy) + dz*dz
+        dx, dy, dz = px[i] - px[j], py[i] - py[j], pz[i] - pz[j]
+        dx *= dx
+        dy *= dy
+        dz *= dz
+        dx += dy
+        dx += dz
+        np.sqrt(dx, out=dx)
+        dx[i == j] = np.inf
+        d = np.full((rows.size, width), np.inf)
+        cand = np.zeros((rows.size, width), dtype=np.intp)
+        d.ravel()[slot] = dx
+        cand.ravel()[slot] = j
+        sel, kth = _select(d, cand, k)
+        sure = kth < reach
+        r, c = np.nonzero(sel & sure[:, None])
+        src.append(rows[r])
+        dst.append(cand[r, c])
+        length.append(d[r, c])
+        rest.append(rows[~sure])
+
+    rest = np.concatenate(rest)
+    for b0 in range(0, rest.size, BLOCK):
+        full_rows(rest[b0 : b0 + BLOCK])
+
+    key = np.concatenate(src) * n + np.concatenate(dst)
+    by_key = np.argsort(key)
+    key, length = key[by_key], np.concatenate(length)[by_key]
     if symmetrize:
         # the reverse edge has the same length: (a-b)^2 equals (b-a)^2 exactly
-        key, first = np.unique(np.r_[src * n + dst, dst * n + src], return_index=True)
         src, dst = np.divmod(key, n)
+        key, first = np.unique(np.r_[key, dst * n + src], return_index=True)
         length = np.r_[length, length][first]
+    src, dst = np.divmod(key, n)
     return Adjacency(src, dst, length, n, float(sentinel))

@@ -54,14 +54,29 @@ def test_compute_k_too_large_exits_3(small_pair, capsys):
     assert "k=5000 exceeds the" in capsys.readouterr().err
 
 
+SETTING_ERRORS = {
+    "--tau": "tau_fraction must be positive and finite",
+    "--sentinel": "sentinel must be positive and finite",
+    "--mask-threshold": "mask threshold must be positive",
+}
+
+
 @pytest.mark.parametrize(
     "flag, value",
-    [("--tau", "nan"), ("--tau", "inf"), ("--sentinel", "nan"), ("--mask-threshold", "nan")],
+    [
+        ("--tau", "nan"),
+        ("--tau", "inf"),
+        ("--sentinel", "nan"),
+        ("--sentinel", "0"),
+        ("--sentinel", "-1"),
+        ("--mask-threshold", "nan"),
+    ],
 )
 def test_compute_non_finite_setting_exits_3(small_pair, capsys, flag, value):
     a, b = small_pair
     assert main(["compute", str(a), str(b), flag, value]) == 3
-    assert f"got {value}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert SETTING_ERRORS[flag] in err and f"got {value}" in err
 
 
 def test_compute_parse_error_exits_2(tmp_path, small_pair):
@@ -183,6 +198,15 @@ def test_fit_writes_artifacts(tmp_path, schema):
     manifest = json.loads((out / "manifest.json").read_text())
     validate(manifest, schema, "fit_manifest")
     assert manifest["manifest"]["seed"] == 7
+
+
+@pytest.mark.parametrize("lr", ["nan", "-1"])
+def test_fit_bad_lr_exits_3(tmp_path, capsys, lr):
+    out = tmp_path / "run"
+    argv = ["fit", "--n-points", "16", "--k", "3", "--lr", lr, "--out-dir", str(out), "--quiet"]
+    assert main(argv) == 3
+    assert f"lr must be positive and finite, got {lr}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_deterministic_traces(tmp_path):

@@ -155,3 +155,24 @@ def test_fit_aborts_on_non_finite_loss():
     assert trace.aborted == "cd"
     assert len(trace.steps) < 8  # phase stopped early, later phases skipped
     assert not np.isfinite(trace.steps[-1].loss)
+
+
+def test_fit_aborts_when_points_leave_the_unit_box():
+    # lr 2 throws the points far out of the unit box in the Chamfer phase, so
+    # the first geodesic step finds kNN edges longer than the sentinel
+    init, gt = normalized_problem(n=64)
+    cfg = FitConfig(steps_cd=5, steps_geocd=2, lr=2.0)
+    trace = fit(init, gt, cfg)
+    assert trace.aborted == "geocd"
+    assert [s.phase for s in trace.steps] == ["cd"] * 5
+    cd_only = fit(init, gt, dataclasses.replace(cfg, steps_geocd=0))
+    assert cd_only.aborted is None
+    assert np.array_equal(trace.final_pred.points, cd_only.final_pred.points)
+    assert trace.final["geocd_loss"] is None
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+def test_fit_rejects_bad_lr(lr):
+    init, gt = normalized_problem(n=16)
+    with pytest.raises(ValueError, match="lr must be positive and finite"):
+        fit(init, gt, FitConfig(steps_cd=1, steps_geocd=0, lr=lr))

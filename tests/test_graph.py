@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geocd import KTooLargeError, PointCloud, knn_adjacency, merge
+from geocd import graph
 from conftest import random_cloud
 
 
@@ -158,6 +159,82 @@ def test_edge_list_invariants(n_pred, n_gt):
             assert (sym.src != sym.dst).all()
             assert np.array_equal(np.sort(sym.dst * z.size + sym.src), keys(sym))
             assert np.isin(keys(adj), keys(sym)).all()
+
+
+def grid_case(name):
+    rng = np.random.default_rng(7)
+    if name == "outlier":
+        # a dense patch and a sparse cluster far away: the cluster's k-th
+        # lengths exceed the cell edge, so its rows take the dense pass
+        return np.vstack([rng.random((300, 3)) * 0.1, 5.0 + rng.random((12, 3))])
+    if name == "identical":
+        return np.full((40, 3), 0.25)
+    if name == "collinear":
+        x = rng.integers(0, 50, 150) / 64.0
+        return np.c_[x, np.full(150, 0.5), np.full(150, 0.5)]
+    if name == "coplanar":
+        return np.c_[rng.random((200, 2)), np.full(200, 0.25)]
+    if name == "underflow":  # squared lengths near and below the smallest normal
+        return rng.integers(0, 9, (200, 3)) / 8.0 * 1e-162
+    if name == "tiny":  # 1-point clouds
+        return rng.random((2, 3))
+    if name == "volume":  # k-th lengths all over, some just below the reach
+        return rng.random((700, 3))
+    return rng.integers(0, 12, (700, 3)) / 16.0  # chunks: lattice ties over two grid chunks
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["outlier", "identical", "collinear", "coplanar", "underflow", "tiny", "volume", "chunks"],
+)
+def test_grid_matches_dense_reference(name, monkeypatch):
+    pts = grid_case(name)
+    n = len(pts)
+    z = merge(PointCloud(pts[: n // 2]), PointCloud(pts[n // 2 :]))
+    dense_rows, grid_chunks = [], []
+    real, select = graph.pairwise_distances, graph._select
+    monkeypatch.setattr(
+        graph, "pairwise_distances", lambda a, b: dense_rows.append(len(a)) or real(a, b)
+    )
+    monkeypatch.setattr(
+        graph, "_select", lambda d, cols, k: grid_chunks.append(cols.ndim == 2) or select(d, cols, k)
+    )
+    builds = 0
+    for k in sorted({1, 3, 8, n - 1} & set(range(1, n))):  # n - 1: n < k + 2
+        for symmetrize in (False, True):
+            ref, d = stable_sort_knn_mask(z.points, k, symmetrize)
+            adj = knn_adjacency(z, k, symmetrize=symmetrize)
+            builds += 1
+            assert np.array_equal(np.c_[adj.src, adj.dst], np.argwhere(ref))
+            assert np.array_equal(adj.length, d[ref])
+    if name == "outlier":  # one dense call per build sizes the cells; the rest are fallbacks
+        assert len(dense_rows) > builds
+    if name in ("volume", "chunks"):
+        assert sum(grid_chunks) > 2 * builds
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_grid_reach_bounds_every_point_outside_the_block(offset):
+    # the certificate: a point outside a row's 3x3x3 block of cells has a
+    # computed length above ``reach``; a large offset adds rounding to the
+    # cell coordinates
+    pts = np.random.default_rng(5).random((400, 3)) + offset
+    _, d = stable_sort_knn_mask(pts, 1, False)
+    np.fill_diagonal(d, 0.0)
+    kth = np.sort(d, axis=1)[::7, 3]  # every 7th row's 3rd neighbour; column 0 is the row
+    h, reach = graph._cell_edge(pts, kth)
+    order, cell_of, block_first, block_size = graph._grid(pts, h)
+    closest = np.inf
+    for at, row in enumerate(order):
+        c = cell_of[at]
+        inside = np.zeros(len(pts), dtype=bool)
+        for first, size in zip(block_first[c], block_size[c]):
+            inside[order[first : first + size]] = True
+        assert inside[row]
+        outside = d[row][~inside]
+        assert (outside > reach).all()
+        closest = min(closest, outside.min(initial=np.inf))
+    assert closest < 1.5 * h  # some outside points lie just beyond the block
 
 
 def test_knn_memory_stays_below_dense(rng):
