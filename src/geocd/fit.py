@@ -27,6 +27,9 @@ SPHERE_RADIUS = 0.5
 TORUS_MAJOR = 0.4
 TORUS_MINOR = 0.15
 PLANE_BEND = 0.3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -74,22 +77,19 @@ class FitTrace:
 class Adam:
     """Plain Adam with bias correction; state is per-coordinate."""
 
-    def __init__(self, shape, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, shape, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1.0 - ADAM_BETA1**self.t)
+        v_hat = self.v / (1.0 - ADAM_BETA2**self.t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def sample_shape(spec: ShapeSpec) -> PointCloud:
@@ -141,6 +141,9 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
     cfg = cfg or FitConfig()
     if not (np.isfinite(cfg.lr) and cfg.lr > 0):
         raise ValueError(f"lr must be positive and finite, got {cfg.lr}")
+    for name, steps in (("steps_cd", cfg.steps_cd), ("steps_geocd", cfg.steps_geocd)):
+        if steps < 0:
+            raise ValueError(f"{name} must be >= 0, got {steps}")
     params = pred_init.points.copy()
     steps: list[FitStep] = []
     aborted = None

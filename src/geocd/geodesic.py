@@ -10,7 +10,8 @@ Each hop is stored sparsely, as one ``Hop`` record of the pairs that hold
 a real walk, sorted by ``key = src * n + dst``. Every other off-diagonal
 pair holds the sentinel and the diagonal is zero. This module is the only
 one that reads the record format: callers use ``GeoDistances.cross``,
-``unroll``, ``reconstruct_path`` and the ``dense`` view.
+the ``dense`` view, ``reconstruct_path`` and ``unroll``, which returns the
+edges of many recorded walks as flat arrays ``(walk, a, b)``, last first.
 
 Masking freezes a point's outgoing row once its best cross-set distance
 drops below a threshold; frozen points still serve as intermediates for
@@ -194,26 +195,25 @@ def propagate(
     return geo
 
 
-def unroll(geo: GeoDistances, starts: np.ndarray, ends: np.ndarray):
-    """Yield the edges of the recorded walks starts[t] -> ends[t], last edge first.
+def unroll(geo: GeoDistances, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Edges of the recorded walks starts[t] -> ends[t], last edge first.
 
-    Each batch (idx, a, b) holds one edge per unfinished walk: walk idx[u]
-    uses the edge a[u] -> b[u]. A walk is finished once its first edge has
-    been yielded. Every pair must hold a real walk in the last hop.
+    Returns flat arrays (walk, a, b): walk walk[u] uses the edge a[u] -> b[u].
+    Group g holds the g-th last edge of every walk longer than g edges, in
+    rising walk order. Every pair must hold a real walk in the last hop.
     """
     n = geo.merged.size
     idx = np.arange(starts.size)
-    cur = np.asarray(ends)
+    parts = []
     for hop in reversed(geo.hops):
-        if idx.size == 0:
-            return
-        pos, found = hop.find(starts[idx] * n + cur)
+        pos, found = hop.find(starts[idx] * n + ends)
         # a recorded intermediate always carries a real prefix walk
         assert found.all(), "walk routed through a sentinel entry"
         via = hop.via[pos]
         direct = via == NO_VIA
-        yield idx, np.where(direct, starts[idx], via), cur
-        idx, cur = idx[~direct], via[~direct]
+        parts.append((idx, np.where(direct, starts[idx], via), ends))
+        idx, ends = idx[~direct], via[~direct]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def reconstruct_path(geo: GeoDistances, i: int, j: int) -> list[int] | None:
@@ -227,7 +227,5 @@ def reconstruct_path(geo: GeoDistances, i: int, j: int) -> list[int] | None:
         return [i]
     if not geo.hops[-1].find(i * geo.merged.size + j)[1]:
         return None
-    path = [j]
-    for _, a, _ in unroll(geo, np.array([i]), np.array([j])):
-        path.append(int(a[0]))
-    return path[::-1]
+    _, a, _ = unroll(geo, np.array([i]), np.array([j]))
+    return [*a[::-1].tolist(), j]

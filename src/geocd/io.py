@@ -10,6 +10,7 @@ Two formats:
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -73,7 +74,7 @@ def _read_xyz(path: Path, name: str | None) -> PointCloud:
                 xyz = [float(t) for t in tokens]
             except ValueError:
                 raise ParseError("non-numeric coordinate", path=path, line=lineno) from None
-            if not all(np.isfinite(xyz)):
+            if not all(map(math.isfinite, xyz)):
                 raise ParseError("non-finite coordinate", path=path, line=lineno)
             rows.append(xyz)
     if not rows:

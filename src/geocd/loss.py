@@ -156,23 +156,15 @@ def _path_gradients(
     """Scatter softmin weights along every recorded cross-set walk.
 
     For a walk edge (a, b) with weight w, grad[a] += w * (z_a - z_b)/|z_a - z_b|
-    and grad[b] gets the negation.
+    and grad[b] gets the negation. Also returns the number of degenerate edges.
     """
     z = geo.merged.points
-    grad = np.zeros_like(z)
-    degenerate = 0
-    for idx, a, b in unroll(geo, starts, ends):
-        degenerate += _emit_edges(grad, z, a, b, weights[idx])
-    return grad, degenerate
-
-
-def _emit_edges(grad, z, a, b, w) -> int:
+    walk, a, b = unroll(geo, starts, ends)
     d = z[a] - z[b]
     length = np.sqrt((d * d).sum(axis=1))
     ok = length > DEGENERATE_EDGE
-    unit = np.zeros_like(d)
-    unit[ok] = d[ok] / length[ok, None]
-    contrib = w[:, None] * unit
-    np.add.at(grad, a, contrib)
-    np.add.at(grad, b, -contrib)
-    return int((~ok).sum())
+    contrib = np.zeros_like(d)
+    contrib[ok] = weights[walk[ok], None] * (d[ok] / length[ok, None])
+    n = z.shape[0]
+    grad = np.column_stack([np.bincount(a, c, n) - np.bincount(b, c, n) for c in contrib.T])
+    return grad, int((~ok).sum())

@@ -171,8 +171,13 @@ def run_verification(
     """Full check battery: the verify report's ``passed``, ``oracle``,
     ``propagation`` and ``gradients`` blocks.
 
-    ``passed`` mirrors the verify exit status.
+    ``passed`` mirrors the verify exit status; bad counts or sizes raise ValueError.
     """
+    for name, count in (("trials", trials), ("grad_trials", grad_trials)):
+        if count is not None and count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
+    if not 1 <= size_range[0] <= size_range[1]:
+        raise ValueError(f"size range needs 1 <= min_points <= max_points, got {size_range}")
     if grad_trials is None:
         grad_trials = max(1, trials // 5) if trials else 0
     prop = check_propagation(trials, seed, size_range=size_range, inject_fault=inject_fault)

@@ -209,6 +209,16 @@ def test_fit_bad_lr_exits_3(tmp_path, capsys, lr):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--steps-cd", "--steps-geocd"])
+def test_fit_negative_steps_exits_3(tmp_path, capsys, flag):
+    out = tmp_path / "run"
+    argv = ["fit", "--n-points", "16", "--k", "3", flag, "-2", "--out-dir", str(out), "--quiet"]
+    assert main(argv) == 3
+    name = flag[2:].replace("-", "_")
+    assert f"{name} must be >= 0, got -2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_deterministic_traces(tmp_path):
     argv = [
         "fit",
@@ -246,6 +256,22 @@ def test_verify_zero_trials(capsys, schema):
         assert list(report[block]) == list(full[block])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--trials", "-1"], "trials must be >= 0, got -1"),
+        (["--grad-trials", "-3"], "grad_trials must be >= 0, got -3"),
+        (["--min-points", "5", "--max-points", "3"], "1 <= min_points <= max_points, got (5, 3)"),
+        (["--min-points", "0", "--max-points", "3"], "1 <= min_points <= max_points, got (0, 3)"),
+    ],
+)
+def test_verify_rejects_bad_counts(capsys, argv, message):
+    assert main(["verify", *argv]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_verify_injected_fault_fails(capsys):
     code, report = run_json(
         capsys, ["verify", "--trials", "2", "--grad-trials", "0", "--inject-fault"]
@@ -277,6 +303,17 @@ def test_sweep_rows_and_failure_isolation(tmp_path):
     ok_rows = [r for r in rows[1:] if r.endswith(",")]
     bad_rows = [r for r in rows[1:] if "KTooLarge" in r]
     assert len(ok_rows) == 2 and len(bad_rows) == 1
+
+
+def test_sweep_negative_steps_records_the_error(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--axis", "steps-geocd", "--values=-3,1", "--target", "sphere"]
+    argv += ["--n-points", "24", "--steps-cd", "2", "--k", "3", "--out", str(out)]
+    assert main(argv) == 0
+    bad, good = out.read_text().splitlines()[1:]
+    assert bad.startswith("steps-geocd,-3,,,,,,")
+    assert bad.endswith("ValueError: steps_geocd must be >= 0, got -3")
+    assert good.startswith("steps-geocd,1,") and good.endswith(",")
 
 
 def test_sweep_single_value_matches_fit(tmp_path):

@@ -176,3 +176,12 @@ def test_fit_rejects_bad_lr(lr):
     init, gt = normalized_problem(n=16)
     with pytest.raises(ValueError, match="lr must be positive and finite"):
         fit(init, gt, FitConfig(steps_cd=1, steps_geocd=0, lr=lr))
+
+
+@pytest.mark.parametrize(
+    "steps_cd, steps_geocd, name", [(-2, 0, "steps_cd"), (0, -1, "steps_geocd")]
+)
+def test_fit_rejects_negative_steps(steps_cd, steps_geocd, name):
+    init, gt = normalized_problem(n=16)
+    with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+        fit(init, gt, FitConfig(steps_cd=steps_cd, steps_geocd=steps_geocd))

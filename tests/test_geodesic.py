@@ -12,7 +12,7 @@ from geocd import (
     propagate,
     reconstruct_path,
 )
-from geocd.geodesic import NO_VIA, MaskConfig
+from geocd.geodesic import NO_VIA, MaskConfig, unroll
 from geocd.fit import ShapeSpec, noisy_copy, sample_shape
 from geocd import normalize_pair
 from conftest import random_normalized_pair
@@ -273,3 +273,62 @@ def test_masked_rows_still_serve_as_intermediates():
     # active z1 improved its walk to p2 through the frozen intermediate g1
     assert final[0, 1] == pytest.approx(0.45, abs=1e-12)
     assert reconstruct_path(geo, 0, 1) == [0, 2, 1]
+
+
+def assert_unroll_contract(geo):
+    """Every cross walk's unrolled edges chain start -> end and sum to its distance."""
+    starts, ends, dist = geo.cross()
+    walk, a, b = unroll(geo, starts, ends)
+    for arr in (walk, a, b):
+        assert arr.dtype.kind == "i" and arr.shape == walk.shape
+    # the first group holds every walk's last edge, in walk order
+    assert np.array_equal(walk[: starts.size], np.arange(starts.size))
+    assert np.array_equal(b[: starts.size], ends)
+    adj, n = geo.adj, geo.merged.size
+    edge_key = adj.src * n + adj.dst
+    for t in range(starts.size):
+        edges = np.flatnonzero(walk == t)[::-1]  # first edge first
+        assert 1 <= edges.size <= geo.hops_used
+        nodes = np.r_[a[edges], b[edges[-1]]]
+        assert nodes[0] == starts[t] and nodes[-1] == ends[t]
+        assert np.array_equal(a[edges[1:]], b[edges[:-1]])
+        pos = np.searchsorted(edge_key, a[edges] * n + b[edges])
+        assert np.array_equal(edge_key[pos], a[edges] * n + b[edges])
+        total = 0.0
+        for length in adj.length[pos]:  # the hops add edge lengths left to right
+            total += length
+        assert total == dist[t]
+    return walk.size
+
+
+def test_unroll_edges_chain_and_sum_to_the_distance(rng):
+    pred, gt = random_normalized_pair(rng, 10, 12)
+    z = merge(pred, gt)
+    edges = 0
+    for hops, k, symmetrize, mask in (
+        (1, 3, False, MaskConfig()),
+        (3, 2, False, MaskConfig()),
+        (4, 3, False, MaskConfig(enabled=True)),
+        (3, 2, True, MaskConfig()),
+        (4, 1, True, MaskConfig(enabled=True, threshold=0.2)),
+    ):
+        geo = propagate(z, knn_adjacency(z, k, symmetrize=symmetrize), n_hops=hops, mask=mask)
+        edges += assert_unroll_contract(geo)
+    assert edges > 0
+
+
+def test_unroll_without_cross_walks_is_empty():
+    # k=1 pairs each point with its twin in the same cloud: no walk crosses
+    pred = PointCloud(np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]]))
+    gt = PointCloud(np.array([[0.5, 0.0, 0.0], [0.51, 0.0, 0.0]]))
+    z = merge(pred, gt)
+    geo = propagate(z, knn_adjacency(z, 1), n_hops=3)
+    starts, ends, _ = geo.cross()
+    assert starts.size == 0
+    for arr in unroll(geo, starts, ends):
+        assert arr.dtype.kind == "i" and arr.size == 0
+    rep = geocd(pred, gt, GeoCdConfig(k=1, n_hops=3), with_grad=True, with_gt_grad=True)
+    assert rep.diagnostics["sentinel_fraction"] == 1.0
+    assert np.array_equal(rep.grad_pred, np.zeros((2, 3)))
+    assert np.array_equal(rep.grad_gt, np.zeros((2, 3)))
+    assert rep.diagnostics["degenerate_edges"] == 0

@@ -41,9 +41,11 @@ def test_xyz_non_numeric(tmp_path):
 
 def test_xyz_non_finite(tmp_path):
     f = tmp_path / "bad.xyz"
-    f.write_text("0 0 nan\n")
-    with pytest.raises(ParseError):
-        read_cloud(f)
+    for value in ("nan", "inf", "-inf", "Infinity", "1e999"):
+        f.write_text(f"# header\n0 0 0\n\n0 {value} 0\n1 1 1\n")
+        with pytest.raises(ParseError, match="non-finite coordinate") as exc:
+            read_cloud(f)
+        assert exc.value.line == 4
 
 
 def test_empty_file(tmp_path):

@@ -19,6 +19,8 @@ from geocd import (
     propagate,
     softmin,
 )
+from geocd.geodesic import NO_VIA, cross_width
+from geocd.loss import DEGENERATE_EDGE, _softmin_rows
 from geocd.verify import propagation_signature
 from conftest import random_normalized_pair
 
@@ -217,3 +219,62 @@ def test_geocd_gt_gradients_off_by_default(rng):
 def test_geocd_k_too_large_propagates():
     with pytest.raises(KTooLargeError):
         geocd(cloud([0, 0, 0]), cloud([1, 0, 0]), GeoCdConfig(k=5))
+
+
+def batched_path_gradients(geo, starts, ends, weights):
+    """Reference: follow the walks one hop batch at a time, two np.add.at each."""
+    z, n = geo.merged.points, geo.merged.size
+    grad = np.zeros_like(z)
+    degenerate = 0
+    idx, cur = np.arange(starts.size), ends
+    for hop in reversed(geo.hops):
+        via = hop.via[hop.find(starts[idx] * n + cur)[0]]
+        direct = via == NO_VIA
+        a, b, w = np.where(direct, starts[idx], via), cur, weights[idx]
+        d = z[a] - z[b]
+        length = np.sqrt((d * d).sum(axis=1))
+        ok = length > DEGENERATE_EDGE
+        unit = np.zeros_like(d)
+        unit[ok] = d[ok] / length[ok, None]
+        contrib = w[:, None] * unit
+        np.add.at(grad, a, contrib)
+        np.add.at(grad, b, -contrib)
+        degenerate += int((~ok).sum())
+        idx, cur = idx[~direct], via[~direct]
+    return grad, degenerate
+
+
+def test_geocd_grad_matches_batched_scatter():
+    rng = np.random.default_rng(11)
+    degenerate = 0
+    for trial in range(36):
+        n, m = (int(v) for v in rng.integers(2, 30, 2))
+        kind = ("random", "lattice", "duplicate")[trial % 3]
+        if kind == "lattice":  # multiples of 1/8: exact ties and coincident points
+            pred, gt = (PointCloud(rng.integers(0, 5, (s, 3)) / 8.0) for s in (n, m))
+        else:
+            p, q = rng.random((n, 3)), rng.random((m, 3))
+            if kind == "duplicate":  # zero-length edges
+                p[rng.integers(0, n, n // 2)] = p[0]
+                q[: m // 2] = p[rng.integers(0, n, m // 2)]
+            pred, gt, _ = normalize_pair(PointCloud(p), PointCloud(q))
+        cfg = GeoCdConfig(
+            k=int(rng.integers(1, min(8, n + m - 1) + 1)),
+            n_hops=int(rng.integers(1, 5)),
+            symmetrize=bool(trial % 2),
+            mask=MaskConfig(enabled=bool(trial % 4 >= 2)),
+        )
+        rep = geocd(pred, gt, cfg, with_grad=True, with_gt_grad=True)
+        z = merge(pred, gt)
+        adj = knn_adjacency(z, cfg.k, cfg.sentinel, cfg.symmetrize)
+        geo = propagate(z, adj, cfg.n_hops, cfg.mask)
+        src, dst, d = geo.cross()
+        _, w = _softmin_rows(src, d, cross_width(z), cfg.sentinel)
+        ref, ref_degenerate = batched_path_gradients(
+            geo, src, dst, w / np.where(src < n, n, m)
+        )
+        got = np.vstack([rep.grad_pred, rep.grad_gt])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert rep.diagnostics["degenerate_edges"] == ref_degenerate
+        degenerate += ref_degenerate
+    assert degenerate > 0
