@@ -89,37 +89,44 @@ def _geo_echo(args, geo: GeoCdConfig) -> dict:
     }
 
 
-def _add_geo_flags(p: argparse.ArgumentParser, mask_default: bool = False) -> None:
-    p.add_argument("--k", type=int, default=5, help="neighbours per point (default 5)")
-    p.add_argument("--hops", type=int, default=2, help="propagation hops (default 2)")
-    p.add_argument("--sentinel", type=float, default=1.0, help="non-neighbour constant (default 1.0)")
+def _add_geo_flags(p: argparse.ArgumentParser, geo: GeoCdConfig) -> None:
+    """Geodesic flags, with ``geo``'s fields as their defaults."""
+    p.add_argument("--k", type=int, default=geo.k, help="neighbours per point (default %(default)s)")
+    p.add_argument("--hops", type=int, default=geo.n_hops, help="propagation hops (default %(default)s)")
+    p.add_argument(
+        "--sentinel",
+        type=float,
+        default=geo.sentinel,
+        help="non-neighbour constant (default %(default)s)",
+    )
     p.add_argument("--symmetrize", action="store_true", help="add reverse edges to the kNN graph")
     p.add_argument(
         "--mask",
         action=argparse.BooleanOptionalAction,
-        default=mask_default,
+        default=geo.mask.enabled,
         help="freeze points once matched across sets",
     )
     p.add_argument(
         "--mask-threshold",
         type=float,
-        default=None,
+        default=geo.mask.threshold,
         help="explicit mask threshold (implies --mask; default 2x mean edge length)",
     )
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+    cfg = FitConfig()
     p.add_argument("--target", choices=SHAPE_KINDS, default="hemisphere")
     p.add_argument("--target-file", default=None, help="fit against this cloud instead of a shape")
     p.add_argument("--init-file", default=None, help="initial guess (default: noisy target copy)")
     p.add_argument("--n-points", type=int, default=512)
     p.add_argument("--noise", type=float, default=0.05, help="sigma of the initial perturbation")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps-cd", type=int, default=200)
-    p.add_argument("--steps-geocd", type=int, default=20)
-    p.add_argument("--lr", type=float, default=5e-4)
-    _add_geo_flags(p, mask_default=True)
-    p.add_argument("--tau", type=float, default=0.01)
+    p.add_argument("--steps-cd", type=int, default=cfg.steps_cd)
+    p.add_argument("--steps-geocd", type=int, default=cfg.steps_geocd)
+    p.add_argument("--lr", type=float, default=cfg.lr)
+    _add_geo_flags(p, cfg.geo)
+    p.add_argument("--tau", type=float, default=cfg.tau_fraction)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -283,18 +290,6 @@ def _sweep_value(axis: str, raw: str):
     return float(raw) if axis == "mask-threshold" else int(raw)
 
 
-def _apply_axis(cfg: FitConfig, axis: str, value) -> FitConfig:
-    if axis == "k":
-        cfg.geo.k = value
-    elif axis == "hops":
-        cfg.geo.n_hops = value
-    elif axis == "mask-threshold":
-        cfg.geo.mask = MaskConfig(enabled=True, threshold=value)
-    elif axis == "steps-geocd":
-        cfg.steps_geocd = value
-    return cfg
-
-
 def cmd_sweep(args) -> int:
     values = [_sweep_value(args.axis, v) for v in args.values.split(",") if v.strip()]
     if not values:
@@ -302,11 +297,13 @@ def cmd_sweep(args) -> int:
     init_raw, gt_raw = _build_fit_pair(args)
     init, gt, _ = normalize_pair(init_raw, gt_raw)
 
+    attr = args.axis.replace("-", "_")  # the parsed flag that the axis sets
     rows = ["axis,value,cd,hd,f1,geocd_loss,mean_geo_cross,seconds,error"]
     for value in values:
         t0 = time.perf_counter()
         try:
-            cfg = _apply_axis(_fit_config(args), args.axis, value)
+            # row v runs what ``geocd fit ... --<axis> v`` runs
+            cfg = _fit_config(argparse.Namespace(**{**vars(args), attr: value}))
             # graph statistics on the shared initial pair: rows are comparable
             mean_cross = geocd(init, gt, cfg.geo).diagnostics["mean_cross_distance"]
             trace = fit(init, gt, cfg)
@@ -348,13 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred", help="predicted cloud file")
     p.add_argument("gt", help="ground-truth cloud file")
     p.add_argument("--format", choices=("auto", FORMAT_XYZ, FORMAT_BINARY), default="auto")
-    _add_geo_flags(p)
+    _add_geo_flags(p, GeoCdConfig())
     p.add_argument(
         "--no-normalize",
         action="store_true",
         help="skip joint normalization; inputs must already keep all pairwise distances below 1",
     )
-    p.add_argument("--tau", type=float, default=0.01, help="F1 threshold fraction (default 0.01)")
+    p.add_argument(
+        "--tau", type=float, default=0.01, help="F1 threshold fraction (default %(default)s)"
+    )
     p.add_argument("--f1-diag", choices=("gt", "union"), default="gt")
     p.add_argument("--json", default=None, help="write the report here instead of stdout")
     _add_common_flags(p)

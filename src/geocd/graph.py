@@ -47,7 +47,8 @@ class Adjacency:
     ``length[e]``. Every pair not listed holds the sentinel, and the diagonal
     is zero. kNN is directed, so the edge set is generally asymmetric. An
     edge whose length equals the sentinel (two points at opposite corners of
-    the unit box) is still an edge and still carries gradient.
+    the unit box) is still an edge and still carries gradient; rounding that
+    measures it just above the sentinel is stored as the sentinel.
     """
 
     src: np.ndarray  # (e,) intp
@@ -153,7 +154,8 @@ def knn_adjacency(
     of all points. The result stands when the row's k-th length lies below
     the block's reach, which no point outside the block can undercut; the
     remaining rows are searched against all points. Either way a row gets
-    the neighbours and lengths of its full distance row.
+    the neighbours and lengths of its full distance row. A set of at most
+    BLOCK points is its own sample and needs no grid.
     """
     n = z.size
     if k < 1:
@@ -177,7 +179,10 @@ def knn_adjacency(
         return kth
 
     sample = everyone[:: -(-n // BLOCK)]  # one dense block of evenly spaced rows
-    h, reach = _cell_edge(pts, full_rows(sample))
+    kth = full_rows(sample)
+    if sample.size == n:  # the sample is every row
+        return _edge_list(src, dst, length, n, sentinel, symmetrize)
+    h, reach = _cell_edge(pts, kth)
     order, cell_of, block_first, block_size = _grid(pts, h)
     width_of = block_size.sum(axis=1)
     sampled = np.zeros(n, dtype=bool)
@@ -229,9 +234,24 @@ def knn_adjacency(
     for b0 in range(0, rest.size, BLOCK):
         full_rows(rest[b0 : b0 + BLOCK])
 
+    return _edge_list(src, dst, length, n, sentinel, symmetrize)
+
+
+def _edge_list(src, dst, length, n: int, sentinel: float, symmetrize: bool) -> Adjacency:
+    """Sort the collected edge pieces into an Adjacency; see ``knn_adjacency``."""
     key = np.concatenate(src) * n + np.concatenate(dst)
     by_key = np.argsort(key)
     key, length = key[by_key], np.concatenate(length)[by_key]
+    # normalize_pair scales the box diagonal to 1 only up to rounding. With
+    # u = 2**-53, a normalized axis difference exceeds s times the box
+    # extent by a relative 2u + u*u (shift, then scale), s exceeds one over
+    # the true diagonal by 4.5u (difference, dot, sqrt, reciprocal), and the
+    # kernel adds 3.5u: normalized points lie at most 1 + 10u + O(u*u) apart
+    # as computed. A length at most a relative 8 * eps = 16u above the
+    # sentinel is such a rounded sentinel-length edge and is stored as the
+    # sentinel; propagate rejects any longer edge.
+    limit = sentinel * (1 + 8 * np.finfo(np.float64).eps)
+    length[(length > sentinel) & (length <= limit)] = sentinel
     if symmetrize:
         # the reverse edge has the same length: (a-b)^2 equals (b-a)^2 exactly
         src, dst = np.divmod(key, n)

@@ -50,7 +50,7 @@ def check_propagation(
     for trial in range(trials):
         n = int(rng.integers(size_range[0], size_range[1] + 1))
         m = int(rng.integers(size_range[0], size_range[1] + 1))
-        k = int(rng.choice(ks))
+        k = min(int(rng.choice(ks)), n + m - 1)  # after the draw: the stream stays the same
         hops = int(rng.integers(hops_range[0], hops_range[1] + 1))
         pred, gt = random_pair(rng, n, m)
         z = merge(pred, gt)

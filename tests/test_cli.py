@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from geocd import PointCloud, read_cloud, write_cloud
-from geocd.cli import main
+from geocd import FitConfig, GeoCdConfig
+from geocd.cli import _fit_config, _geo_config, build_parser, main
 from geocd.fit import ShapeSpec, sample_shape
 
 
@@ -77,6 +78,19 @@ def test_compute_non_finite_setting_exits_3(small_pair, capsys, flag, value):
     assert main(["compute", str(a), str(b), flag, value]) == 3
     err = capsys.readouterr().err
     assert SETTING_ERRORS[flag] in err and f"got {value}" in err
+
+
+def test_compute_one_point_clouds(tmp_path, capsys):
+    # normalized, the only edge spans the box diagonal, which rounds to 1 + 1 ulp
+    p, q = tmp_path / "p.xyz", tmp_path / "q.xyz"
+    p.write_text("0.1 0.2 0.3\n")
+    q.write_text("1.7 2.9 3.3\n")
+    code, report = run_json(capsys, ["compute", str(p), str(q), "--k", "1", "--f1-diag", "union"])
+    assert code == 0
+    assert report["geocd"]["diagnostics"]["mean_cross_distance"] == 1.0  # stored as the sentinel
+    # a one-point target has no F1 threshold of its own: an input error
+    assert main(["compute", str(p), str(q), "--k", "1"]) == 2
+    assert "F1 threshold undefined" in capsys.readouterr().err
 
 
 def test_compute_parse_error_exits_2(tmp_path, small_pair):
@@ -272,6 +286,17 @@ def test_verify_rejects_bad_counts(capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("points", ["1", "2"])
+def test_verify_tiny_clouds_pass(capsys, schema, points):
+    # k is drawn from (2, 3, 5) and capped at the merged size minus one;
+    # 1+1 pairs also reach normalized corner edges that round above 1
+    argv = ["verify", "--trials", "20", "--grad-trials", "0"]
+    code, report = run_json(capsys, argv + ["--min-points", points, "--max-points", points])
+    assert code == 0
+    assert report["passed"] is True
+    validate(report, schema, "verify_report")
+
+
 def test_verify_injected_fault_fails(capsys):
     code, report = run_json(
         capsys, ["verify", "--trials", "2", "--grad-trials", "0", "--inject-fault"]
@@ -322,18 +347,28 @@ def test_sweep_single_value_matches_fit(tmp_path):
         "--n-points", "24",
         "--steps-cd", "4",
         "--steps-geocd", "1",
-        "--k", "3",
+        "--k", "4",
         "--seed", "2",
     ]
-    out_dir = tmp_path / "fit"
-    assert main(["fit", *common, "--out-dir", str(out_dir), "--quiet"]) == 0
-    final = json.loads((out_dir / "manifest.json").read_text())["final"]
-    sweep_csv = tmp_path / "s.csv"
-    assert main(["sweep", "--axis", "k", "--values", "3", *common, "--out", str(sweep_csv)]) == 0
-    row = sweep_csv.read_text().splitlines()[1].split(",")
-    assert float(row[2]) == final["cd"]
-    assert float(row[3]) == final["hd"]
-    assert float(row[4]) == final["f1"]
+    axes = (("k", "3"), ("hops", "3"), ("mask-threshold", "0.05"), ("steps-geocd", "2"))
+    for axis, value in axes:
+        out_dir = tmp_path / axis
+        argv = ["fit", *common, f"--{axis}", value, "--out-dir", str(out_dir), "--quiet"]
+        assert main(argv) == 0
+        final = json.loads((out_dir / "manifest.json").read_text())["final"]
+        sweep_csv = tmp_path / f"{axis}.csv"
+        argv = ["sweep", "--axis", axis, "--values", value, *common, "--out", str(sweep_csv)]
+        assert main(argv) == 0
+        row = sweep_csv.read_text().splitlines()[1].split(",")
+        assert row[-1] == ""  # no error
+        assert [float(v) for v in row[2:6]] == [final[f] for f in ("cd", "hd", "f1", "geocd_loss")]
+
+
+def test_flag_defaults_come_from_the_configs():
+    parser = build_parser()
+    assert _geo_config(parser.parse_args(["compute", "p.xyz", "q.xyz"])) == GeoCdConfig()
+    for argv in (["fit", "--out-dir", "o"], ["sweep", "--axis", "k", "--values", "3"]):
+        assert _fit_config(parser.parse_args(argv)) == FitConfig()
 
 
 def test_convert_roundtrip(tmp_path):

@@ -137,10 +137,33 @@ def test_edges_beyond_sentinel_rejected():
     z = merge(pred, gt)
     with pytest.raises(NormalizationError):
         propagate(z, knn_adjacency(z, 1), n_hops=2)
-    # an edge exactly as long as the sentinel is still a real edge
-    z = merge(PointCloud(np.zeros((1, 3))), PointCloud(np.array([[1.0, 0.0, 0.0]])))
-    geo = propagate(z, knn_adjacency(z, 1), n_hops=2)
-    assert reconstruct_path(geo, 0, 1) == [0, 1]
+    # an edge as long as the sentinel is still a real edge, also when
+    # rounding measures it within a relative 8 eps above; beyond that it is
+    # rejected
+    eps = np.finfo(np.float64).eps
+    for x in (1.0, 1 + 8 * eps, 1 + 16 * eps):
+        z = merge(PointCloud(np.zeros((1, 3))), PointCloud(np.array([[x, 0.0, 0.0]])))
+        adj = knn_adjacency(z, 1)
+        if x > 1 + 8 * eps:
+            assert adj.length.tolist() == [x, x]
+            with pytest.raises(NormalizationError, match="exceeds the sentinel 1; normalize"):
+                propagate(z, adj, n_hops=2)
+        else:
+            assert adj.length.tolist() == [1.0, 1.0]  # stored as the sentinel
+            assert reconstruct_path(propagate(z, adj, n_hops=2), 0, 1) == [0, 1]
+
+
+def test_normalized_corner_pairs_pass_the_sentinel_check():
+    # a 1+1 pair's only edge spans the union box diagonal, which
+    # normalize_pair scales to 1 up to rounding
+    rng = np.random.default_rng(0)
+    rounded = 0
+    for _ in range(500):
+        a, b = PointCloud(rng.random((1, 3))), PointCloud(rng.random((1, 3)))
+        pred, gt, _ = normalize_pair(a, b)
+        rounded += np.linalg.norm(pred.points - gt.points) > 1.0
+        assert geocd(pred, gt, GeoCdConfig(k=1)).diagnostics["sentinel_fraction"] == 0.0
+    assert rounded  # the draw does reach the rounding case
 
 
 def test_elementwise_monotonicity_and_sentinel_ceiling(rng):

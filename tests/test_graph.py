@@ -178,14 +178,15 @@ def grid_case(name):
         return rng.integers(0, 9, (200, 3)) / 8.0 * 1e-162
     if name == "tiny":  # 1-point clouds
         return rng.random((2, 3))
+    if name == "block":  # the sample holds every row
+        return rng.random((graph.BLOCK, 3))
     if name == "volume":  # k-th lengths all over, some just below the reach
         return rng.random((700, 3))
     return rng.integers(0, 12, (700, 3)) / 16.0  # chunks: lattice ties over two grid chunks
 
 
 @pytest.mark.parametrize(
-    "name",
-    ["outlier", "identical", "collinear", "coplanar", "underflow", "tiny", "volume", "chunks"],
+    "name", "outlier identical collinear coplanar underflow tiny block volume chunks".split()
 )
 def test_grid_matches_dense_reference(name, monkeypatch):
     pts = grid_case(name)
@@ -199,6 +200,13 @@ def test_grid_matches_dense_reference(name, monkeypatch):
     monkeypatch.setattr(
         graph, "_select", lambda d, cols, k: grid_chunks.append(cols.ndim == 2) or select(d, cols, k)
     )
+    if n <= graph.BLOCK:  # the dense sample is every row: no grid to build
+
+        def no_grid(*_):
+            raise AssertionError("grid built for a set the sample covers")
+
+        monkeypatch.setattr(graph, "_cell_edge", no_grid)
+        monkeypatch.setattr(graph, "_grid", no_grid)
     builds = 0
     for k in sorted({1, 3, 8, n - 1} & set(range(1, n))):  # n - 1: n < k + 2
         for symmetrize in (False, True):
