@@ -18,12 +18,25 @@ whose last bit may depend on the CPU's SIMD path, so they are stored as
 values: the loss, and for each gradient its 2-norm and its projection on
 fixed weights. The file also records the numpy version it was made with.
 
+Fits 0-15 each run ``fit`` from their seed alone: a ``sample_shape`` target
+of 16-512 points of every kind, an initial guess that is either a noisy
+copy of the target or a separate sample of another size, 1-8 Chamfer steps
+and 0-3 GeoCD steps, the mask on or off. Fit 12 has 512 points per cloud,
+the default fit's size. Fit 13 overflows in the Chamfer phase and aborts
+there, fit 14 throws its points out of the unit box so that the first GeoCD
+step raises ``NormalizationError``, and fit 15 runs no Chamfer step. A fit
+record holds sha256 digests of every ``FitStep`` field, of the final
+points' bytes and of the ``final`` dict, and the aborted phase.
+A fit that takes a GeoCD step passes its gradients through ``np.exp`` into
+the points, so its digests also pin the CPU's ``exp`` and ``log``.
+
 A change that means to move a value re-records this file and says which
 digests moved and why.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -42,13 +55,15 @@ from geocd import (
     normalize_pair,
     propagate,
 )
-from geocd.fit import SHAPE_KINDS, ShapeSpec, sample_shape
+from geocd.fit import SHAPE_KINDS, FitConfig, ShapeSpec, fit, noisy_copy, sample_shape
 
 GOLDEN = Path(__file__).with_name("geocd_golden.json")
 SEEDS = range(212)
 KINDS = ("random", "lattice", "duplicate", "raw")
 SURFACES = range(200, 212)
 OUTLIER_SEED, OFFSET_SEED = 210, 211
+FIT_SEEDS = range(16)
+FIT_LARGE, FIT_OVERFLOW, FIT_UNIT_BOX, FIT_NO_CD = 12, 13, 14, 15
 
 
 def _digest(*arrays) -> str:
@@ -58,6 +73,11 @@ def _digest(*arrays) -> str:
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(a.tobytes())
     return h.hexdigest()[:16]
+
+
+def _text_digest(obj) -> str:
+    """Digest of ``obj`` as JSON: floats print as their shortest exact repr."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _pair(kind: str, rng, n: int, m: int) -> tuple[PointCloud, PointCloud]:
@@ -174,12 +194,66 @@ def record(seed: int) -> dict:
     return out
 
 
+def fit_instance(seed: int) -> tuple[dict, PointCloud, PointCloud, FitConfig]:
+    """The spec, the initial guess, the target and the config of one fit."""
+    rng = np.random.default_rng(10_000 + seed)
+    shape = SHAPE_KINDS[seed % len(SHAPE_KINDS)]
+    n, m = (int(2.0**v) for v in rng.uniform(4.0, 9.0, 2))  # log-uniform, 16-511
+    if seed == FIT_LARGE:
+        n = m = 512  # the default fit's size
+    spec = {
+        "shape": shape,
+        "n": n,
+        "m": m if seed % 2 else n,
+        "steps_cd": 0 if seed == FIT_NO_CD else int(rng.integers(1, 9)),
+        "steps_geocd": int(rng.integers(1 if seed in (FIT_UNIT_BOX, FIT_NO_CD) else 0, 4)),
+        "lr": {FIT_OVERFLOW: 1e200, FIT_UNIT_BOX: 2.0}.get(seed, float(rng.choice([5e-4, 5e-3]))),
+        "k": int(rng.integers(3, 7)),
+        "hops": int(rng.integers(1, 4)),
+        "mask": seed % 4 < 2,
+        "tau": float(rng.choice([0.01, 0.05])),
+    }
+    gt = sample_shape(ShapeSpec(shape, n, seed=seed))
+    if seed % 2:
+        init = sample_shape(ShapeSpec(shape, spec["m"], noise_sigma=0.03, seed=seed + 500))
+    else:
+        init = noisy_copy(gt, 0.05, seed + 1)
+    init, gt, _ = normalize_pair(init, gt)
+    geo = GeoCdConfig(k=spec["k"], n_hops=spec["hops"], mask=MaskConfig(enabled=spec["mask"]))
+    cfg = FitConfig(
+        steps_cd=spec["steps_cd"],
+        steps_geocd=spec["steps_geocd"],
+        lr=spec["lr"],
+        geo=geo,
+        tau_fraction=spec["tau"],
+    )
+    return spec, init, gt, cfg
+
+
+def fit_record(seed: int) -> dict:
+    """Everything the golden file holds for one fit."""
+    _, init, gt, cfg = fit_instance(seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing fit
+        trace = fit(init, gt, cfg)
+    return {
+        "seed": seed,
+        "steps": _text_digest([dataclasses.astuple(s) for s in trace.steps]),
+        "final_pred": _digest(trace.final_pred.points),
+        "final": _text_digest(trace.final),
+        "aborted": trace.aborted,
+    }
+
+
 def main() -> None:
-    # one instance per line, so that a re-recording diffs by seed
+    # one record per line, so that a re-recording diffs by seed
     lines = ",\n".join(json.dumps(record(s), separators=(",", ":")) for s in SEEDS)
+    fits = ",\n".join(json.dumps(fit_record(s), separators=(",", ":")) for s in FIT_SEEDS)
     numpy = json.dumps(np.__version__)
-    GOLDEN.write_text(f'{{"numpy":{numpy},"instances":[\n{lines}\n]}}\n', encoding="utf-8")
-    print(f"wrote {len(SEEDS)} instances to {GOLDEN}")
+    GOLDEN.write_text(
+        f'{{"numpy":{numpy},"instances":[\n{lines}\n],"fits":[\n{fits}\n]}}\n',
+        encoding="utf-8",
+    )
+    print(f"wrote {len(SEEDS)} instances and {len(FIT_SEEDS)} fits to {GOLDEN}")
 
 
 if __name__ == "__main__":

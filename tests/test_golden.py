@@ -2,9 +2,11 @@
 
 ``tests/golden/geocd_golden.json`` holds, for 212 fixed seeds, the digests
 of the graph, the hop records and the ``evaluate`` fields, every error text,
-and the loss and gradient values (see ``tests/golden/generate.py``). A
-change that moves none of them passes unchanged; one that means to move a
-value re-records the file and says which digests moved and why.
+and the loss and gradient values; and for 16 fixed fits, the digests of the
+trace, the final points and the ``final`` dict (see
+``tests/golden/generate.py``). A change that moves none of them passes
+unchanged; one that means to move a value re-records the file and says
+which digests moved and why.
 """
 
 import json
@@ -12,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from golden.generate import GOLDEN, SEEDS, instance, record
+from golden.generate import FIT_SEEDS, GOLDEN, SEEDS, fit_instance, fit_record, instance, record
 
 REL_TOL = 1e-12  # loss and gradients pass through np.exp / np.log
 
@@ -52,3 +54,15 @@ def test_golden_outputs_unchanged(golden):
         if moved:
             problems.append(f"seed {want['seed']} {instance(want['seed'])[0]}: " + "; ".join(moved))
     assert not problems, f"{len(problems)} golden instances moved:\n" + "\n".join(problems)
+
+
+def test_golden_fits_unchanged(golden):
+    assert [r["seed"] for r in golden["fits"]] == list(FIT_SEEDS)
+    problems = []
+    for want in golden["fits"]:
+        got = fit_record(want["seed"])
+        moved = [f"{key}: {want[key]!r} -> {got[key]!r}" for key in want if got[key] != want[key]]
+        if moved:
+            spec = fit_instance(want["seed"])[0]
+            problems.append(f"fit {want['seed']} {spec}: " + "; ".join(moved))
+    assert not problems, f"{len(problems)} golden fits moved:\n" + "\n".join(problems)
