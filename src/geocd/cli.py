@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -243,8 +244,11 @@ def cmd_fit(args) -> int:
             "scale": transform.scale,
         },
     }
+    timings = {"total": elapsed}
+    for phase, seconds in trace.step_seconds.items():
+        timings[f"{phase}_step_s"] = statistics.median(seconds)
     manifest = {
-        "manifest": _manifest("fit", args, config, {"total": elapsed}, seed=args.seed),
+        "manifest": _manifest("fit", args, config, timings, seed=args.seed),
         "final": trace.final,
         "aborted": trace.aborted,
         "outputs": {

@@ -12,6 +12,7 @@ target.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from .cloud import PointCloud
 from .errors import GeoCdError, NormalizationError
 from .geodesic import MaskConfig
 from .loss import GeoCdConfig, chamfer, geocd
-from .metrics import evaluate
+from .metrics import evaluate, f1_threshold, report_from_pass
 
 SHAPE_KINDS = ("sphere", "hemisphere", "torus", "bent-plane")
 SPHERE_RADIUS = 0.5
@@ -72,6 +73,9 @@ class FitTrace:
     final_pred: PointCloud
     final: dict
     aborted: str | None = None
+    # phase -> seconds of each step that reached its Adam update, from the
+    # loss call to the end of the update
+    step_seconds: dict[str, list[float]] = field(default_factory=dict)
 
 
 class Adam:
@@ -146,29 +150,41 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
             raise ValueError(f"{name} must be >= 0, got {steps}")
     params = pred_init.points.copy()
     steps: list[FitStep] = []
+    step_seconds: dict[str, list[float]] = {}
     aborted = None
 
-    phases = (
-        ("cd", cfg.steps_cd, lambda c: chamfer(c, gt, with_grad=True)),
-        ("geocd", cfg.steps_geocd, lambda c: geocd(c, gt, cfg.geo, with_grad=True)),
-    )
-    for phase, n_steps, loss_fn in phases:
+    # the F1 threshold depends on gt alone, so it is taken once. Only the
+    # Chamfer steps read it; a bad tau_fraction raises where their first
+    # metrics would (chamfer itself cannot raise)
+    tau = f1_threshold(pred_init, gt, cfg.tau_fraction) if cfg.steps_cd else None
+
+    def cd_step(cloud):
+        # the metrics come from the loss's own nearest-neighbour pass
+        rep = chamfer(cloud, gt, with_grad=True)
+        return rep, report_from_pass(rep.diagnostics["sq_pred"], rep.diagnostics["sq_gt"], tau)
+
+    def geocd_step(cloud):
+        return geocd(cloud, gt, cfg.geo, with_grad=True), evaluate(cloud, gt, cfg.tau_fraction)
+
+    phases = (("cd", cfg.steps_cd, cd_step), ("geocd", cfg.steps_geocd, geocd_step))
+    for phase, n_steps, step_fn in phases:
         if aborted:
             break
         adam = Adam(params.shape, cfg.lr)
         for s in range(n_steps):
             cloud = PointCloud(params, name=pred_init.name)
+            t0 = time.perf_counter()
             try:
-                rep = loss_fn(cloud)
+                rep, met = step_fn(cloud)
             except NormalizationError:
                 aborted = phase
                 break
-            met = evaluate(cloud, gt, cfg.tau_fraction)
             steps.append(FitStep(phase, s, rep.value, met.cd, met.hd, met.f1))
             if not (np.isfinite(rep.value) and np.isfinite(rep.grad_pred).all()):
                 aborted = phase
                 break
             params = adam.step(params, rep.grad_pred)
+            step_seconds.setdefault(phase, []).append(time.perf_counter() - t0)
 
     final_cloud = PointCloud(params, name=pred_init.name)
     met = evaluate(final_cloud, gt, cfg.tau_fraction)
@@ -191,4 +207,4 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
         "chamfer_loss": clean(met.cd),  # equal to chamfer(final_cloud, gt).value
         "geocd_loss": clean(geocd_loss),
     }
-    return FitTrace(steps=steps, final_pred=final_cloud, final=final, aborted=aborted)
+    return FitTrace(steps, final_cloud, final, aborted, step_seconds)

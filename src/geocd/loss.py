@@ -77,7 +77,10 @@ def chamfer(
     """Symmetric mean of squared nearest-neighbour distances.
 
     Nearest-neighbour ties break toward the lower index. The gradient
-    follows the (piecewise-constant) assignment.
+    follows the (piecewise-constant) assignment. The diagnostics hold the
+    squared nearest distances of the pass, ``sq_pred`` (from each predicted
+    point) and ``sq_gt`` (from each target point), from which
+    ``metrics.report_from_pass`` reads the metrics without a second pass.
     """
     p, q = pred.points, gt.points
     n, m = p.shape[0], q.shape[0]
@@ -91,7 +94,7 @@ def chamfer(
         if with_gt_grad:
             grad_gt = (2.0 / m) * (q - p[i_star])
             np.add.at(grad_gt, j_star, (2.0 / n) * (q[j_star] - p))
-    return LossReport(value, grad_pred, grad_gt)
+    return LossReport(value, grad_pred, grad_gt, {"sq_pred": sq_p, "sq_gt": sq_q})
 
 
 def geocd(
@@ -128,6 +131,7 @@ def geocd(
         "masked_fraction": geo.masked_per_hop[-1] if geo.masked_per_hop else 0.0,
         "hops_used": geo.hops_used,
         "mean_cross_distance": float((d.sum() + (total - d.size) * adj.sentinel) / total),
+        "mask_threshold": geo.mask_threshold,
         "degenerate_edges": 0,
     }
 

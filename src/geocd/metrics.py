@@ -62,9 +62,16 @@ def evaluate(
     diag_source: str = "gt",
 ) -> MetricsReport:
     """Chamfer + Hausdorff + F1 in one report, from one nearest-neighbour pass."""
-    tau = _threshold(pred, gt, tau_fraction, diag_source)
+    tau = f1_threshold(pred, gt, tau_fraction, diag_source)
     _, sq_p, _, sq_q = nearest(pred.points, gt.points)
-    precision, recall, f1 = _f1(sq_p, sq_q, tau)
+    return report_from_pass(sq_p, sq_q, tau)
+
+
+def report_from_pass(sq_p: np.ndarray, sq_q: np.ndarray, tau: float) -> MetricsReport:
+    """The metrics of the squared minimal distances of one ``nearest`` pass, F1 at ``tau``."""
+    precision = float((np.sqrt(sq_p) <= tau).mean())
+    recall = float((np.sqrt(sq_q) <= tau).mean())
+    f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
     return MetricsReport(
         cd=float(sq_p.mean() + sq_q.mean()),  # the value of ``loss.chamfer``
         hd=_hausdorff(sq_p, sq_q),
@@ -79,15 +86,10 @@ def _hausdorff(sq_p: np.ndarray, sq_q: np.ndarray) -> float:
     return float(np.sqrt(max(sq_p.max(), sq_q.max())))
 
 
-def _f1(sq_p: np.ndarray, sq_q: np.ndarray, tau: float) -> tuple[float, float, float]:
-    """(precision, recall, f1) of the matches within ``tau``."""
-    precision = float((np.sqrt(sq_p) <= tau).mean())
-    recall = float((np.sqrt(sq_q) <= tau).mean())
-    f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
-    return precision, recall, f1
-
-
-def _threshold(pred: PointCloud, gt: PointCloud, tau_fraction: float, diag_source: str) -> float:
+def f1_threshold(
+    pred: PointCloud, gt: PointCloud, tau_fraction: float, diag_source: str = "gt"
+) -> float:
+    """tau_fraction x the bbox diagonal of ``gt`` or, for "union", of both clouds."""
     if not 0 < tau_fraction < np.inf:
         raise ValueError(f"tau_fraction must be positive and finite, got {tau_fraction}")
     if diag_source == "gt":

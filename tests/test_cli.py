@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from geocd import PointCloud, read_cloud, write_cloud
+from geocd import PointCloud, knn_adjacency, merge, normalize_pair, read_cloud, write_cloud
 from geocd import FitConfig, GeoCdConfig
 from geocd.cli import _fit_config, _geo_config, build_parser, main
 from geocd.fit import ShapeSpec, sample_shape
@@ -162,6 +162,21 @@ def test_compute_json_stage_timings(small_pair, tmp_path, schema):
     assert timings["gradient"] == 0.0  # compute takes no gradient
 
 
+def test_compute_reports_the_resolved_mask_threshold(small_pair, capsys, schema):
+    a, b = small_pair
+    pred, gt, _ = normalize_pair(read_cloud(a), read_cloud(b))
+    mean_edge = float(knn_adjacency(merge(pred, gt), 3).length.mean())
+    for flags, want in (
+        (["--no-mask"], None),
+        (["--mask"], 2.0 * mean_edge),
+        (["--mask-threshold", "0.25"], 0.25),
+    ):
+        code, report = run_json(capsys, ["compute", str(a), str(b), "--k", "3", *flags])
+        assert code == 0
+        validate(report, schema, "compute_report")
+        assert report["geocd"]["diagnostics"]["mask_threshold"] == want
+
+
 def test_compute_deterministic_json(small_pair, capsys):
     a, b = small_pair
     argv = ["compute", str(a), str(b), "--k", "3", "--deterministic"]
@@ -212,6 +227,30 @@ def test_fit_writes_artifacts(tmp_path, schema):
     manifest = json.loads((out / "manifest.json").read_text())
     validate(manifest, schema, "fit_manifest")
     assert manifest["manifest"]["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "steps_cd, steps_geocd, keys",
+    [
+        ("4", "2", {"cd_step_s", "geocd_step_s"}),
+        ("3", "0", {"cd_step_s"}),
+        ("0", "2", {"geocd_step_s"}),
+        ("0", "0", set()),
+    ],
+)
+def test_fit_manifest_step_seconds(tmp_path, schema, steps_cd, steps_geocd, keys):
+    out = tmp_path / "run"
+    argv = [
+        "fit", "--target", "sphere", "--n-points", "24", "--k", "3",
+        "--steps-cd", steps_cd, "--steps-geocd", steps_geocd,
+        "--out-dir", str(out), "--quiet",
+    ]
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    validate(manifest, schema, "fit_manifest")
+    timings = manifest["manifest"]["timings"]
+    assert set(timings) == {"total"} | keys
+    assert all(0.0 < timings[key] < timings["total"] for key in keys)
 
 
 @pytest.mark.parametrize("lr", ["nan", "-1"])

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -131,6 +132,27 @@ def test_fit_final_chamfer_loss_is_final_cd():
     assert trace.final["cd"] == chamfer(trace.final_pred, gt).value
 
 
+def test_fit_makes_one_nearest_pass_per_step(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("geocd.loss", "geocd.metrics"):
+        module = importlib.import_module(name)
+        monkeypatch.setattr(module, "nearest", counting(module.nearest))
+    init, gt = normalized_problem(n=40, seed=5)
+    trace = fit(init, gt, FitConfig(steps_cd=7, steps_geocd=3, geo=GeoCdConfig(k=3)))
+    assert trace.aborted is None and len(trace.steps) == 10
+    # one pass per Chamfer step (the loss's), one per GeoCD step (its
+    # metrics) and one for the final metrics
+    assert len(calls) == 7 + 3 + 1
+
+
 def test_fit_determinism():
     init, gt = normalized_problem(n=48, seed=4)
     cfg = FitConfig(steps_cd=25, steps_geocd=4, seed=4)
@@ -155,6 +177,8 @@ def test_fit_aborts_on_non_finite_loss():
     assert trace.aborted == "cd"
     assert len(trace.steps) < 8  # phase stopped early, later phases skipped
     assert not np.isfinite(trace.steps[-1].loss)
+    # the non-finite step made no update, so it has no seconds
+    assert len(trace.step_seconds["cd"]) == len(trace.steps) - 1
 
 
 def test_fit_aborts_when_points_leave_the_unit_box():
@@ -169,6 +193,8 @@ def test_fit_aborts_when_points_leave_the_unit_box():
     assert cd_only.aborted is None
     assert np.array_equal(trace.final_pred.points, cd_only.final_pred.points)
     assert trace.final["geocd_loss"] is None
+    # the aborted step never reached its Adam update, so it has no seconds
+    assert {phase: len(s) for phase, s in trace.step_seconds.items()} == {"cd": 5}
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])

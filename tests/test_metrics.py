@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from geocd import DegenerateCloudError, PointCloud, evaluate, f1_at, hausdorff
+from geocd import DegenerateCloudError, PointCloud, chamfer, evaluate, f1_at, hausdorff
+from geocd.metrics import f1_threshold, report_from_pass
 from conftest import random_cloud
 
 
@@ -117,3 +118,14 @@ def test_report_f1_formula(rng):
         assert r.f1 == pytest.approx(
             2 * r.precision * r.recall / (r.precision + r.recall), abs=1e-15
         )
+
+
+@pytest.mark.parametrize("diag", ["gt", "union"])
+def test_report_from_the_chamfer_pass_is_evaluate(rng, diag):
+    for n, m in ((1, 2), (7, 30), (130, 65)):
+        p, q = random_cloud(rng, n), random_cloud(rng, m)
+        rep = chamfer(p, q, with_grad=True)
+        tau = f1_threshold(p, q, 0.05, diag)
+        met = report_from_pass(rep.diagnostics["sq_pred"], rep.diagnostics["sq_gt"], tau)
+        assert met == evaluate(p, q, 0.05, diag)
+        assert met.cd == rep.value
