@@ -5,7 +5,8 @@ Subcommands: compute, fit, verify, sweep, convert. Reports are JSON
 are CSV, so external plotters can pick them up directly.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 config
-error (including a pair whose kNN edges exceed the sentinel).
+error (including a pair whose kNN edges exceed the sentinel, and a merged
+set beyond ``geodesic.MAX_POINTS`` with more than one hop).
 """
 
 from __future__ import annotations
@@ -148,7 +149,15 @@ def cmd_compute(args) -> int:
 
     cfg = _geo_config(args)
     rep = geocd(pred_n, gt_n, cfg)
-    met = evaluate(pred_n, gt_n, args.tau, args.f1_diag)
+    try:
+        met = evaluate(pred_n, gt_n, args.tau, args.f1_diag)
+    except DegenerateCloudError as exc:
+        if args.f1_diag != "gt":
+            raise
+        raise DegenerateCloudError(
+            f"{exc}; a target whose points all coincide has no box of its own, "
+            "so pass --f1-diag union to use the box of both clouds"
+        ) from exc
 
     diagnostics = dict(rep.diagnostics)
     stage_timings = diagnostics.pop("timings", {})

@@ -133,6 +133,9 @@ def noisy_copy(cloud: PointCloud, sigma: float, seed: int) -> PointCloud:
     return PointCloud(cloud.points + sigma * rng.normal(size=cloud.points.shape), name=cloud.name)
 
 
+# a phase that overflows is reported as aborted, so its numpy warnings say
+# nothing more; each step and the final report run without them
+@np.errstate(over="ignore", invalid="ignore")
 def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> FitTrace:
     """Run both phases and record per-step metrics.
 

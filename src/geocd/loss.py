@@ -130,6 +130,8 @@ def geocd(
         "sentinel_fraction": (total - d.size) / total,
         "masked_fraction": geo.masked_per_hop[-1] if geo.masked_per_hop else 0.0,
         "hops_used": geo.hops_used,
+        "hop_entries": geo.hop_entries,
+        "improved_per_hop": geo.improved_per_hop,
         "mean_cross_distance": float((d.sum() + (total - d.size) * adj.sentinel) / total),
         "mask_threshold": geo.mask_threshold,
         "degenerate_edges": 0,

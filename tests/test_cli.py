@@ -1,4 +1,5 @@
 import json
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from geocd import PointCloud, knn_adjacency, merge, normalize_pair, read_cloud, write_cloud
+from geocd import geodesic, propagate
 from geocd import FitConfig, GeoCdConfig
 from geocd.cli import _fit_config, _geo_config, build_parser, main
 from geocd.fit import ShapeSpec, sample_shape
@@ -88,9 +90,11 @@ def test_compute_one_point_clouds(tmp_path, capsys):
     code, report = run_json(capsys, ["compute", str(p), str(q), "--k", "1", "--f1-diag", "union"])
     assert code == 0
     assert report["geocd"]["diagnostics"]["mean_cross_distance"] == 1.0  # stored as the sentinel
-    # a one-point target has no F1 threshold of its own: an input error
+    # a one-point target has no F1 threshold of its own: an input error,
+    # whose message names the way out
     assert main(["compute", str(p), str(q), "--k", "1"]) == 2
-    assert "F1 threshold undefined" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "F1 threshold undefined" in err and "pass --f1-diag union" in err
 
 
 def test_compute_parse_error_exits_2(tmp_path, small_pair):
@@ -177,6 +181,28 @@ def test_compute_reports_the_resolved_mask_threshold(small_pair, capsys, schema)
         assert report["geocd"]["diagnostics"]["mask_threshold"] == want
 
 
+def test_compute_reports_per_hop_counts(small_pair, capsys, schema):
+    a, b = small_pair
+    pred, gt, _ = normalize_pair(read_cloud(a), read_cloud(b))
+    z = merge(pred, gt)
+    geo = propagate(z, knn_adjacency(z, 3), n_hops=4)
+    code, report = run_json(capsys, ["compute", str(a), str(b), "--k", "3", "--hops", "4"])
+    assert code == 0
+    validate(report, schema, "compute_report")
+    diagnostics = report["geocd"]["diagnostics"]
+    assert diagnostics["hop_entries"] == [hop.key.size for hop in geo.hops]
+    assert diagnostics["improved_per_hop"] == geo.improved_per_hop
+
+
+def test_compute_beyond_the_merged_size_limit_exits_3(small_pair, capsys, monkeypatch):
+    a, b = small_pair
+    monkeypatch.setattr(geodesic, "MAX_POINTS", 40)  # the pair merges 44 points
+    assert main(["compute", str(a), str(b), "--k", "3", "--hops", "2"]) == 3
+    assert "at most 40 merged points, got 44" in capsys.readouterr().err
+    # one hop packs no sort words, so it is not limited
+    assert main(["compute", str(a), str(b), "--k", "3", "--hops", "1"]) == 0
+
+
 def test_compute_deterministic_json(small_pair, capsys):
     a, b = small_pair
     argv = ["compute", str(a), str(b), "--k", "3", "--deterministic"]
@@ -251,6 +277,18 @@ def test_fit_manifest_step_seconds(tmp_path, schema, steps_cd, steps_geocd, keys
     timings = manifest["manifest"]["timings"]
     assert set(timings) == {"total"} | keys
     assert all(0.0 < timings[key] < timings["total"] for key in keys)
+
+
+def test_fit_abort_raises_no_overflow_warning(tmp_path):
+    out = tmp_path / "run"
+    argv = [
+        "fit", "--lr", "1e200", "--steps-cd", "3", "--steps-geocd", "0",
+        "--n-points", "16", "--k", "3", "--out-dir", str(out), "--quiet",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 0
+    assert json.loads((out / "manifest.json").read_text())["aborted"] == "cd"
 
 
 @pytest.mark.parametrize("lr", ["nan", "-1"])

@@ -12,7 +12,9 @@ from geocd import (
     propagate,
     reconstruct_path,
 )
-from geocd.geodesic import NO_VIA, MaskConfig, unroll
+from geocd import geodesic
+from geocd.geodesic import NO_VIA, Hop, MaskConfig, cross_width, row_min, unroll
+from geocd.graph import Adjacency, MergedSet
 from geocd.fit import ShapeSpec, noisy_copy, sample_shape
 from geocd import normalize_pair
 from conftest import random_normalized_pair
@@ -355,3 +357,123 @@ def test_unroll_without_cross_walks_is_empty():
     assert np.array_equal(rep.grad_pred, np.zeros((2, 3)))
     assert np.array_equal(rep.grad_gt, np.zeros((2, 3)))
     assert rep.diagnostics["degenerate_edges"] == 0
+
+
+def full_sort_extend(prev, active, ptr, dst, length, sentinel):
+    """Reference: extend every kept walk of every active row, one stable argsort."""
+    n = active.size
+    i, k = np.divmod(prev.key, n)
+    live = np.flatnonzero(active[i])
+    start = ptr[k[live]]
+    deg = ptr[k[live] + 1] - start
+    walk = np.repeat(live, deg)
+    edge = np.repeat(start - (np.cumsum(deg) - deg), deg) + np.arange(walk.size)
+    ci, cj, cv = i[walk], dst[edge], prev.dist[walk] + length[edge]
+    ok = (cj != ci) & (cv < sentinel)
+
+    key = np.concatenate([prev.key, ci[ok] * n + cj[ok]])
+    dist = np.concatenate([prev.dist, cv[ok]])
+    via = np.concatenate([prev.via, k[walk[ok]]])
+    order = np.argsort(key, kind="stable")
+    key, dist, via = key[order], dist[order], via[order]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    best = np.repeat(np.minimum.reduceat(dist, start), np.diff(np.r_[start, key.size]))
+    hit = np.flatnonzero(dist == best)
+    group = np.searchsorted(start, hit, side="right")
+    keep = hit[np.r_[True, group[1:] != group[:-1]]]
+    return Hop(key[keep], dist[keep], via[keep])
+
+
+def full_sort_records(z, adj, n_hops, mask):
+    """Reference hop records and masked shares, from ``full_sort_extend``."""
+    n = z.size
+    ptr = np.searchsorted(adj.src, np.arange(n + 1))
+    hops = [Hop(adj.src * n + adj.dst, adj.length, np.full(adj.src.size, NO_VIA))]
+    active, masked = np.ones(n, dtype=bool), []
+    threshold = mask.threshold if mask.threshold is not None else 2.0 * adj.length.mean()
+    for _ in range(n_hops - 1):
+        if mask.enabled:
+            src, dst = np.divmod(hops[-1].key, n)
+            c = (src < z.n_pred) != (dst < z.n_pred)
+            mins = row_min(src[c], hops[-1].dist[c], cross_width(z), adj.sentinel)
+            active &= mins > threshold
+            masked.append(float(1.0 - active.mean()))
+        hops.append(full_sort_extend(hops[-1], active, ptr, adj.dst, adj.length, adj.sentinel))
+    return hops, masked
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in ("key", "dist", "via"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def deep_pair(kind, rng):
+    n, m = (int(v) for v in rng.integers(8, 40, 2))
+    if kind == "lattice":  # multiples of 1/8: exact ties
+        return (PointCloud(rng.integers(0, 5, (s, 3)) / 8.0) for s in (n, m))
+    p, q = rng.random((n, 3)), rng.random((m, 3))
+    if kind == "duplicate":  # coincident points and zero-length edges
+        p[rng.integers(0, n, n // 3)] = p[0]
+        q[: m // 2] = p[rng.integers(0, n, m // 2)]
+    pred, gt, _ = normalize_pair(PointCloud(p), PointCloud(q))
+    return pred, gt
+
+
+def test_frontier_extension_matches_the_full_sort_reference():
+    rng = np.random.default_rng(41)
+    improved = 0
+    for trial in range(48):
+        pred, gt = deep_pair(("random", "lattice", "duplicate")[trial % 3], rng)
+        z = merge(pred, gt)
+        adj = knn_adjacency(z, int(rng.integers(1, 7)), symmetrize=bool(trial // 3 % 2))
+        mask = MaskConfig(enabled=bool(trial // 6 % 2))
+        hops = 3 + trial % 3
+        geo = propagate(z, adj, hops, mask)
+        want, masked = full_sort_records(z, adj, hops, mask)
+        assert_same_records(geo.hops, want)
+        assert geo.masked_per_hop == masked
+        improved += sum(geo.improved_per_hop[1:])
+    assert improved > 0  # the deep hops do extend fresh entries
+
+
+@pytest.mark.parametrize("span", [1, 7, 64])
+def test_row_ranges_give_the_same_records(span, monkeypatch):
+    rng = np.random.default_rng(span)
+    cases = []
+    for trial in range(12):
+        pred, gt = deep_pair(("random", "lattice", "duplicate")[trial % 3], rng)
+        z = merge(pred, gt)
+        adj = knn_adjacency(z, int(rng.integers(1, 7)), symmetrize=bool(trial % 2))
+        mask = MaskConfig(enabled=bool(trial // 2 % 2))
+        cases.append((z, adj, 3 + trial % 3, mask, propagate(z, adj, 3 + trial % 3, mask)))
+    monkeypatch.setattr(geodesic, "SPAN", span)
+    for z, adj, hops, mask, want in cases:
+        got = propagate(z, adj, hops, mask)
+        assert_same_records(got.hops, want.hops)
+        assert got.improved_per_hop == want.improved_per_hop
+
+
+def test_per_hop_counts(rng):
+    pred, gt = random_normalized_pair(rng, 14, 12)
+    z = merge(pred, gt)
+    for symmetrize, mask in ((False, MaskConfig()), (True, MaskConfig(enabled=True))):
+        geo = propagate(z, knn_adjacency(z, 3, symmetrize=symmetrize), 5, mask)
+        assert geo.hop_entries == [hop.key.size for hop in geo.hops]
+        assert len(geo.improved_per_hop) == geo.hops_used - 1
+        for h, count in enumerate(geo.improved_per_hop):
+            # a new entry holds less than the sentinel, so it counts as shorter too
+            assert count == int((geo.dense(h + 1) < geo.dense(h)).sum())
+        assert geo.improved_per_hop[0] > 0
+
+
+def test_merged_size_limit_rejected():
+    n = geodesic.MAX_POINTS + 1
+    # a broadcast view and an edge-free graph: nothing of size n is allocated
+    z = MergedSet(np.broadcast_to(np.zeros(3), (n, 3)), n // 2, n - n // 2)
+    none = np.zeros(0, dtype=np.intp)
+    adj = Adjacency(none, none, np.zeros(0), n, 1.0)
+    with pytest.raises(ValueError, match=f"at most {geodesic.MAX_POINTS} merged points, got {n}"):
+        propagate(z, adj, n_hops=2)
