@@ -55,7 +55,7 @@ def _manifest(subcommand: str, args, config: dict, timings: dict, seed=None) -> 
 
 
 def _emit_json(obj: dict, path: str | Path | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if path:
         Path(path).write_text(text, encoding="utf-8")
     else:
@@ -269,7 +269,7 @@ def cmd_fit(args) -> int:
     }
     _emit_json(manifest, out_dir / "manifest.json")
     if not args.quiet:
-        print(json.dumps(manifest["final"], indent=2))
+        _emit_json(manifest["final"], None)
     return 0
 
 
@@ -280,14 +280,12 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         size_range=(args.min_points, args.max_points),
         grad_trials=args.grad_trials,
-        inject_fault=args.inject_fault,
     )
     config = {
         "trials": args.trials,
         "grad_trials": args.grad_trials,
         "min_points": args.min_points,
         "max_points": args.max_points,
-        "inject_fault": args.inject_fault,
     }
     out = {
         "manifest": _manifest(
@@ -386,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-points", type=int, default=16)
     p.add_argument("--max-points", type=int, default=32)
     p.add_argument("--json", default=None)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     _add_common_flags(p)
     p.set_defaults(func=cmd_verify)
 

@@ -17,7 +17,6 @@ from .errors import DegenerateCloudError
 @dataclass
 class PointCloud:
     points: np.ndarray
-    name: str | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -39,9 +38,6 @@ class PointCloud:
     def bbox_diagonal(self) -> float:
         lo, hi = self.bbox()
         return float(np.linalg.norm(hi - lo))
-
-    def with_points(self, points: np.ndarray) -> "PointCloud":
-        return PointCloud(points, name=self.name)
 
 
 @dataclass
@@ -75,7 +71,7 @@ def _bbox_transform(points: np.ndarray) -> NormalizationTransform:
 def normalize_unit_bbox(cloud: PointCloud) -> tuple[PointCloud, NormalizationTransform]:
     """Center the bounding box at the origin and scale its diagonal to 1."""
     t = _bbox_transform(cloud.points)
-    return cloud.with_points(t.apply(cloud.points)), t
+    return PointCloud(t.apply(cloud.points)), t
 
 
 def normalize_pair(
@@ -87,4 +83,4 @@ def normalize_pair(
     graph sentinel relies on.
     """
     t = _bbox_transform(np.vstack([pred.points, gt.points]))
-    return pred.with_points(t.apply(pred.points)), gt.with_points(t.apply(gt.points)), t
+    return PointCloud(t.apply(pred.points)), PointCloud(t.apply(gt.points)), t

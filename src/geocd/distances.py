@@ -1,10 +1,11 @@
-"""Blocked Euclidean distances: the dense matrix and the nearest neighbours.
+"""Euclidean lengths: one expression, the dense matrix and the nearest neighbours.
 
-Both come from one kernel that fills a fixed (BLOCK, m) scratch block in
-place with the per-component expression ``(dx*dx + dy*dy) + dz*dz``. It
-matches a scalar double loop bit for bit, which the reference checks in the
-test suite rely on, and ``sqrt`` is correctly rounded, so a distance taken
-from the block equals the scalar one exactly.
+``squared_lengths`` evaluates ``(dx*dx + dy*dy) + dz*dz`` per component,
+and every length the kNN graph, Chamfer, Hausdorff and F1 read comes from
+it. It matches a scalar double loop bit for bit, which the reference checks
+in the test suite rely on, and ``sqrt`` is correctly rounded, so all four
+measure the same length to the last bit. The dense matrix and the nearest
+neighbours fill a fixed (BLOCK, m) scratch block in place with it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,21 @@ import numpy as np
 BLOCK = 64  # rows per block: the scratch arrays stay small and are reused
 
 
+def squared_lengths(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the squared lengths from points ``a`` to points ``b``.
+
+    ``a`` and ``b`` are (x, y, z) triples of coordinate arrays that broadcast
+    to the shape of ``out``; ``tmp`` is scratch of that shape.
+    """
+    np.subtract(a[0], b[0], out=out)
+    np.multiply(out, out, out=out)
+    for ac, bc in zip(a[1:], b[1:]):
+        np.subtract(ac, bc, out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(out, tmp, out=out)
+    return out
+
+
 def _squared_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """Squared distances of ``a`` against all of ``b``, one row block at a time.
 
@@ -25,20 +41,12 @@ def _squared_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[slice, np.nd
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n, m = a.shape[0], b.shape[0]
-    bx, by, bz = (np.ascontiguousarray(b[:, c]) for c in range(3))
+    bc = [np.ascontiguousarray(b[:, c]) for c in range(3)]
     scratch = np.empty((2, min(BLOCK, n), m))
     for i0 in range(0, n, BLOCK):
         rows = slice(i0, min(i0 + BLOCK, n))
         sq, tmp = scratch[0, : rows.stop - i0], scratch[1, : rows.stop - i0]
-        np.subtract(a[rows, 0, None], bx, out=sq)
-        np.multiply(sq, sq, out=sq)
-        np.subtract(a[rows, 1, None], by, out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        np.add(sq, tmp, out=sq)
-        np.subtract(a[rows, 2, None], bz, out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        np.add(sq, tmp, out=sq)
-        yield rows, sq
+        yield rows, squared_lengths([a[rows, c, None] for c in range(3)], bc, sq, tmp)
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

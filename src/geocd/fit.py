@@ -125,12 +125,12 @@ def sample_shape(spec: ShapeSpec) -> PointCloud:
         pts = np.column_stack([u, v, PLANE_BEND * np.sin(np.pi * u)])
     if spec.noise_sigma > 0:
         pts = pts + spec.noise_sigma * rng.normal(size=pts.shape)
-    return PointCloud(pts, name=spec.kind)
+    return PointCloud(pts)
 
 
 def noisy_copy(cloud: PointCloud, sigma: float, seed: int) -> PointCloud:
     rng = np.random.default_rng(seed)
-    return PointCloud(cloud.points + sigma * rng.normal(size=cloud.points.shape), name=cloud.name)
+    return PointCloud(cloud.points + sigma * rng.normal(size=cloud.points.shape))
 
 
 # a phase that overflows is reported as aborted, so its numpy warnings say
@@ -156,10 +156,7 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
     step_seconds: dict[str, list[float]] = {}
     aborted = None
 
-    # the F1 threshold depends on gt alone, so it is taken once. Only the
-    # Chamfer steps read it; a bad tau_fraction raises where their first
-    # metrics would (chamfer itself cannot raise)
-    tau = f1_threshold(pred_init, gt, cfg.tau_fraction) if cfg.steps_cd else None
+    tau = f1_threshold(pred_init, gt, cfg.tau_fraction)  # depends on gt alone
 
     def cd_step(cloud):
         # the metrics come from the loss's own nearest-neighbour pass
@@ -175,7 +172,7 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
             break
         adam = Adam(params.shape, cfg.lr)
         for s in range(n_steps):
-            cloud = PointCloud(params, name=pred_init.name)
+            cloud = PointCloud(params)
             t0 = time.perf_counter()
             try:
                 rep, met = step_fn(cloud)
@@ -189,7 +186,7 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
             params = adam.step(params, rep.grad_pred)
             step_seconds.setdefault(phase, []).append(time.perf_counter() - t0)
 
-    final_cloud = PointCloud(params, name=pred_init.name)
+    final_cloud = PointCloud(params)
     met = evaluate(final_cloud, gt, cfg.tau_fraction)
     try:
         geocd_loss = geocd(final_cloud, gt, cfg.geo).value

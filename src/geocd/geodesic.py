@@ -253,8 +253,8 @@ def propagate(
     threshold = None
     if mask.enabled:
         threshold = mask.threshold if mask.threshold is not None else 2.0 * float(length.mean())
-        if not threshold > 0:  # also rejects NaN
-            raise ValueError(f"mask threshold must be positive, got {threshold}")
+        if not (np.isfinite(threshold) and threshold > 0):
+            raise ValueError(f"mask threshold must be positive and finite, got {threshold}")
 
     ptr = np.searchsorted(src, np.arange(n + 1))
     hop1 = Hop(src * n + dst, length, np.full(src.size, NO_VIA))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .distances import BLOCK, pairwise_distances
+from .distances import BLOCK, pairwise_distances, squared_lengths
 from .errors import KTooLargeError
 
 CHUNK = 128  # grid rows per pass: the padded candidate matrices stay small
@@ -195,7 +195,7 @@ def knn_adjacency(
     rest = [order[~sampled & wide]]
     on_grid = ~(sampled | wide)
     grid_rows, grid_cells = order[on_grid], cell_of[on_grid]
-    px, py, pz = (np.ascontiguousarray(pts[:, a]) for a in range(3))
+    cols = [np.ascontiguousarray(pts[:, c]) for c in range(3)]
 
     for r0 in range(0, grid_rows.size, CHUNK):
         # rows in cell order, so that a chunk's rows share most candidates
@@ -209,18 +209,13 @@ def knn_adjacency(
         slot = np.repeat(np.arange(rows.size) * width - (np.cumsum(per_row) - per_row), per_row)
         slot += np.arange(slot.size)
         i, j = np.repeat(rows, per_row), order[pos]
-        # the distance kernel's expression, (dx*dx + dy*dy) + dz*dz
-        dx, dy, dz = px[i] - px[j], py[i] - py[j], pz[i] - pz[j]
-        dx *= dx
-        dy *= dy
-        dz *= dz
-        dx += dy
-        dx += dz
-        np.sqrt(dx, out=dx)
-        dx[i == j] = np.inf
+        dij = np.empty(i.size)
+        squared_lengths([c[i] for c in cols], [c[j] for c in cols], dij, np.empty(i.size))
+        np.sqrt(dij, out=dij)
+        dij[i == j] = np.inf
         d = np.full((rows.size, width), np.inf)
         cand = np.zeros((rows.size, width), dtype=np.intp)
-        d.ravel()[slot] = dx
+        d.ravel()[slot] = dij
         cand.ravel()[slot] = j
         sel, kth = _select(d, cand, k)
         sure = kth < reach

@@ -35,14 +35,14 @@ def sniff_format(path) -> str:
     return FORMAT_BINARY if head == MAGIC else FORMAT_XYZ
 
 
-def read_cloud(path, fmt: str = "auto", name: str | None = None) -> PointCloud:
+def read_cloud(path, fmt: str = "auto") -> PointCloud:
     path = Path(path)
     if fmt == "auto":
         fmt = sniff_format(path)
     if fmt == FORMAT_XYZ:
-        return _read_xyz(path, name)
+        return _read_xyz(path)
     if fmt == FORMAT_BINARY:
-        return _read_binary(path, name)
+        return _read_binary(path)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
@@ -58,7 +58,7 @@ def write_cloud(cloud: PointCloud, path, fmt: str = FORMAT_XYZ) -> None:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-def _read_xyz(path: Path, name: str | None) -> PointCloud:
+def _read_xyz(path: Path) -> PointCloud:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -79,10 +79,10 @@ def _read_xyz(path: Path, name: str | None) -> PointCloud:
             rows.append(xyz)
     if not rows:
         raise EmptyFileError(f"{path}: no point records")
-    return PointCloud(np.array(rows, dtype=np.float64), name=name or path.stem)
+    return PointCloud(np.array(rows, dtype=np.float64))
 
 
-def _read_binary(path: Path, name: str | None) -> PointCloud:
+def _read_binary(path: Path) -> PointCloud:
     data = path.read_bytes()
     if len(data) < 4 or data[:4] != MAGIC:
         raise ParseError("bad magic; not a GCPC file", path=path, offset=0)
@@ -106,4 +106,4 @@ def _read_binary(path: Path, name: str | None) -> PointCloud:
     pts = pts.reshape(count, 3).astype(np.float64)
     if not np.isfinite(pts).all():
         raise ParseError("non-finite coordinate in payload", path=path, offset=12)
-    return PointCloud(pts, name=name or path.stem)
+    return PointCloud(pts)

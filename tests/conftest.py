@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geocd import PointCloud, normalize_pair
+from geocd import PointCloud, normalize_pair, verify
 
 
 @pytest.fixture
@@ -9,8 +9,8 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def random_cloud(rng, n, name=None):
-    return PointCloud(rng.random((n, 3)), name=name)
+def random_cloud(rng, n):
+    return PointCloud(rng.random((n, 3)))
 
 
 def random_normalized_pair(rng, n, m):
@@ -18,3 +18,15 @@ def random_normalized_pair(rng, n, m):
     gt = random_cloud(rng, m)
     pred_n, gt_n, _ = normalize_pair(pred, gt)
     return pred_n, gt_n
+
+
+def fault_the_reference(monkeypatch):
+    """Make verify's reference walks 1e-6 too long at entry [0, -1]."""
+    exact = verify.hop_bounded_shortest_paths
+
+    def faulty(adj, n_hops):
+        ref = exact(adj, n_hops)
+        ref[0, -1] += 1e-6
+        return ref
+
+    monkeypatch.setattr(verify, "hop_bounded_shortest_paths", faulty)

@@ -11,6 +11,7 @@ from geocd import geodesic, propagate
 from geocd import FitConfig, GeoCdConfig
 from geocd.cli import _fit_config, _geo_config, build_parser, main
 from geocd.fit import ShapeSpec, sample_shape
+from conftest import fault_the_reference
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +34,19 @@ def small_pair(tmp_path):
     return a, b
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not valid JSON (RFC 8259)")
+
+
+def strict_json(text):
+    """Parse a report as RFC 8259 JSON, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 def test_compute_identical_files(tmp_path, capsys, schema):
@@ -60,7 +70,7 @@ def test_compute_k_too_large_exits_3(small_pair, capsys):
 SETTING_ERRORS = {
     "--tau": "tau_fraction must be positive and finite",
     "--sentinel": "sentinel must be positive and finite",
-    "--mask-threshold": "mask threshold must be positive",
+    "--mask-threshold": "mask threshold must be positive and finite",
 }
 
 
@@ -73,6 +83,7 @@ SETTING_ERRORS = {
         ("--sentinel", "0"),
         ("--sentinel", "-1"),
         ("--mask-threshold", "nan"),
+        ("--mask-threshold", "inf"),
     ],
 )
 def test_compute_non_finite_setting_exits_3(small_pair, capsys, flag, value):
@@ -159,7 +170,7 @@ def test_compute_json_stage_timings(small_pair, tmp_path, schema):
     a, b = small_pair
     out = tmp_path / "report.json"
     assert main(["compute", str(a), str(b), "--k", "3", "--json", str(out)]) == 0
-    report = json.loads(out.read_text(encoding="utf-8"))
+    report = strict_json(out.read_text(encoding="utf-8"))
     validate(report, schema, "compute_report")
     timings = report["manifest"]["timings"]
     assert set(timings) == {"graph", "propagation", "loss", "gradient", "total"}
@@ -250,7 +261,7 @@ def test_fit_writes_artifacts(tmp_path, schema):
     assert len(trace) == 1 + 6 + 2
     for name in ("initial_pred.xyz", "final_pred.xyz", "target.xyz"):
         assert read_cloud(out / name).size == 32
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = strict_json((out / "manifest.json").read_text())
     validate(manifest, schema, "fit_manifest")
     assert manifest["manifest"]["seed"] == 7
 
@@ -272,7 +283,7 @@ def test_fit_manifest_step_seconds(tmp_path, schema, steps_cd, steps_geocd, keys
         "--out-dir", str(out), "--quiet",
     ]
     assert main(argv) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = strict_json((out / "manifest.json").read_text())
     validate(manifest, schema, "fit_manifest")
     timings = manifest["manifest"]["timings"]
     assert set(timings) == {"total"} | keys
@@ -288,7 +299,7 @@ def test_fit_abort_raises_no_overflow_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(argv) == 0
-    assert json.loads((out / "manifest.json").read_text())["aborted"] == "cd"
+    assert strict_json((out / "manifest.json").read_text())["aborted"] == "cd"
 
 
 @pytest.mark.parametrize("lr", ["nan", "-1"])
@@ -374,12 +385,12 @@ def test_verify_tiny_clouds_pass(capsys, schema, points):
     validate(report, schema, "verify_report")
 
 
-def test_verify_injected_fault_fails(capsys):
-    code, report = run_json(
-        capsys, ["verify", "--trials", "2", "--grad-trials", "0", "--inject-fault"]
-    )
+def test_verify_injected_fault_fails(capsys, monkeypatch):
+    fault_the_reference(monkeypatch)
+    code, report = run_json(capsys, ["verify", "--trials", "2", "--grad-trials", "0"])
     assert code == 1
     assert report["passed"] is False
+    assert report["propagation"]["mismatch_count"] > 0
     assert report["propagation"]["worst_offenders"]
 
 
@@ -418,6 +429,20 @@ def test_sweep_negative_steps_records_the_error(tmp_path):
     assert good.startswith("steps-geocd,1,") and good.endswith(",")
 
 
+def test_infinite_mask_threshold_fails_fit_and_sweep_rows(tmp_path, capsys):
+    common = ["--target", "sphere", "--n-points", "24", "--steps-cd", "2", "--k", "3"]
+    out = tmp_path / "run"
+    assert main(["fit", *common, "--mask-threshold", "inf", "--out-dir", str(out)]) == 3
+    assert "mask threshold must be positive and finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+    csv = tmp_path / "sweep.csv"
+    argv = ["sweep", "--axis", "mask-threshold", "--values", "inf,0.05", *common, "--out", str(csv)]
+    assert main(argv) == 0
+    bad, good = csv.read_text().splitlines()[1:]
+    assert bad.endswith("ValueError: mask threshold must be positive and finite, got inf")
+    assert good.startswith("mask-threshold,0.05,") and good.endswith(",")
+
+
 def test_sweep_single_value_matches_fit(tmp_path):
     common = [
         "--target", "sphere",
@@ -432,7 +457,7 @@ def test_sweep_single_value_matches_fit(tmp_path):
         out_dir = tmp_path / axis
         argv = ["fit", *common, f"--{axis}", value, "--out-dir", str(out_dir), "--quiet"]
         assert main(argv) == 0
-        final = json.loads((out_dir / "manifest.json").read_text())["final"]
+        final = strict_json((out_dir / "manifest.json").read_text())["final"]
         sweep_csv = tmp_path / f"{axis}.csv"
         argv = ["sweep", "--axis", axis, "--values", value, *common, "--out", str(sweep_csv)]
         assert main(argv) == 0

@@ -14,7 +14,7 @@ from geocd import (
     propagate,
 )
 from geocd.verify import check_gradients, check_propagation, run_verification
-from conftest import random_normalized_pair
+from conftest import fault_the_reference, random_normalized_pair
 
 
 def cloud(*pts):
@@ -104,8 +104,9 @@ def test_check_propagation_clean(rng):
     assert out["max_abs_diff"] <= 1e-9
 
 
-def test_check_propagation_detects_injected_fault():
-    out = check_propagation(trials=2, seed=1, inject_fault=True)
+def test_check_propagation_detects_injected_fault(monkeypatch):
+    fault_the_reference(monkeypatch)
+    out = check_propagation(trials=2, seed=1)
     assert out["mismatch_count"] > 0
     assert out["worst_offenders"]
 
@@ -116,10 +117,11 @@ def test_check_gradients_clean():
     assert out["skipped_tie_components"] <= 0.05 * out["components"]
 
 
-def test_run_verification_roundtrip():
+def test_run_verification_roundtrip(monkeypatch):
     res = run_verification(trials=3, seed=2, grad_trials=1)
     assert list(res) == ["passed", "oracle", "propagation", "gradients"]
     assert res["passed"]
     assert res["oracle"]["mismatch_count"] == 0
-    bad = run_verification(trials=2, seed=2, grad_trials=0, inject_fault=True)
+    fault_the_reference(monkeypatch)
+    bad = run_verification(trials=2, seed=2, grad_trials=0)
     assert not bad["passed"]
