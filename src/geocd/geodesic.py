@@ -60,7 +60,7 @@ MAX_POINTS = 1 << 20  # largest merged set that multi-hop propagation takes
 @dataclass
 class MaskConfig:
     enabled: bool = False
-    threshold: float | None = None  # None: 2x the mean 1-hop edge length
+    threshold: float | None = None  # None: 2x the mean 1-hop edge length, possibly 0.0
 
 
 @dataclass
@@ -253,7 +253,7 @@ def propagate(
     threshold = None
     if mask.enabled:
         threshold = mask.threshold if mask.threshold is not None else 2.0 * float(length.mean())
-        if not (np.isfinite(threshold) and threshold > 0):
+        if mask.threshold is not None and not (np.isfinite(threshold) and threshold > 0):
             raise ValueError(f"mask threshold must be positive and finite, got {threshold}")
 
     ptr = np.searchsorted(src, np.arange(n + 1))

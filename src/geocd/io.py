@@ -22,6 +22,7 @@ from .errors import EmptyFileError, ParseError
 MAGIC = b"GCPC"
 BINARY_VERSION = 1
 _HEADER = struct.Struct("<II")  # version, count
+F4_MAX = float(np.finfo(np.float32).max)
 
 FORMAT_XYZ = "xyz"
 FORMAT_BINARY = "bin"
@@ -52,6 +53,8 @@ def write_cloud(cloud: PointCloud, path, fmt: str = FORMAT_XYZ) -> None:
         lines = [f"{x:.9g} {y:.9g} {z:.9g}" for x, y, z in cloud.points]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif fmt == FORMAT_BINARY:
+        if np.abs(cloud.points).max() > F4_MAX:
+            raise ValueError(f"coordinate beyond float32's largest finite value {F4_MAX:.9g}")
         payload = cloud.points.astype("<f4").tobytes()
         path.write_bytes(MAGIC + _HEADER.pack(BINARY_VERSION, cloud.size) + payload)
     else:

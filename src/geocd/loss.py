@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
-from .distances import nearest
+from .distances import nearest, squared_lengths
 from .geodesic import GeoDistances, MaskConfig, cross_width, propagate, row_min, unroll
 from .graph import knn_adjacency, merge
 
@@ -68,18 +68,18 @@ def _softmin_rows(rows, d, width, sentinel) -> tuple[np.ndarray, np.ndarray]:
     return m - np.log(s), w / s[rows]
 
 
-def chamfer(
-    pred: PointCloud,
-    gt: PointCloud,
-    with_grad: bool = False,
-    with_gt_grad: bool = False,
-) -> LossReport:
+def _scatter(index: np.ndarray, vectors: np.ndarray, size: int) -> np.ndarray:
+    """(size, 3) per-point sums of the rows of ``vectors``, added in input order."""
+    return np.column_stack([np.bincount(index, c, size) for c in vectors.T])
+
+
+def chamfer(pred: PointCloud, gt: PointCloud, with_grad: bool = False) -> LossReport:
     """Symmetric mean of squared nearest-neighbour distances.
 
-    Nearest-neighbour ties break toward the lower index. The gradient
-    follows the (piecewise-constant) assignment. The diagnostics hold the
-    squared nearest distances of the pass, ``sq_pred`` (from each predicted
-    point) and ``sq_gt`` (from each target point), from which
+    Nearest-neighbour ties break toward the lower index. The ``pred``
+    gradient follows the (piecewise-constant) assignment. The diagnostics
+    hold the squared nearest distances of the pass, ``sq_pred`` (from each
+    predicted point) and ``sq_gt`` (from each target point), from which
     ``metrics.report_from_pass`` reads the metrics without a second pass.
     """
     p, q = pred.points, gt.points
@@ -87,14 +87,11 @@ def chamfer(
     j_star, sq_p, i_star, sq_q = nearest(p, q)
     value = float(sq_p.mean() + sq_q.mean())
 
-    grad_pred = grad_gt = None
-    if with_grad:
-        grad_pred = (2.0 / n) * (p - q[j_star])
-        np.add.at(grad_pred, i_star, (2.0 / m) * (p[i_star] - q))
-        if with_gt_grad:
-            grad_gt = (2.0 / m) * (q - p[i_star])
-            np.add.at(grad_gt, j_star, (2.0 / n) * (q[j_star] - p))
-    return LossReport(value, grad_pred, grad_gt, {"sq_pred": sq_p, "sq_gt": sq_q})
+    grad_pred = None
+    if with_grad:  # each point's own term, then the target points that chose it
+        own, chosen = (2.0 / n) * (p - q[j_star]), (2.0 / m) * (p[i_star] - q)
+        grad_pred = _scatter(np.r_[np.arange(n), i_star], np.r_[own, chosen], n)
+    return LossReport(value, grad_pred, None, {"sq_pred": sq_p, "sq_gt": sq_q})
 
 
 def geocd(
@@ -141,11 +138,9 @@ def geocd(
     grad_pred = grad_gt = None
     gradient_s = 0.0
     if with_grad:
-        grad_full, degenerate = _path_gradients(geo, src, dst, w / np.where(src < n, n, m))
+        grad, degenerate = _path_gradients(geo, src, dst, w / np.where(src < n, n, m))
+        grad_pred, grad_gt = grad[:n], (grad[n:] if with_gt_grad else None)
         diagnostics["degenerate_edges"] = degenerate
-        grad_pred = grad_full[:n]
-        if with_gt_grad:
-            grad_gt = grad_full[n:]
         gradient_s = time.perf_counter() - t3
     diagnostics["timings"] = {
         "graph": t1 - t0,
@@ -162,15 +157,14 @@ def _path_gradients(
     """Scatter softmin weights along every recorded cross-set walk.
 
     For a walk edge (a, b) with weight w, grad[a] += w * (z_a - z_b)/|z_a - z_b|
-    and grad[b] gets the negation. Also returns the number of degenerate edges.
+    and grad[b] gets the negation; a degenerate edge divides by inf and adds
+    zero. Also returns the number of degenerate edges.
     """
     z = geo.merged.points
     walk, a, b = unroll(geo, starts, ends)
     d = z[a] - z[b]
-    length = np.sqrt((d * d).sum(axis=1))
+    length = np.sqrt(squared_lengths(d.T, (0.0, 0.0, 0.0), np.empty(a.size), np.empty(a.size)))
     ok = length > DEGENERATE_EDGE
-    contrib = np.zeros_like(d)
-    contrib[ok] = weights[walk[ok], None] * (d[ok] / length[ok, None])
+    contrib = weights[walk, None] * (d / np.where(ok, length, np.inf)[:, None])
     n = z.shape[0]
-    grad = np.column_stack([np.bincount(a, c, n) - np.bincount(b, c, n) for c in contrib.T])
-    return grad, int((~ok).sum())
+    return _scatter(a, contrib, n) - _scatter(b, contrib, n), int((~ok).sum())

@@ -192,6 +192,30 @@ def test_compute_reports_the_resolved_mask_threshold(small_pair, capsys, schema)
         assert report["geocd"]["diagnostics"]["mask_threshold"] == want
 
 
+def test_zero_mean_edge_length_resolves_a_zero_mask_threshold(tmp_path, capsys, schema):
+    # with k=1 every point's only neighbour is its copy in the other cloud, so
+    # every edge has length 0 and the default threshold resolves to 0.0
+    f = tmp_path / "a.xyz"
+    write_cloud(sample_shape(ShapeSpec("sphere", 30, seed=1)), f)
+    code, report = run_json(capsys, ["compute", str(f), str(f), "--mask", "--k", "1"])
+    assert code == 0
+    validate(report, schema, "compute_report")
+    diagnostics = report["geocd"]["diagnostics"]
+    assert diagnostics["mask_threshold"] == 0.0
+    assert diagnostics["masked_fraction"] == 1.0
+    out = tmp_path / "run"
+    argv = [
+        "fit", "--target-file", str(f), "--init-file", str(f), "--k", "1",
+        "--steps-cd", "2", "--steps-geocd", "2", "--out-dir", str(out), "--quiet",
+    ]
+    assert main(argv) == 0
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 2 + 2
+    validate(strict_json((out / "manifest.json").read_text()), schema, "fit_manifest")
+    # a threshold the caller gives must still be positive
+    assert main(["compute", str(f), str(f), "--k", "1", "--mask-threshold", "0"]) == 3
+    assert "mask threshold must be positive and finite, got 0.0" in capsys.readouterr().err
+
+
 def test_compute_reports_per_hop_counts(small_pair, capsys, schema):
     a, b = small_pair
     pred, gt, _ = normalize_pair(read_cloud(a), read_cloud(b))
@@ -485,3 +509,12 @@ def test_convert_roundtrip(tmp_path):
     a = read_cloud(src).points
     b = read_cloud(back).points
     assert np.abs(a - b).max() < 1e-7  # one f32 quantization step
+
+
+def test_convert_beyond_float32_exits_3(tmp_path, capsys):
+    src = tmp_path / "big.xyz"
+    src.write_text("1e40 0 0\n0 1 0\n", encoding="utf-8")
+    out = tmp_path / "big.bin"
+    assert main(["convert", str(src), str(out), "--to", "bin"]) == 3
+    assert "float32's largest finite value 3.40282347e+38" in capsys.readouterr().err
+    assert not out.exists()

@@ -229,6 +229,20 @@ def test_mask_threshold_zero_rejected(rng):
             propagate(z, adj, n_hops=2, mask=MaskConfig(enabled=True, threshold=threshold))
 
 
+def test_mask_resolved_zero_threshold_is_used():
+    # coordinates near 1e-170 underflow every squared length to 0, so the
+    # default threshold resolves to 0.0; only rows at cross distance 0 freeze
+    rng = np.random.default_rng(3)
+    z = merge(PointCloud(1e-170 * rng.random((12, 3))), PointCloud(1e-170 * rng.random((9, 3))))
+    adj = knn_adjacency(z, 3)
+    geo = propagate(z, adj, n_hops=2, mask=MaskConfig(enabled=True))
+    assert geo.mask_threshold == 0.0
+    rows, _, d = propagate(z, adj, n_hops=1).cross()
+    frozen = row_min(rows, d, cross_width(z), adj.sentinel) == 0.0
+    assert 0 < frozen.sum() < z.size
+    assert geo.masked_per_hop == [pytest.approx(frozen.mean())]
+
+
 def test_mask_tiny_threshold_keeps_everyone_active(rng):
     pred, gt = random_normalized_pair(rng, 8, 8)
     z = merge(pred, gt)

@@ -19,7 +19,8 @@ from geocd import (
     propagate,
     softmin,
 )
-from geocd.geodesic import NO_VIA, cross_width
+from geocd.distances import nearest
+from geocd.geodesic import NO_VIA, cross_width, unroll
 from geocd.loss import DEGENERATE_EDGE, _softmin_rows
 from geocd.verify import propagation_signature
 from conftest import random_normalized_pair
@@ -40,10 +41,40 @@ def test_chamfer_identical_clouds(rng):
 
 
 def test_chamfer_single_pair_closed_form():
-    rep = chamfer(cloud([0, 0, 0]), cloud([1, 0, 0]), with_grad=True, with_gt_grad=True)
+    rep = chamfer(cloud([0, 0, 0]), cloud([1, 0, 0]), with_grad=True)
     assert rep.value == pytest.approx(2.0, abs=1e-15)  # 1 + 1, squared distances
     assert np.allclose(rep.grad_pred, [[-4.0, 0.0, 0.0]])
-    assert np.allclose(rep.grad_gt, [[4.0, 0.0, 0.0]])
+    assert rep.grad_gt is None
+
+
+def add_at_chamfer_grad(p, q):
+    """Reference: the point's own term, then np.add.at over the target points."""
+    j_star, _, i_star, _ = nearest(p, q)
+    n, m = p.shape[0], q.shape[0]
+    grad = (2.0 / n) * (p - q[j_star])
+    np.add.at(grad, i_star, (2.0 / m) * (p[i_star] - q))
+    return grad
+
+
+def test_chamfer_grad_matches_add_at_reference():
+    rng = np.random.default_rng(5)
+    pairs = [
+        (cloud([0.3, 0.1, 0.2]), cloud([0.5, 0.5, 0.5])),  # 1-point clouds
+        (cloud([0.3, 0.1, 0.2]), PointCloud(rng.random((9, 3)))),
+        (PointCloud(rng.random((9, 3))), cloud([0.3, 0.1, 0.2])),
+    ]
+    for _ in range(6):
+        n, m = (int(v) for v in rng.integers(2, 30, 2))
+        # multiples of 1/4: exact ties, duplicate points
+        pairs.append(tuple(PointCloud(rng.integers(0, 3, (s, 3)) / 4.0) for s in (n, m)))
+        p = rng.random((n, 3))
+        p[rng.integers(0, n, n // 2)] = p[0]  # duplicate points
+        pairs.append((PointCloud(p), PointCloud(rng.random((m, 3)))))
+        # every target point close to one predicted point, which claims them all
+        pairs.append((PointCloud(p), PointCloud(p[1] + 1e-3 * rng.random((m, 3)))))
+    for pred, gt in pairs:
+        rep = chamfer(pred, gt, with_grad=True)
+        assert np.array_equal(rep.grad_pred, add_at_chamfer_grad(pred.points, gt.points))
 
 
 def test_chamfer_hand_example():
@@ -244,6 +275,20 @@ def batched_path_gradients(geo, starts, ends, weights):
     return grad, degenerate
 
 
+def masked_bincount_path_gradients(geo, starts, ends, weights):
+    """Reference: the unrolled edges, boolean-masked contributions, np.bincount."""
+    z = geo.merged.points
+    walk, a, b = unroll(geo, starts, ends)
+    d = z[a] - z[b]
+    length = np.sqrt((d * d).sum(axis=1))
+    ok = length > DEGENERATE_EDGE
+    contrib = np.zeros_like(d)
+    contrib[ok] = weights[walk[ok], None] * (d[ok] / length[ok, None])
+    n = z.shape[0]
+    grad = np.column_stack([np.bincount(a, c, n) - np.bincount(b, c, n) for c in contrib.T])
+    return grad, int((~ok).sum())
+
+
 def test_geocd_grad_matches_batched_scatter():
     rng = np.random.default_rng(11)
     degenerate = 0
@@ -270,11 +315,13 @@ def test_geocd_grad_matches_batched_scatter():
         geo = propagate(z, adj, cfg.n_hops, cfg.mask)
         src, dst, d = geo.cross()
         _, w = _softmin_rows(src, d, cross_width(z), cfg.sentinel)
-        ref, ref_degenerate = batched_path_gradients(
-            geo, src, dst, w / np.where(src < n, n, m)
-        )
+        weights = w / np.where(src < n, n, m)
+        ref, ref_degenerate = batched_path_gradients(geo, src, dst, weights)
         got = np.vstack([rep.grad_pred, rep.grad_gt])
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert rep.diagnostics["degenerate_edges"] == ref_degenerate
+        exact, exact_degenerate = masked_bincount_path_gradients(geo, src, dst, weights)
+        assert np.array_equal(got, exact)
+        assert exact_degenerate == ref_degenerate
         degenerate += ref_degenerate
     assert degenerate > 0
