@@ -72,7 +72,6 @@ def _geo_config(args) -> GeoCdConfig:
     return GeoCdConfig(
         k=args.k,
         n_hops=args.hops,
-        sentinel=args.sentinel,
         symmetrize=args.symmetrize,
         mask=_mask_config(args),
     )
@@ -83,7 +82,6 @@ def _geo_echo(args, geo: GeoCdConfig) -> dict:
     return {
         "k": geo.k,
         "hops": geo.n_hops,
-        "sentinel": geo.sentinel,
         "symmetrize": geo.symmetrize,
         "mask": geo.mask.enabled,
         "mask_threshold": geo.mask.threshold,
@@ -95,12 +93,6 @@ def _add_geo_flags(p: argparse.ArgumentParser, geo: GeoCdConfig) -> None:
     """Geodesic flags, with ``geo``'s fields as their defaults."""
     p.add_argument("--k", type=int, default=geo.k, help="neighbours per point (default %(default)s)")
     p.add_argument("--hops", type=int, default=geo.n_hops, help="propagation hops (default %(default)s)")
-    p.add_argument(
-        "--sentinel",
-        type=float,
-        default=geo.sentinel,
-        help="non-neighbour constant (default %(default)s)",
-    )
     p.add_argument("--symmetrize", action="store_true", help="add reverse edges to the kNN graph")
     p.add_argument(
         "--mask",

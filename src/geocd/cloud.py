@@ -79,8 +79,8 @@ def normalize_pair(
 ) -> tuple[PointCloud, PointCloud, NormalizationTransform]:
     """Normalize both clouds with one transform from their union bounding box.
 
-    A shared transform keeps cross-set distances below 1 as well, which the
-    graph sentinel relies on.
+    A shared transform keeps cross-set distances below 1 as well, which
+    ``graph.SENTINEL`` relies on.
     """
     t = _bbox_transform(np.vstack([pred.points, gt.points]))
     return PointCloud(t.apply(pred.points)), PointCloud(t.apply(gt.points)), t

@@ -96,14 +96,18 @@ class Adam:
         return params - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"noise sigma must be >= 0 and finite, got {sigma}")
+
+
 def sample_shape(spec: ShapeSpec) -> PointCloud:
     """Deterministic sampler for curved test surfaces, plus optional noise."""
     if spec.kind not in SHAPE_KINDS:
         raise ValueError(f"unknown shape {spec.kind!r}; expected one of {SHAPE_KINDS}")
     if spec.n_points < 4:
-        raise ValueError("n_points must be >= 4")
-    if spec.noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+        raise ValueError(f"n_points must be >= 4, got {spec.n_points}")
+    _check_sigma(spec.noise_sigma)
     rng = np.random.default_rng(spec.seed)
     n = spec.n_points
     if spec.kind in ("sphere", "hemisphere"):
@@ -129,6 +133,7 @@ def sample_shape(spec: ShapeSpec) -> PointCloud:
 
 
 def noisy_copy(cloud: PointCloud, sigma: float, seed: int) -> PointCloud:
+    _check_sigma(sigma)
     rng = np.random.default_rng(seed)
     return PointCloud(cloud.points + sigma * rng.normal(size=cloud.points.shape))
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NormalizationError
-from .graph import Adjacency, MergedSet
+from .graph import SENTINEL, Adjacency, MergedSet
 
 NO_VIA = -1  # entry still holds its 1-hop value (a direct edge)
 SPAN = 1 << 20  # most entries and candidates that one extension range sorts at once
@@ -101,7 +101,7 @@ class GeoDistances:
     def dense(self, h: int = -1) -> np.ndarray:
         """(n, n) distance matrix of ``self.hops[h]``, for oracles and tests."""
         n = self.merged.size
-        out = np.full((n, n), self.adj.sentinel)
+        out = np.full((n, n), SENTINEL)
         np.fill_diagonal(out, 0.0)
         out.flat[self.hops[h].key] = self.hops[h].dist
         return out
@@ -131,13 +131,13 @@ def cross_width(merged: MergedSet) -> np.ndarray:
     return np.where(merged.is_pred(), merged.n_gt, merged.n_pred)
 
 
-def row_min(rows: np.ndarray, d: np.ndarray, width: np.ndarray, sentinel: float) -> np.ndarray:
+def row_min(rows: np.ndarray, d: np.ndarray, width: np.ndarray) -> np.ndarray:
     """Per-row minimum of a row set given by its real entries.
 
     Row r has ``width[r]`` entries in all; the ones not listed in
     (``rows``, ``d``) hold the sentinel.
     """
-    out = np.where(np.bincount(rows, minlength=width.size) < width, sentinel, np.inf)
+    out = np.where(np.bincount(rows, minlength=width.size) < width, SENTINEL, np.inf)
     np.minimum.at(out, rows, d)
     return out
 
@@ -150,7 +150,7 @@ def _starts(a: np.ndarray) -> np.ndarray:
 
 
 def _extend(
-    prev: Hop, fresh: np.ndarray, active: np.ndarray, ptr, dst, length, sentinel: float
+    prev: Hop, fresh: np.ndarray, active: np.ndarray, ptr, dst, length
 ) -> tuple[Hop, np.ndarray]:
     """One (min, +) update: out[i,j] = min(prev[i,j], min_k prev[i,k] + adj[k,j]).
 
@@ -190,7 +190,7 @@ def _extend(
         walk = np.repeat(live[la:lb], deg[la:lb])  # the extended entry of every candidate
         edge = np.repeat(start[la:lb] - cum[la:lb], deg[la:lb]) + np.arange(cum[la], cum[lb])
         ci, cj, cv = i[walk], dst[edge], prev.dist[walk] + length[edge]
-        ok = (cj != ci) & (cv < sentinel)
+        ok = (cj != ci) & (cv < SENTINEL)
         # Sorting (local key, concatenation index) words orders each key's
         # entries as a stable sort would: the previous entry first, then the
         # candidates by rising intermediate. The first entry at the key's
@@ -244,9 +244,9 @@ def propagate(
             f"multi-hop propagation supports at most {MAX_POINTS} merged points, got {n}"
         )
     src, dst, length = adj.src, adj.dst, adj.length
-    if (length > adj.sentinel).any():
+    if (length > SENTINEL).any():
         raise NormalizationError(
-            f"kNN edge of length {length.max():.6g} exceeds the sentinel {adj.sentinel:g}; "
+            f"kNN edge of length {length.max():.6g} exceeds the sentinel {SENTINEL:g}; "
             "normalize the pair first"
         )
     mask = mask or MaskConfig()
@@ -264,9 +264,9 @@ def propagate(
     for _ in range(n_hops - 1):
         if mask.enabled:
             rows, _, d = geo.cross()
-            active &= row_min(rows, d, cross_width(merged), adj.sentinel) > threshold
+            active &= row_min(rows, d, cross_width(merged)) > threshold
             geo.masked_per_hop.append(float(1.0 - active.mean()))
-        hop, fresh = _extend(geo.hops[-1], fresh, active, ptr, dst, length, adj.sentinel)
+        hop, fresh = _extend(geo.hops[-1], fresh, active, ptr, dst, length)
         geo.hops.append(hop)
         geo.improved_per_hop.append(int(fresh.sum()))
     return geo

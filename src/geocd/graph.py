@@ -1,10 +1,9 @@
 """1-hop kNN adjacency over the merged predicted + ground-truth set.
 
 The graph is one edge list sorted by (src, dst). Non-neighbour entries hold
-a finite sentinel (1.0 by default) instead of infinity; after
-unit-bounding-box normalization every true distance stays below it, so
-sentinel entries barely influence the softmin while keeping the arithmetic
-finite.
+the finite ``SENTINEL`` instead of infinity; after unit-bounding-box
+normalization every true distance stays below it, so sentinel entries
+barely influence the softmin while keeping the arithmetic finite.
 """
 
 from __future__ import annotations
@@ -19,6 +18,9 @@ from .errors import KTooLargeError
 
 CHUNK = 128  # grid rows per pass: the padded candidate matrices stay small
 CELLS = 2**20  # most cells along an axis, so that cell ids fit an intp
+# Value of every non-neighbour entry: the bound on pairwise distances that
+# normalize_pair guarantees (the box diagonal is scaled to 1)
+SENTINEL = 1.0
 
 
 @dataclass
@@ -44,7 +46,7 @@ class Adjacency:
     """Directed 1-hop kNN edges, sorted by (src, dst).
 
     Edge ``e`` runs from ``src[e]`` to ``dst[e]`` with Euclidean length
-    ``length[e]``. Every pair not listed holds the sentinel, and the diagonal
+    ``length[e]``. Every pair not listed holds ``SENTINEL``, and the diagonal
     is zero. kNN is directed, so the edge set is generally asymmetric. An
     edge whose length equals the sentinel (two points at opposite corners of
     the unit box) is still an edge and still carries gradient; rounding that
@@ -55,11 +57,10 @@ class Adjacency:
     dst: np.ndarray  # (e,) intp
     length: np.ndarray  # (e,) float64
     size: int
-    sentinel: float
 
     def dense(self) -> np.ndarray:
         """(size, size) 1-hop matrix, for oracles and tests."""
-        out = np.full((self.size, self.size), self.sentinel)
+        out = np.full((self.size, self.size), SENTINEL)
         np.fill_diagonal(out, 0.0)
         out[self.src, self.dst] = self.length
         return out
@@ -139,9 +140,7 @@ def _grid(pts: np.ndarray, h: float):
     return order, np.repeat(np.arange(cells.size), count), first[at], block_size
 
 
-def knn_adjacency(
-    z: MergedSet, k: int, sentinel: float = 1.0, symmetrize: bool = False
-) -> Adjacency:
+def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Adjacency:
     """Build the directed kNN adjacency of the merged set.
 
     Ties at the k-th neighbour distance break toward the lower point index,
@@ -162,8 +161,6 @@ def knn_adjacency(
         raise ValueError(f"k must be >= 1, got {k}")
     if k > n - 1:
         raise KTooLargeError(f"k={k} exceeds the {n - 1} other points in the merged set")
-    if not (np.isfinite(sentinel) and sentinel > 0):
-        raise ValueError(f"sentinel must be positive and finite, got {sentinel}")
     pts = z.points
     everyone = np.arange(n)
     src, dst, length = [], [], []
@@ -181,7 +178,7 @@ def knn_adjacency(
     sample = everyone[:: -(-n // BLOCK)]  # one dense block of evenly spaced rows
     kth = full_rows(sample)
     if sample.size == n:  # the sample is every row
-        return _edge_list(src, dst, length, n, sentinel, symmetrize)
+        return _edge_list(src, dst, length, n, symmetrize)
     h, reach = _cell_edge(pts, kth)
     order, cell_of, block_first, block_size = _grid(pts, h)
     width_of = block_size.sum(axis=1)
@@ -229,10 +226,10 @@ def knn_adjacency(
     for b0 in range(0, rest.size, BLOCK):
         full_rows(rest[b0 : b0 + BLOCK])
 
-    return _edge_list(src, dst, length, n, sentinel, symmetrize)
+    return _edge_list(src, dst, length, n, symmetrize)
 
 
-def _edge_list(src, dst, length, n: int, sentinel: float, symmetrize: bool) -> Adjacency:
+def _edge_list(src, dst, length, n: int, symmetrize: bool) -> Adjacency:
     """Sort the collected edge pieces into an Adjacency; see ``knn_adjacency``."""
     key = np.concatenate(src) * n + np.concatenate(dst)
     by_key = np.argsort(key)
@@ -245,12 +242,12 @@ def _edge_list(src, dst, length, n: int, sentinel: float, symmetrize: bool) -> A
     # as computed. A length at most a relative 8 * eps = 16u above the
     # sentinel is such a rounded sentinel-length edge and is stored as the
     # sentinel; propagate rejects any longer edge.
-    limit = sentinel * (1 + 8 * np.finfo(np.float64).eps)
-    length[(length > sentinel) & (length <= limit)] = sentinel
+    limit = SENTINEL * (1 + 8 * np.finfo(np.float64).eps)
+    length[(length > SENTINEL) & (length <= limit)] = SENTINEL
     if symmetrize:
         # the reverse edge has the same length: (a-b)^2 equals (b-a)^2 exactly
         src, dst = np.divmod(key, n)
         key, first = np.unique(np.r_[key, dst * n + src], return_index=True)
         length = np.r_[length, length][first]
     src, dst = np.divmod(key, n)
-    return Adjacency(src, dst, length, n, float(sentinel))
+    return Adjacency(src, dst, length, n)

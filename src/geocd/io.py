@@ -3,7 +3,8 @@
 Two formats:
 
 * ``xyz``  -- UTF-8 text, one point per line, three whitespace-separated
-  floats; lines starting with ``#`` and blank lines are ignored.
+  floats; lines starting with ``#`` and blank lines are ignored, and so
+  is a leading byte-order mark.
 * ``bin``  -- magic ``GCPC``, u32 little-endian version (=1), u32
   little-endian point count, then count x 3 little-endian f32 triples.
 """
@@ -63,7 +64,7 @@ def write_cloud(cloud: PointCloud, path, fmt: str = FORMAT_XYZ) -> None:
 
 def _read_xyz(path: Path) -> PointCloud:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

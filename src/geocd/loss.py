@@ -20,7 +20,7 @@ import numpy as np
 from .cloud import PointCloud
 from .distances import nearest, squared_lengths
 from .geodesic import GeoDistances, MaskConfig, cross_width, propagate, row_min, unroll
-from .graph import knn_adjacency, merge
+from .graph import SENTINEL, knn_adjacency, merge
 
 # unused here; perfbench/spans.py traces this name through this module
 from .distances import pairwise_distances  # noqa: F401
@@ -32,7 +32,6 @@ DEGENERATE_EDGE = 1e-12  # edges shorter than this get no gradient
 class GeoCdConfig:
     k: int = 5
     n_hops: int = 2
-    sentinel: float = 1.0
     symmetrize: bool = False
     mask: MaskConfig = field(default_factory=MaskConfig)
 
@@ -55,16 +54,16 @@ def softmin(row) -> float:
     return m - float(np.log(np.exp(-(row - m)).sum()))
 
 
-def _softmin_rows(rows, d, width, sentinel) -> tuple[np.ndarray, np.ndarray]:
+def _softmin_rows(rows, d, width) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise softmin values, and the softmax(-d) weight of every real entry.
 
     Row r has ``width[r]`` entries; the ones not listed in (``rows``, ``d``)
     hold the sentinel and join the row's sum in closed form.
     """
-    m = row_min(rows, d, width, sentinel)
+    m = row_min(rows, d, width)
     w = np.exp(-(d - m[rows]))
     missing = width - np.bincount(rows, minlength=width.size)
-    s = np.bincount(rows, weights=w, minlength=width.size) + missing * np.exp(-(sentinel - m))
+    s = np.bincount(rows, weights=w, minlength=width.size) + missing * np.exp(-(SENTINEL - m))
     return m - np.log(s), w / s[rows]
 
 
@@ -112,13 +111,13 @@ def geocd(
     cfg = cfg or GeoCdConfig()
     t0 = time.perf_counter()
     z = merge(pred, gt)
-    adj = knn_adjacency(z, cfg.k, cfg.sentinel, cfg.symmetrize)
+    adj = knn_adjacency(z, cfg.k, cfg.symmetrize)
     t1 = time.perf_counter()
     geo = propagate(z, adj, cfg.n_hops, cfg.mask)
     t2 = time.perf_counter()
 
     src, dst, d = geo.cross()
-    v, w = _softmin_rows(src, d, cross_width(z), adj.sentinel)
+    v, w = _softmin_rows(src, d, cross_width(z))
     n, m = z.n_pred, z.n_gt
     value = float(v[:n].mean() + v[n:].mean())
 
@@ -129,7 +128,7 @@ def geocd(
         "hops_used": geo.hops_used,
         "hop_entries": geo.hop_entries,
         "improved_per_hop": geo.improved_per_hop,
-        "mean_cross_distance": float((d.sum() + (total - d.size) * adj.sentinel) / total),
+        "mean_cross_distance": float((d.sum() + (total - d.size) * SENTINEL) / total),
         "mask_threshold": geo.mask_threshold,
         "degenerate_edges": 0,
     }

@@ -88,7 +88,7 @@ def check_propagation(
 def propagation_signature(pred_points: np.ndarray, gt: PointCloud, cfg: GeoCdConfig):
     """Discrete structure of one evaluation: graph topology + argmin records."""
     z = merge(PointCloud(pred_points), gt)
-    adj = knn_adjacency(z, cfg.k, cfg.sentinel, cfg.symmetrize)
+    adj = knn_adjacency(z, cfg.k, cfg.symmetrize)
     geo = propagate(z, adj, cfg.n_hops, cfg.mask)
     hops = tuple(h.key.tobytes() + h.via.tobytes() for h in geo.hops)
     return (adj.src.tobytes(), adj.dst.tobytes(), hops)

@@ -178,7 +178,7 @@ def record(seed: int) -> dict:
     cfg = GeoCdConfig(k=spec["k"], n_hops=spec["hops"], symmetrize=spec["symmetrize"], mask=mask)
     try:
         z = merge(pred, gt)
-        adj = knn_adjacency(z, cfg.k, cfg.sentinel, cfg.symmetrize)
+        adj = knn_adjacency(z, cfg.k, cfg.symmetrize)
         out["graph"] = _digest(adj.src, adj.dst, adj.length)
         geo = propagate(z, adj, cfg.n_hops, cfg.mask)
         out["hops"] = _digest(

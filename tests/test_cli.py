@@ -69,7 +69,6 @@ def test_compute_k_too_large_exits_3(small_pair, capsys):
 
 SETTING_ERRORS = {
     "--tau": "tau_fraction must be positive and finite",
-    "--sentinel": "sentinel must be positive and finite",
     "--mask-threshold": "mask threshold must be positive and finite",
 }
 
@@ -79,9 +78,6 @@ SETTING_ERRORS = {
     [
         ("--tau", "nan"),
         ("--tau", "inf"),
-        ("--sentinel", "nan"),
-        ("--sentinel", "0"),
-        ("--sentinel", "-1"),
         ("--mask-threshold", "nan"),
         ("--mask-threshold", "inf"),
     ],
@@ -332,6 +328,15 @@ def test_fit_bad_lr_exits_3(tmp_path, capsys, lr):
     argv = ["fit", "--n-points", "16", "--k", "3", "--lr", lr, "--out-dir", str(out), "--quiet"]
     assert main(argv) == 3
     assert f"lr must be positive and finite, got {lr}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noise", ["-0.05", "nan", "inf"])
+def test_fit_bad_noise_exits_3(tmp_path, capsys, noise):
+    out = tmp_path / "run"
+    argv = ["fit", "--n-points", "16", "--noise", noise, "--out-dir", str(out), "--quiet"]
+    assert main(argv) == 3
+    assert f"noise sigma must be >= 0 and finite, got {noise}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -72,8 +72,17 @@ def test_shape_validation():
         sample_shape(ShapeSpec("cube", 10))
     with pytest.raises(ValueError):
         sample_shape(ShapeSpec("sphere", 3))
-    with pytest.raises(ValueError):
-        sample_shape(ShapeSpec("sphere", 10, noise_sigma=-0.1))
+    with pytest.raises(ValueError, match="n_points must be >= 4, got 3"):
+        sample_shape(ShapeSpec("sphere", 3))
+
+
+@pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+def test_noise_sigma_must_be_non_negative_and_finite(sigma):
+    message = f"noise sigma must be >= 0 and finite, got {sigma}"
+    with pytest.raises(ValueError, match=message):
+        sample_shape(ShapeSpec("sphere", 10, noise_sigma=sigma))
+    with pytest.raises(ValueError, match=message):
+        noisy_copy(sample_shape(ShapeSpec("sphere", 10)), sigma, seed=0)
 
 
 # ---------------------------------------------------------------- adam

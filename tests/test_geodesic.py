@@ -14,7 +14,7 @@ from geocd import (
 )
 from geocd import geodesic
 from geocd.geodesic import NO_VIA, Hop, MaskConfig, cross_width, row_min, unroll
-from geocd.graph import Adjacency, MergedSet
+from geocd.graph import SENTINEL, Adjacency, MergedSet
 from geocd.fit import ShapeSpec, noisy_copy, sample_shape
 from geocd import normalize_pair
 from conftest import random_normalized_pair
@@ -176,7 +176,7 @@ def test_elementwise_monotonicity_and_sentinel_ceiling(rng):
         geo = propagate(z, adj, n_hops=4)
         for h in range(1, geo.hops_used):
             assert (geo.dense(h) <= geo.dense(h - 1)).all()
-        assert (geo.dense() <= adj.sentinel).all()
+        assert (geo.dense() <= SENTINEL).all()
 
 
 def test_pred_decomposition_invariant(rng):
@@ -210,7 +210,7 @@ def test_path_consistency(rng):
                     continue
                 path = reconstruct_path(geo, i, j)
                 if path is None:
-                    assert final[i, j] == adj.sentinel
+                    assert final[i, j] == SENTINEL
                     continue
                 length = sum(
                     np.linalg.norm(z.points[a] - z.points[b]) for a, b in zip(path, path[1:])
@@ -238,7 +238,7 @@ def test_mask_resolved_zero_threshold_is_used():
     geo = propagate(z, adj, n_hops=2, mask=MaskConfig(enabled=True))
     assert geo.mask_threshold == 0.0
     rows, _, d = propagate(z, adj, n_hops=1).cross()
-    frozen = row_min(rows, d, cross_width(z), adj.sentinel) == 0.0
+    frozen = row_min(rows, d, cross_width(z)) == 0.0
     assert 0 < frozen.sum() < z.size
     assert geo.masked_per_hop == [pytest.approx(frozen.mean())]
 
@@ -373,7 +373,7 @@ def test_unroll_without_cross_walks_is_empty():
     assert rep.diagnostics["degenerate_edges"] == 0
 
 
-def full_sort_extend(prev, active, ptr, dst, length, sentinel):
+def full_sort_extend(prev, active, ptr, dst, length):
     """Reference: extend every kept walk of every active row, one stable argsort."""
     n = active.size
     i, k = np.divmod(prev.key, n)
@@ -383,7 +383,7 @@ def full_sort_extend(prev, active, ptr, dst, length, sentinel):
     walk = np.repeat(live, deg)
     edge = np.repeat(start - (np.cumsum(deg) - deg), deg) + np.arange(walk.size)
     ci, cj, cv = i[walk], dst[edge], prev.dist[walk] + length[edge]
-    ok = (cj != ci) & (cv < sentinel)
+    ok = (cj != ci) & (cv < SENTINEL)
 
     key = np.concatenate([prev.key, ci[ok] * n + cj[ok]])
     dist = np.concatenate([prev.dist, cv[ok]])
@@ -409,10 +409,10 @@ def full_sort_records(z, adj, n_hops, mask):
         if mask.enabled:
             src, dst = np.divmod(hops[-1].key, n)
             c = (src < z.n_pred) != (dst < z.n_pred)
-            mins = row_min(src[c], hops[-1].dist[c], cross_width(z), adj.sentinel)
+            mins = row_min(src[c], hops[-1].dist[c], cross_width(z))
             active &= mins > threshold
             masked.append(float(1.0 - active.mean()))
-        hops.append(full_sort_extend(hops[-1], active, ptr, adj.dst, adj.length, adj.sentinel))
+        hops.append(full_sort_extend(hops[-1], active, ptr, adj.dst, adj.length))
     return hops, masked
 
 
@@ -488,6 +488,6 @@ def test_merged_size_limit_rejected():
     # a broadcast view and an edge-free graph: nothing of size n is allocated
     z = MergedSet(np.broadcast_to(np.zeros(3), (n, 3)), n // 2, n - n // 2)
     none = np.zeros(0, dtype=np.intp)
-    adj = Adjacency(none, none, np.zeros(0), n, 1.0)
+    adj = Adjacency(none, none, np.zeros(0), n)
     with pytest.raises(ValueError, match=f"at most {geodesic.MAX_POINTS} merged points, got {n}"):
         propagate(z, adj, n_hops=2)

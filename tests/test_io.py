@@ -48,6 +48,20 @@ def test_xyz_non_finite(tmp_path):
         assert exc.value.line == 4
 
 
+def test_xyz_byte_order_mark(tmp_path):
+    text = "# header\n0.5 0.25 -1\n1 2 3\n"
+    plain, bom = tmp_path / "plain.xyz", tmp_path / "bom.xyz"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert np.array_equal(read_cloud(bom).points, read_cloud(plain).points)
+    # the mark shifts no line number
+    bom.write_text("0 0 0\n1 two 3\n", encoding="utf-8-sig")
+    with pytest.raises(ParseError) as exc:
+        read_cloud(bom)
+    assert exc.value.line == 2
+
+
 def test_empty_file(tmp_path):
     f = tmp_path / "empty.xyz"
     f.write_text("# only a comment\n")

@@ -184,7 +184,7 @@ def test_geocd_value_matches_dense_softmin():
         for mask in (False, True):
             for symmetrize in (False, True):
                 cfg = GeoCdConfig(k=3, n_hops=3, symmetrize=symmetrize, mask=MaskConfig(mask))
-                adj = knn_adjacency(z, cfg.k, cfg.sentinel, symmetrize)
+                adj = knn_adjacency(z, cfg.k, symmetrize)
                 geo = propagate(z, adj, cfg.n_hops, cfg.mask)
                 expected = np.mean([softmin(r) for r in geo.d_xy]) + np.mean(
                     [softmin(r) for r in geo.d_yx]
@@ -311,10 +311,10 @@ def test_geocd_grad_matches_batched_scatter():
         )
         rep = geocd(pred, gt, cfg, with_grad=True, with_gt_grad=True)
         z = merge(pred, gt)
-        adj = knn_adjacency(z, cfg.k, cfg.sentinel, cfg.symmetrize)
+        adj = knn_adjacency(z, cfg.k, cfg.symmetrize)
         geo = propagate(z, adj, cfg.n_hops, cfg.mask)
         src, dst, d = geo.cross()
-        _, w = _softmin_rows(src, d, cross_width(z), cfg.sentinel)
+        _, w = _softmin_rows(src, d, cross_width(z))
         weights = w / np.where(src < n, n, m)
         ref, ref_degenerate = batched_path_gradients(geo, src, dst, weights)
         got = np.vstack([rep.grad_pred, rep.grad_gt])
