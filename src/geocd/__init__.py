@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fit import Adam, FitConfig, FitTrace, ShapeSpec, fit, noisy_copy, sample_shape
 from .geodesic import GeoDistances, MaskConfig, propagate, reconstruct_path
-from .graph import Adjacency, MergedSet, knn_adjacency, merge
+from .graph import Hop, MergedSet, knn_adjacency, merge
 from .io import read_cloud, write_cloud
 from .loss import GeoCdConfig, LossReport, chamfer, geocd, softmin
 from .metrics import MetricsReport, evaluate, f1_at, hausdorff
@@ -34,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam",
-    "Adjacency",
     "DegenerateCloudError",
     "DimensionMismatchError",
     "EmptyFileError",
@@ -43,6 +42,7 @@ __all__ = [
     "GeoCdConfig",
     "GeoCdError",
     "GeoDistances",
+    "Hop",
     "KTooLargeError",
     "LossReport",
     "MaskConfig",

@@ -29,7 +29,7 @@ from .errors import (
     NormalizationError,
     ParseError,
 )
-from .fit import FitConfig, ShapeSpec, fit, noisy_copy, sample_shape, SHAPE_KINDS
+from .fit import FitConfig, ShapeSpec, check_sigma, fit, noisy_copy, sample_shape, SHAPE_KINDS
 from .geodesic import MaskConfig
 from .io import FORMAT_BINARY, FORMAT_XYZ, read_cloud, write_cloud
 from .loss import GeoCdConfig, geocd
@@ -186,6 +186,7 @@ def cmd_compute(args) -> int:
 
 def _build_fit_pair(args) -> tuple[PointCloud, PointCloud]:
     """Target plus initial guess, in raw coordinates."""
+    check_sigma(args.noise)  # also when --init-file leaves it unused
     if args.target_file:
         gt = read_cloud(args.target_file)
     else:
@@ -235,7 +236,7 @@ def cmd_fit(args) -> int:
     config = {
         "target": args.target if not args.target_file else str(args.target_file),
         "n_points": args.n_points,
-        "noise": args.noise,
+        "noise": None if args.init_file else args.noise,
         "steps_cd": args.steps_cd,
         "steps_geocd": args.steps_geocd,
         "lr": args.lr,

@@ -36,8 +36,29 @@ class PointCloud:
         return self.points.min(axis=0), self.points.max(axis=0)
 
     def bbox_diagonal(self) -> float:
-        lo, hi = self.bbox()
-        return float(np.linalg.norm(hi - lo))
+        return box_diagonal(*self.bbox())
+
+
+def box_diagonal(lo: np.ndarray, hi: np.ndarray) -> float:
+    """Length of the diagonal of the box [lo, hi], at every finite scale.
+
+    The extents are scaled by the power of two that brings the largest into
+    [0.5, 1), so their squares neither overflow nor underflow, and the norm
+    is scaled back. Scaling by a power of two is exact, so wherever the
+    squares of the raw extents are normal this is ``np.linalg.norm(hi - lo)``
+    bit for bit. Raises DegenerateCloudError when the diagonal exceeds the
+    largest float64.
+    """
+    with np.errstate(over="ignore"):
+        ext = hi - lo
+        e = np.frexp(ext.max())[1]
+        diag = float(np.ldexp(np.linalg.norm(np.ldexp(ext, -e)), e))
+    if not np.isfinite(diag):
+        raise DegenerateCloudError(
+            f"bounding-box diagonal exceeds the largest float64 ({np.finfo(np.float64).max:g}); "
+            "scale the coordinates down"
+        )
+    return diag
 
 
 @dataclass
@@ -62,7 +83,7 @@ class NormalizationTransform:
 def _bbox_transform(points: np.ndarray) -> NormalizationTransform:
     lo = points.min(axis=0)
     hi = points.max(axis=0)
-    diag = float(np.linalg.norm(hi - lo))
+    diag = box_diagonal(lo, hi)
     if diag == 0.0:
         raise DegenerateCloudError("all points coincide; bounding box has zero diagonal")
     return NormalizationTransform(translation=(lo + hi) / 2.0, scale=1.0 / diag)

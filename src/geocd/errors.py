@@ -6,7 +6,7 @@ class GeoCdError(Exception):
 
 
 class DegenerateCloudError(GeoCdError):
-    """All points coincide, so no bounding-box scale exists."""
+    """All points coincide, or their box is too large, so no bounding-box scale exists."""
 
 
 class EmptyFileError(GeoCdError):

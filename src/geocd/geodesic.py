@@ -6,12 +6,12 @@ One hop is a (min, +) product of the previous hop with the 1-hop matrix;
 the argmin intermediate of every improvement is recorded so the winning
 walk can be rebuilt exactly, which the loss gradient needs.
 
-Each hop is stored sparsely, as one ``Hop`` record of the pairs that hold
-a real walk, sorted by ``key = src * n + dst``. Every other off-diagonal
-pair holds the sentinel and the diagonal is zero. This module is the only
-one that reads the record format: callers use ``GeoDistances.cross``,
-the ``dense`` view, ``reconstruct_path`` and ``unroll``, which returns the
-edges of many recorded walks as flat arrays ``(walk, a, b)``, last first.
+Each hop is stored sparsely, as one ``graph.Hop`` record of the pairs that
+hold a real walk, sorted by ``key = src * n + dst``. Every other
+off-diagonal pair holds the sentinel and the diagonal is zero. Hop 1 is the
+kNN graph's own record. Callers use ``GeoDistances.cross``, the ``dense``
+view, ``reconstruct_path`` and ``unroll``, which returns the edges of many
+recorded walks as flat arrays ``(walk, a, b)``, last first.
 
 Masking freezes a point's outgoing row once its best cross-set distance
 drops below a threshold; frozen points still serve as intermediates for
@@ -50,9 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NormalizationError
-from .graph import SENTINEL, Adjacency, MergedSet
+from .graph import NO_VIA, SENTINEL, Hop, MergedSet
 
-NO_VIA = -1  # entry still holds its 1-hop value (a direct edge)
 SPAN = 1 << 20  # most entries and candidates that one extension range sorts at once
 MAX_POINTS = 1 << 20  # largest merged set that multi-hop propagation takes
 
@@ -64,25 +63,10 @@ class MaskConfig:
 
 
 @dataclass
-class Hop:
-    """The real walks of one hop, sorted by ``key = src * n + dst``."""
-
-    key: np.ndarray  # (e,) int64
-    dist: np.ndarray  # (e,) float64, every entry <= sentinel
-    via: np.ndarray  # (e,) int64, NO_VIA or the walk's last intermediate
-
-    def find(self, key):
-        """Positions of ``key`` in the record and whether each is present."""
-        pos = np.minimum(np.searchsorted(self.key, key), self.key.size - 1)
-        return pos, self.key[pos] == key
-
-
-@dataclass
 class GeoDistances:
-    """Per-hop walk records plus the merged set and adjacency they index."""
+    """Per-hop walk records, hop 1 being the graph, plus the merged set they index."""
 
     merged: MergedSet
-    adj: Adjacency
     hops: list[Hop]
     masked_per_hop: list[float] = field(default_factory=list)
     mask_threshold: float | None = None
@@ -100,11 +84,7 @@ class GeoDistances:
 
     def dense(self, h: int = -1) -> np.ndarray:
         """(n, n) distance matrix of ``self.hops[h]``, for oracles and tests."""
-        n = self.merged.size
-        out = np.full((n, n), SENTINEL)
-        np.fill_diagonal(out, 0.0)
-        out.flat[self.hops[h].key] = self.hops[h].dist
-        return out
+        return self.hops[h].dense()
 
     @property
     def d_xy(self) -> np.ndarray:
@@ -212,19 +192,19 @@ def _extend(
         parts.append((key[keep] + r0 * n, dist[keep], via[won], won >= b - a))
         r0 = r1
     key, dist, via, improved = (np.concatenate(p) for p in zip(*parts))
-    return Hop(key, dist, via), improved
+    return Hop(key, dist, via, n), improved
 
 
 def propagate(
     merged: MergedSet,
-    adj: Adjacency,
+    adj: Hop,
     n_hops: int = 2,
     mask: MaskConfig | None = None,
 ) -> GeoDistances:
     """Run n_hops of propagation and record the real walks of every hop.
 
-    n_hops = 1 returns the adjacency itself. The mask, when enabled, is
-    re-evaluated after every completed hop.
+    ``adj`` is the graph's record, and hop 1 is ``adj`` itself. The mask,
+    when enabled, is re-evaluated after every completed hop.
 
     Raises NormalizationError when a kNN edge is longer than the sentinel:
     the pair is not normalized, and sentinel entries would no longer bound
@@ -243,7 +223,7 @@ def propagate(
         raise ValueError(
             f"multi-hop propagation supports at most {MAX_POINTS} merged points, got {n}"
         )
-    src, dst, length = adj.src, adj.dst, adj.length
+    length = adj.dist
     if (length > SENTINEL).any():
         raise NormalizationError(
             f"kNN edge of length {length.max():.6g} exceeds the sentinel {SENTINEL:g}; "
@@ -256,11 +236,11 @@ def propagate(
         if mask.threshold is not None and not (np.isfinite(threshold) and threshold > 0):
             raise ValueError(f"mask threshold must be positive and finite, got {threshold}")
 
-    ptr = np.searchsorted(src, np.arange(n + 1))
-    hop1 = Hop(src * n + dst, length, np.full(src.size, NO_VIA))
-    geo = GeoDistances(merged, adj, [hop1], mask_threshold=threshold)
+    ptr = np.searchsorted(adj.key, np.arange(n + 1) * n)  # each source's first edge
+    dst = adj.key % n
+    geo = GeoDistances(merged, [adj], mask_threshold=threshold)
     active = np.ones(n, dtype=bool)
-    fresh = np.ones(src.size, dtype=bool)  # every 1-hop entry is new
+    fresh = np.ones(length.size, dtype=bool)  # every 1-hop entry is new
     for _ in range(n_hops - 1):
         if mask.enabled:
             rows, _, d = geo.cross()

@@ -1,9 +1,10 @@
 """1-hop kNN adjacency over the merged predicted + ground-truth set.
 
-The graph is one edge list sorted by (src, dst). Non-neighbour entries hold
-the finite ``SENTINEL`` instead of infinity; after unit-bounding-box
-normalization every true distance stays below it, so sentinel entries
-barely influence the softmin while keeping the arithmetic finite.
+The graph is hop 1 of the walk propagation: one ``Hop`` record of its edges,
+sorted by ``key = src * n + dst``. Non-neighbour entries hold the finite
+``SENTINEL`` instead of infinity; after unit-bounding-box normalization
+every true distance stays below it, so sentinel entries barely influence
+the softmin while keeping the arithmetic finite.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ CELLS = 2**20  # most cells along an axis, so that cell ids fit an intp
 # Value of every non-neighbour entry: the bound on pairwise distances that
 # normalize_pair guarantees (the box diagonal is scaled to 1)
 SENTINEL = 1.0
+NO_VIA = -1  # entry still holds its 1-hop value (a direct edge)
 
 
 @dataclass
@@ -42,27 +44,33 @@ class MergedSet:
 
 
 @dataclass
-class Adjacency:
-    """Directed 1-hop kNN edges, sorted by (src, dst).
+class Hop:
+    """The real walks of one hop over ``size`` points, sorted by ``key = src * size + dst``.
 
-    Edge ``e`` runs from ``src[e]`` to ``dst[e]`` with Euclidean length
-    ``length[e]``. Every pair not listed holds ``SENTINEL``, and the diagonal
-    is zero. kNN is directed, so the edge set is generally asymmetric. An
-    edge whose length equals the sentinel (two points at opposite corners of
-    the unit box) is still an edge and still carries gradient; rounding that
-    measures it just above the sentinel is stored as the sentinel.
+    Every pair not listed holds ``SENTINEL``, and the diagonal is zero. Hop 1
+    is the directed kNN graph: each entry is an edge, its ``dist`` the edge's
+    Euclidean length and its ``via`` ``NO_VIA``. kNN is directed, so the
+    edge set is generally asymmetric. An edge whose length equals the
+    sentinel (two points at opposite corners of the unit box) is still an
+    edge and still carries gradient; rounding that measures it just above
+    the sentinel is stored as the sentinel.
     """
 
-    src: np.ndarray  # (e,) intp
-    dst: np.ndarray  # (e,) intp
-    length: np.ndarray  # (e,) float64
+    key: np.ndarray  # (e,) int64
+    dist: np.ndarray  # (e,) float64, every entry <= sentinel
+    via: np.ndarray  # (e,) int64, NO_VIA or the walk's last intermediate
     size: int
 
+    def find(self, key):
+        """Positions of ``key`` in the record and whether each is present."""
+        pos = np.minimum(np.searchsorted(self.key, key), self.key.size - 1)
+        return pos, self.key[pos] == key
+
     def dense(self) -> np.ndarray:
-        """(size, size) 1-hop matrix, for oracles and tests."""
+        """(size, size) distance matrix, for oracles and tests."""
         out = np.full((self.size, self.size), SENTINEL)
         np.fill_diagonal(out, 0.0)
-        out[self.src, self.dst] = self.length
+        out.flat[self.key] = self.dist
         return out
 
 
@@ -140,8 +148,8 @@ def _grid(pts: np.ndarray, h: float):
     return order, np.repeat(np.arange(cells.size), count), first[at], block_size
 
 
-def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Adjacency:
-    """Build the directed kNN adjacency of the merged set.
+def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
+    """Build the directed kNN adjacency of the merged set, as hop 1 of the walks.
 
     Ties at the k-th neighbour distance break toward the lower point index,
     making the graph deterministic across platforms. ``symmetrize`` adds the
@@ -229,8 +237,8 @@ def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Adjacency:
     return _edge_list(src, dst, length, n, symmetrize)
 
 
-def _edge_list(src, dst, length, n: int, symmetrize: bool) -> Adjacency:
-    """Sort the collected edge pieces into an Adjacency; see ``knn_adjacency``."""
+def _edge_list(src, dst, length, n: int, symmetrize: bool) -> Hop:
+    """Sort the collected edge pieces into the hop-1 record; see ``knn_adjacency``."""
     key = np.concatenate(src) * n + np.concatenate(dst)
     by_key = np.argsort(key)
     key, length = key[by_key], np.concatenate(length)[by_key]
@@ -249,5 +257,4 @@ def _edge_list(src, dst, length, n: int, symmetrize: bool) -> Adjacency:
         src, dst = np.divmod(key, n)
         key, first = np.unique(np.r_[key, dst * n + src], return_index=True)
         length = np.r_[length, length][first]
-    src, dst = np.divmod(key, n)
-    return Adjacency(src, dst, length, n)
+    return Hop(key, length, np.full(key.size, NO_VIA), n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, box_diagonal
 from .distances import nearest
 from .errors import DegenerateCloudError
 
@@ -96,7 +96,7 @@ def f1_threshold(
         diag = gt.bbox_diagonal()
     elif diag_source == "union":
         both = np.vstack([pred.points, gt.points])
-        diag = float(np.linalg.norm(both.max(axis=0) - both.min(axis=0)))
+        diag = box_diagonal(both.min(axis=0), both.max(axis=0))
     else:
         raise ValueError(f"diag_source must be 'gt' or 'union', got {diag_source!r}")
     if diag == 0.0:

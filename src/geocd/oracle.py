@@ -11,10 +11,10 @@ import heapq
 
 import numpy as np
 
-from .graph import Adjacency
+from .graph import Hop
 
 
-def hop_bounded_shortest_paths(adj: Adjacency, n_hops: int) -> np.ndarray:
+def hop_bounded_shortest_paths(adj: Hop, n_hops: int) -> np.ndarray:
     """Cheapest directed walk of at most n_hops edges between every pair.
 
     Sentinel entries are genuine edges of that cost. One relaxation round
@@ -34,7 +34,7 @@ def hop_bounded_shortest_paths(adj: Adjacency, n_hops: int) -> np.ndarray:
     return out
 
 
-def dijkstra_all_pairs(adj: Adjacency) -> np.ndarray:
+def dijkstra_all_pairs(adj: Hop) -> np.ndarray:
     """Converged shortest paths (no hop bound) on the same dense graph."""
     w = adj.dense()
     n = w.shape[0]

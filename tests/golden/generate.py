@@ -179,7 +179,7 @@ def record(seed: int) -> dict:
     try:
         z = merge(pred, gt)
         adj = knn_adjacency(z, cfg.k, cfg.symmetrize)
-        out["graph"] = _digest(adj.src, adj.dst, adj.length)
+        out["graph"] = _digest(*np.divmod(adj.key, z.size), adj.dist)
         geo = propagate(z, adj, cfg.n_hops, cfg.mask)
         out["hops"] = _digest(
             np.array(geo.masked_per_hop, dtype=np.float64),

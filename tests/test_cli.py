@@ -104,6 +104,37 @@ def test_compute_one_point_clouds(tmp_path, capsys):
     assert "F1 threshold undefined" in err and "pass --f1-diag union" in err
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_compute_at_scales_whose_squares_overflow_or_underflow(tmp_path, capsys, scale):
+    # the squared box extents overflow or underflow; the report still
+    # matches the unit-scale pair's
+    rng = np.random.default_rng(1)
+    p, q = rng.random((50, 3)), rng.random((50, 3))
+    reports = []
+    for s in (1.0, scale):
+        a, b = tmp_path / f"p{s:g}.xyz", tmp_path / f"q{s:g}.xyz"
+        write_cloud(PointCloud(p * s), a)
+        write_cloud(PointCloud(q * s), b)
+        code, report = run_json(capsys, ["compute", str(a), str(b)])
+        assert code == 0
+        reports.append(report)
+    unit, scaled = reports
+    got, want = scaled["normalization"]["scale"], unit["normalization"]["scale"]
+    assert got == pytest.approx(want / scale, rel=1e-14)
+    for key in ("cd", "hd"):
+        assert scaled[key] == pytest.approx(unit[key], rel=1e-12)
+    assert scaled["geocd"]["value"] == pytest.approx(unit["geocd"]["value"], rel=1e-12)
+    assert scaled["f1"]["fraction"] == unit["f1"]["fraction"]
+
+
+def test_compute_beyond_the_largest_float_exits_2(tmp_path, capsys):
+    p, q = tmp_path / "p.xyz", tmp_path / "q.xyz"
+    p.write_text("-1e308 0 0\n0 1 0\n")
+    q.write_text("1e308 0 0\n0 0 1\n")
+    assert main(["compute", str(p), str(q), "--k", "1"]) == 2
+    assert "bounding-box diagonal exceeds the largest float64" in capsys.readouterr().err
+
+
 def test_compute_parse_error_exits_2(tmp_path, small_pair):
     bad = tmp_path / "bad.xyz"
     bad.write_text("1 2\n")
@@ -176,7 +207,7 @@ def test_compute_json_stage_timings(small_pair, tmp_path, schema):
 def test_compute_reports_the_resolved_mask_threshold(small_pair, capsys, schema):
     a, b = small_pair
     pred, gt, _ = normalize_pair(read_cloud(a), read_cloud(b))
-    mean_edge = float(knn_adjacency(merge(pred, gt), 3).length.mean())
+    mean_edge = float(knn_adjacency(merge(pred, gt), 3).dist.mean())
     for flags, want in (
         (["--no-mask"], None),
         (["--mask"], 2.0 * mean_edge),
@@ -338,6 +369,32 @@ def test_fit_bad_noise_exits_3(tmp_path, capsys, noise):
     assert main(argv) == 3
     assert f"noise sigma must be >= 0 and finite, got {noise}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("noise", ["-0.05", "nan", "inf"])
+@pytest.mark.parametrize("command", ["fit", "sweep"])
+def test_bad_noise_with_an_init_file_exits_3(tmp_path, capsys, command, noise):
+    init = tmp_path / "init.xyz"
+    write_cloud(sample_shape(ShapeSpec("sphere", 16, seed=0)), init)
+    out = tmp_path / "run"
+    argv = [command, "--n-points", "16", "--k", "3", "--init-file", str(init), "--noise", noise]
+    if command == "fit":
+        argv += ["--out-dir", str(out), "--quiet"]
+    else:
+        argv += ["--axis", "k", "--values", "3", "--out", str(out)]
+    assert main(argv) == 3
+    assert f"noise sigma must be >= 0 and finite, got {noise}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_with_an_init_file_echoes_no_noise(tmp_path):
+    init = tmp_path / "init.xyz"
+    write_cloud(sample_shape(ShapeSpec("sphere", 16, seed=0)), init)
+    out = tmp_path / "run"
+    argv = ["fit", "--n-points", "16", "--k", "3", "--init-file", str(init), "--noise", "0.3"]
+    argv += ["--steps-cd", "1", "--steps-geocd", "0", "--out-dir", str(out), "--quiet"]
+    assert main(argv) == 0
+    assert strict_json((out / "manifest.json").read_text())["manifest"]["config"]["noise"] is None
 
 
 @pytest.mark.parametrize("flag", ["--steps-cd", "--steps-geocd"])

@@ -12,6 +12,7 @@ from geocd import (
     normalize_pair,
     normalize_unit_bbox,
 )
+from geocd.cloud import box_diagonal
 from conftest import random_cloud
 
 
@@ -98,3 +99,46 @@ def test_cloud_validation():
     bad[1, 1] = np.inf
     with pytest.raises(ValueError):
         PointCloud(bad)
+
+
+def scaled_pair(scale):
+    """The 50 + 50 uniform pair of seed 1, scaled."""
+    rng = np.random.default_rng(1)
+    return PointCloud(rng.random((50, 3)) * scale), PointCloud(rng.random((50, 3)) * scale)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_box_diagonal_at_scales_whose_squares_overflow_or_underflow(scale):
+    pred, gt = scaled_pair(scale)
+    unit_pred, unit_gt = scaled_pair(1.0)
+    assert gt.bbox_diagonal() == pytest.approx(unit_gt.bbox_diagonal() * scale, rel=1e-14)
+    pred_n, gt_n, t = normalize_pair(pred, gt)
+    want_pred, want_gt, want = normalize_pair(unit_pred, unit_gt)
+    assert t.scale == pytest.approx(want.scale / scale, rel=1e-14)
+    assert np.abs(pred_n.points - want_pred.points).max() < 1e-14
+    assert np.abs(gt_n.points - want_gt.points).max() < 1e-14
+
+
+def test_box_diagonal_is_the_norm_wherever_the_squares_are_normal():
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        # squares of the largest extents stay normal; a zero or a far
+        # smaller extent adds nothing to the sum either way
+        scale = 10.0 ** rng.uniform(-140, 140)
+        lo = rng.normal(size=3) * scale
+        ext = rng.random(3) * scale
+        ext[rng.integers(0, 3)] *= rng.choice([0.0, 1.0, 10.0 ** rng.uniform(-30, 0)])
+        hi = lo + ext
+        assert box_diagonal(lo, hi) == float(np.linalg.norm(hi - lo))
+
+
+def test_box_diagonal_beyond_the_largest_float_is_an_input_error():
+    pts = np.array([[-1e308, 0.0, 0.0], [1e308, 0.0, 0.0]])
+    message = "bounding-box diagonal exceeds the largest float64"
+    with pytest.raises(DegenerateCloudError, match=message):
+        PointCloud(pts).bbox_diagonal()
+    with pytest.raises(DegenerateCloudError, match=message):
+        normalize_pair(PointCloud(pts[:1]), PointCloud(pts[1:]))
+    # each extent is finite, the diagonal is not
+    with pytest.raises(DegenerateCloudError, match=message):
+        box_diagonal(np.zeros(3), np.full(3, 1.5e308))

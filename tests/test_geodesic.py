@@ -14,7 +14,7 @@ from geocd import (
 )
 from geocd import geodesic
 from geocd.geodesic import NO_VIA, Hop, MaskConfig, cross_width, row_min, unroll
-from geocd.graph import SENTINEL, Adjacency, MergedSet
+from geocd.graph import SENTINEL, MergedSet
 from geocd.fit import ShapeSpec, noisy_copy, sample_shape
 from geocd import normalize_pair
 from conftest import random_normalized_pair
@@ -41,6 +41,19 @@ def naive_minplus(prev_dist, adj_dist):
                 best = min(best, prev_dist[i, k] + adj_dist[k, j])
             out[i, j] = best
     return out
+
+
+def test_the_graph_is_hop_one(rng):
+    pred, gt = random_normalized_pair(rng, 12, 10)
+    z = merge(pred, gt)
+    for symmetrize in (False, True):
+        adj = knn_adjacency(z, 3, symmetrize=symmetrize)
+        assert (np.diff(adj.key) > 0).all()
+        assert adj.via.dtype == np.int64 and (adj.via == NO_VIA).all()
+        assert adj.size == z.size
+        for hops in (1, 3):
+            for mask in (MaskConfig(), MaskConfig(enabled=True)):
+                assert propagate(z, adj, hops, mask).hops[0] is adj
 
 
 def test_l_shape_two_hop_improvement():
@@ -147,11 +160,11 @@ def test_edges_beyond_sentinel_rejected():
         z = merge(PointCloud(np.zeros((1, 3))), PointCloud(np.array([[x, 0.0, 0.0]])))
         adj = knn_adjacency(z, 1)
         if x > 1 + 8 * eps:
-            assert adj.length.tolist() == [x, x]
+            assert adj.dist.tolist() == [x, x]
             with pytest.raises(NormalizationError, match="exceeds the sentinel 1; normalize"):
                 propagate(z, adj, n_hops=2)
         else:
-            assert adj.length.tolist() == [1.0, 1.0]  # stored as the sentinel
+            assert adj.dist.tolist() == [1.0, 1.0]  # stored as the sentinel
             assert reconstruct_path(propagate(z, adj, n_hops=2), 0, 1) == [0, 1]
 
 
@@ -323,18 +336,17 @@ def assert_unroll_contract(geo):
     # the first group holds every walk's last edge, in walk order
     assert np.array_equal(walk[: starts.size], np.arange(starts.size))
     assert np.array_equal(b[: starts.size], ends)
-    adj, n = geo.adj, geo.merged.size
-    edge_key = adj.src * n + adj.dst
+    adj, n = geo.hops[0], geo.merged.size
     for t in range(starts.size):
         edges = np.flatnonzero(walk == t)[::-1]  # first edge first
         assert 1 <= edges.size <= geo.hops_used
         nodes = np.r_[a[edges], b[edges[-1]]]
         assert nodes[0] == starts[t] and nodes[-1] == ends[t]
         assert np.array_equal(a[edges[1:]], b[edges[:-1]])
-        pos = np.searchsorted(edge_key, a[edges] * n + b[edges])
-        assert np.array_equal(edge_key[pos], a[edges] * n + b[edges])
+        pos = np.searchsorted(adj.key, a[edges] * n + b[edges])
+        assert np.array_equal(adj.key[pos], a[edges] * n + b[edges])
         total = 0.0
-        for length in adj.length[pos]:  # the hops add edge lengths left to right
+        for length in adj.dist[pos]:  # the hops add edge lengths left to right
             total += length
         assert total == dist[t]
     return walk.size
@@ -395,24 +407,25 @@ def full_sort_extend(prev, active, ptr, dst, length):
     hit = np.flatnonzero(dist == best)
     group = np.searchsorted(start, hit, side="right")
     keep = hit[np.r_[True, group[1:] != group[:-1]]]
-    return Hop(key[keep], dist[keep], via[keep])
+    return Hop(key[keep], dist[keep], via[keep], n)
 
 
 def full_sort_records(z, adj, n_hops, mask):
     """Reference hop records and masked shares, from ``full_sort_extend``."""
     n = z.size
-    ptr = np.searchsorted(adj.src, np.arange(n + 1))
-    hops = [Hop(adj.src * n + adj.dst, adj.length, np.full(adj.src.size, NO_VIA))]
+    src, dst = np.divmod(adj.key, n)
+    ptr = np.searchsorted(src, np.arange(n + 1))
+    hops = [adj]
     active, masked = np.ones(n, dtype=bool), []
-    threshold = mask.threshold if mask.threshold is not None else 2.0 * adj.length.mean()
+    threshold = mask.threshold if mask.threshold is not None else 2.0 * adj.dist.mean()
     for _ in range(n_hops - 1):
         if mask.enabled:
-            src, dst = np.divmod(hops[-1].key, n)
-            c = (src < z.n_pred) != (dst < z.n_pred)
-            mins = row_min(src[c], hops[-1].dist[c], cross_width(z))
+            i, j = np.divmod(hops[-1].key, n)
+            c = (i < z.n_pred) != (j < z.n_pred)
+            mins = row_min(i[c], hops[-1].dist[c], cross_width(z))
             active &= mins > threshold
             masked.append(float(1.0 - active.mean()))
-        hops.append(full_sort_extend(hops[-1], active, ptr, adj.dst, adj.length))
+        hops.append(full_sort_extend(hops[-1], active, ptr, dst, adj.dist))
     return hops, masked
 
 
@@ -487,7 +500,7 @@ def test_merged_size_limit_rejected():
     n = geodesic.MAX_POINTS + 1
     # a broadcast view and an edge-free graph: nothing of size n is allocated
     z = MergedSet(np.broadcast_to(np.zeros(3), (n, 3)), n // 2, n - n // 2)
-    none = np.zeros(0, dtype=np.intp)
-    adj = Adjacency(none, none, np.zeros(0), n)
+    none = np.zeros(0, dtype=np.int64)
+    adj = Hop(none, np.zeros(0), none, n)
     with pytest.raises(ValueError, match=f"at most {geodesic.MAX_POINTS} merged points, got {n}"):
         propagate(z, adj, n_hops=2)

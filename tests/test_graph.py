@@ -12,11 +12,6 @@ def cloud(*pts):
     return PointCloud(np.array(pts, dtype=np.float64))
 
 
-def keys(adj):
-    """Edge keys ``src * n + dst``, in the adjacency's order."""
-    return adj.src * adj.size + adj.dst
-
-
 def test_merge_order_and_origin():
     z = merge(cloud([0, 0, 0], [1, 0, 0]), cloud([0, 1, 0], [1, 1, 0], [2, 2, 2]))
     assert z.size == 5
@@ -46,7 +41,7 @@ def test_collinear_k1_fixture():
     assert np.allclose(adj.dense(), expected, atol=1e-12)
     # directed: 1->2 is sentinel while 2->1 is a real edge
     assert adj.dense()[1, 2] != adj.dense()[2, 1]
-    assert list(zip(adj.src.tolist(), adj.dst.tolist())) == [(0, 1), (1, 0), (2, 1)]
+    assert np.c_[np.divmod(adj.key, adj.size)].tolist() == [[0, 1], [1, 0], [2, 1]]
 
 
 def test_complete_graph_equals_distance_matrix(rng):
@@ -56,7 +51,7 @@ def test_complete_graph_equals_distance_matrix(rng):
     diffs = z.points[:, None, :] - z.points[None, :, :]
     full = np.sqrt((diffs**2).sum(-1))
     assert np.allclose(adj.dense(), full, atol=1e-12)
-    assert adj.src.size == z.size * (z.size - 1)
+    assert adj.key.size == z.size * (z.size - 1)
 
 
 def test_k_too_large(rng):
@@ -76,17 +71,18 @@ def test_row_sparsity_and_diagonal(rng):
     z = merge(random_cloud(rng, 14), random_cloud(rng, 9))
     for k in (1, 3, 7):
         adj = knn_adjacency(z, k)
-        off_diag = np.bincount(adj.src, minlength=z.size)
+        src, dst = np.divmod(adj.key, adj.size)
+        off_diag = np.bincount(src, minlength=z.size)
         assert (off_diag == k).all()
-        assert (adj.src != adj.dst).all()
+        assert (src != dst).all()
         assert (adj.dense().diagonal() == 0).all()
 
 
 def test_monotone_in_k(rng):
     z = merge(random_cloud(rng, 12), random_cloud(rng, 12))
-    prev = keys(knn_adjacency(z, 2))
+    prev = knn_adjacency(z, 2).key
     for k in (3, 4, 6):
-        cur = keys(knn_adjacency(z, k))
+        cur = knn_adjacency(z, k).key
         assert np.isin(prev, cur).all()  # edge set grows with k
         prev = cur
 
@@ -94,7 +90,7 @@ def test_monotone_in_k(rng):
 def test_edges_match_direct_recomputation(rng):
     z = merge(random_cloud(rng, 10), random_cloud(rng, 11))
     adj = knn_adjacency(z, 4)
-    for i, j, length in zip(adj.src, adj.dst, adj.length):
+    for i, j, length in zip(*np.divmod(adj.key, adj.size), adj.dist):
         direct = float(np.linalg.norm(z.points[i] - z.points[j]))
         assert length == pytest.approx(direct, rel=1e-12)
 
@@ -103,13 +99,15 @@ def test_tie_break_prefers_lower_index():
     # indices 1 and 2 are both at distance 0.5 from index 0
     z = merge(cloud([0, 0, 0]), cloud([0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.9]))
     adj = knn_adjacency(z, k=1)
-    assert adj.dst[adj.src == 0].tolist() == [1]
+    src, dst = np.divmod(adj.key, adj.size)
+    assert dst[src == 0].tolist() == [1]
 
 
 def test_symmetrize_flag(rng):
     z = merge(random_cloud(rng, 8), random_cloud(rng, 8))
     adj = knn_adjacency(z, 2, symmetrize=True)
-    assert np.array_equal(np.sort(adj.dst * z.size + adj.src), keys(adj))
+    src, dst = np.divmod(adj.key, z.size)
+    assert np.array_equal(np.sort(dst * z.size + src), adj.key)
     assert np.allclose(adj.dense(), adj.dense().T)
 
 
@@ -137,7 +135,7 @@ def test_boundary_ties_keep_lowest_indices(n_pred, n_gt):
             kth = np.sort(d, axis=1)[:, k - 1, None]
             assert ((d <= kth).sum(axis=1) > k).any()  # the fixture does tie
             adj = knn_adjacency(z, k, symmetrize=symmetrize)
-            assert np.array_equal(np.c_[adj.src, adj.dst], np.argwhere(ref))
+            assert np.array_equal(np.c_[np.divmod(adj.key, z.size)], np.argwhere(ref))
             expected = np.where(ref, d, 1.0)
             np.fill_diagonal(expected, 0.0)
             assert np.array_equal(adj.dense(), expected)
@@ -151,14 +149,16 @@ def test_edge_list_invariants(n_pred, n_gt):
         z = merge(PointCloud(pts[:n_pred]), PointCloud(pts[n_pred:]))
         for k in (1, 3, 8):
             adj = knn_adjacency(z, k)
-            assert (np.diff(keys(adj)) > 0).all()  # sorted by (src, dst), no duplicates
-            assert (adj.src != adj.dst).all()
-            assert (np.bincount(adj.src, minlength=z.size) == k).all()
+            src, dst = np.divmod(adj.key, z.size)
+            assert (np.diff(adj.key) > 0).all()  # sorted by (src, dst), no duplicates
+            assert (src != dst).all()
+            assert (np.bincount(src, minlength=z.size) == k).all()
             sym = knn_adjacency(z, k, symmetrize=True)
-            assert (np.diff(keys(sym)) > 0).all()
-            assert (sym.src != sym.dst).all()
-            assert np.array_equal(np.sort(sym.dst * z.size + sym.src), keys(sym))
-            assert np.isin(keys(adj), keys(sym)).all()
+            src, dst = np.divmod(sym.key, z.size)
+            assert (np.diff(sym.key) > 0).all()
+            assert (src != dst).all()
+            assert np.array_equal(np.sort(dst * z.size + src), sym.key)
+            assert np.isin(adj.key, sym.key).all()
 
 
 def grid_case(name):
@@ -213,8 +213,8 @@ def test_grid_matches_dense_reference(name, monkeypatch):
             ref, d = stable_sort_knn_mask(z.points, k, symmetrize)
             adj = knn_adjacency(z, k, symmetrize=symmetrize)
             builds += 1
-            assert np.array_equal(np.c_[adj.src, adj.dst], np.argwhere(ref))
-            assert np.array_equal(adj.length, d[ref])
+            assert np.array_equal(np.c_[np.divmod(adj.key, z.size)], np.argwhere(ref))
+            assert np.array_equal(adj.dist, d[ref])
     if name == "outlier":  # one dense call per build sizes the cells; the rest are fallbacks
         assert len(dense_rows) > builds
     if name in ("volume", "chunks"):

@@ -93,6 +93,21 @@ def test_f1_degenerate_gt_bbox():
         f1_at(p, q)
 
 
+@pytest.mark.parametrize("diag_source", ["gt", "union"])
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_f1_threshold_at_scales_whose_squares_overflow_or_underflow(scale, diag_source):
+    rng = np.random.default_rng(1)
+    p, q = rng.random((50, 3)), rng.random((50, 3))
+    want = f1_threshold(PointCloud(p), PointCloud(q), 0.01, diag_source) * scale
+    got = f1_threshold(PointCloud(p * scale), PointCloud(q * scale), 0.01, diag_source)
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_f1_threshold_beyond_the_largest_float():
+    with pytest.raises(DegenerateCloudError, match="exceeds the largest float64"):
+        f1_threshold(cloud([-1e308, 0, 0]), cloud([1e308, 0, 0]), 0.01, "union")
+
+
 def test_f1_union_diagonal_option():
     p = cloud([0, 0, 0], [2, 0, 0])
     q = cloud([0.01, 0, 0], [1.99, 0, 0])

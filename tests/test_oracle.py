@@ -90,7 +90,7 @@ def test_finite_diff_flags_structure_changes():
 
     def sig(pts):
         z = merge(PointCloud(pts), q)
-        return knn_adjacency(z, 1).dst.tobytes()
+        return knn_adjacency(z, 1).key.tobytes()
 
     _, flagged = finite_diff_grad(
         lambda pts: geocd(PointCloud(pts), q, cfg).value, p.points, signature_fn=sig
