@@ -86,7 +86,12 @@ def _bbox_transform(points: np.ndarray) -> NormalizationTransform:
     diag = box_diagonal(lo, hi)
     if diag == 0.0:
         raise DegenerateCloudError("all points coincide; bounding box has zero diagonal")
-    return NormalizationTransform(translation=(lo + hi) / 2.0, scale=1.0 / diag)
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    # lo + hi overflows only for large bounds of one sign, whose halves are
+    # exact; elsewhere the halves could round where the sum does not
+    mid = np.where(np.isfinite(mid), mid, lo / 2.0 + hi / 2.0)
+    return NormalizationTransform(translation=mid, scale=1.0 / diag)
 
 
 def normalize_unit_bbox(cloud: PointCloud) -> tuple[PointCloud, NormalizationTransform]:

@@ -68,14 +68,14 @@ def nearest(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     n, m = len(p), len(q)
     j, sq_p = np.empty(n, dtype=np.intp), np.empty(n)
     i, sq_q = np.zeros(m, dtype=np.intp), np.full(m, np.inf)
-    cols = np.arange(m)
     for rows, sq in _squared_blocks(p, q):
         j[rows] = sq.argmin(axis=1)
         sq_p[rows] = sq[np.arange(sq.shape[0]), j[rows]]
-        best = sq.argmin(axis=0)
-        best_sq = sq[best, cols]
-        # strict: an equal minimum in a later block has a higher row index
-        better = best_sq < sq_q
-        i[better] = best[better] + rows.start
-        sq_q[better] = best_sq[better]
+        # the column minima need no transposed copy; only the columns they
+        # improve are searched for their row. Strict: an equal minimum in a
+        # later block has a higher row index
+        colmin = sq.min(axis=0)
+        better = np.flatnonzero(colmin < sq_q)
+        i[better] = sq[:, better].argmin(axis=0) + rows.start
+        sq_q[better] = colmin[better]
     return j, sq_p, i, sq_q

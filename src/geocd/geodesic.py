@@ -32,19 +32,21 @@ in the concatenation of the previous entries and the candidates and
 index, which is exactly the order of a stable sort by key. The rows are
 extended in ranges of whole rows [r0, r1) holding at most ``SPAN``
 entries and candidates, a larger row being a range of its own, so that
-transient memory is bounded by ``SPAN`` rather than by all candidates;
-the ranges' records concatenate to the same sorted record.
+transient memory is bounded by ``SPAN`` rather than by all candidates and
+a range's fields stay in cache; the ranges' records concatenate to the
+same sorted record.
 
 The word fits an int64. Its index is below 2**b <= max(1, 2 * (E - 1)).
 A range of several rows has E <= SPAN and local keys below n * n, so its
 words stay below 2 * n**2 * SPAN. A single row holds at most n - 1
 entries, each extended by at most n - 1 edges, so E < n**2, and its local
 keys stay below n, so its words stay below 2 * n**3. With n <= MAX_POINTS
-= 2**20 and SPAN = 2**20, both bounds are at most 2**61.
+= 2**20 and SPAN = 2**16, the bounds are 2**57 and 2**61.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +54,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NormalizationError
 from .graph import NO_VIA, SENTINEL, Hop, MergedSet
 
-SPAN = 1 << 20  # most entries and candidates that one extension range sorts at once
+SPAN = 1 << 16  # most entries and candidates that one extension range sorts at once
 MAX_POINTS = 1 << 20  # largest merged set that multi-hop propagation takes
 
 
@@ -72,6 +74,7 @@ class GeoDistances:
     mask_threshold: float | None = None
     # per hop after the first: entries it added or made strictly shorter
     improved_per_hop: list[int] = field(default_factory=list)
+    hop_seconds: list[float] = field(default_factory=list)  # per hop after the first
 
     @property
     def hops_used(self) -> int:
@@ -142,16 +145,24 @@ def _extend(
 
     Only real walks are extended, by real edges: a candidate routed through
     a sentinel entry costs at least the sentinel, and every entry is bounded
-    by the sentinel, so it can never strictly improve. Neither can one that
-    returns to its start or reaches the sentinel. Nor can one extended
+    by the sentinel, so it can never strictly improve. Nor can one extended
     from a stale entry (``fresh`` False), which the previous hop already
     tried (see the module docstring). The result is identical to the dense
     formula above.
 
+    Walks that return to their start or reach the sentinel are sorted with
+    the rest and dropped after the winners are picked, which leaves the
+    record as it would be without them. If a key has a previous entry, that
+    entry holds at most the sentinel and sorts first, so no such candidate
+    beats it or wins a tie with it. If a key has none, its group is kept only
+    when it is off the diagonal and its minimum is below the sentinel, and
+    then no such candidate is at the minimum.
+
     The rows are extended in ranges of at most ``SPAN`` entries and
     candidates (a larger row is a range of its own), each sorted by one
     packed word, local key above concatenation index; the module docstring
-    derives why that word fits an int64.
+    derives why that word fits an int64. Each range builds its word, dist
+    and via in one buffer each, the previous entries' slice first.
     """
     n = active.size
     i, k = np.divmod(prev.key, n)
@@ -167,29 +178,39 @@ def _extend(
         r1 = max(r0 + 1, int(np.searchsorted(load, load[r0] + SPAN, side="right")) - 1)
         a, b = row[r0], row[r1]
         la, lb = np.searchsorted(live, (a, b))
-        walk = np.repeat(live[la:lb], deg[la:lb])  # the extended entry of every candidate
-        edge = np.repeat(start[la:lb] - cum[la:lb], deg[la:lb]) + np.arange(cum[la], cum[lb])
-        ci, cj, cv = i[walk], dst[edge], prev.dist[walk] + length[edge]
-        ok = (cj != ci) & (cv < SENTINEL)
+        ext, rep = live[la:lb], deg[la:lb]
+        m = b - a
+        e = int(m + cum[lb] - cum[la])
+        edge = np.arange(cum[la], cum[lb])
+        edge += np.repeat(start[la:lb] - cum[la:lb], rep)
+        # One buffer per field: the previous entries, then the candidates
+        word, dist, via = np.empty(e, np.int64), np.empty(e), np.empty(e, np.int64)
+        np.subtract(prev.key[a:b], r0 * n, out=word[:m])
+        np.add(np.repeat((i[ext] - r0) * n, rep), dst[edge], out=word[m:])
+        dist[:m] = prev.dist[a:b]
+        np.add(np.repeat(prev.dist[ext], rep), length[edge], out=dist[m:])
+        via[:m] = prev.via[a:b]
+        via[m:] = np.repeat(k[ext], rep)
         # Sorting (local key, concatenation index) words orders each key's
         # entries as a stable sort would: the previous entry first, then the
         # candidates by rising intermediate. The first entry at the key's
         # minimum wins.
-        word = np.concatenate([prev.key[a:b], ci[ok] * n + cj[ok]])
-        bits = (word.size - 1).bit_length()
-        word -= r0 * n
+        bits = (e - 1).bit_length()
         word <<= bits
-        word |= np.arange(word.size)
+        word |= np.arange(e)
         word.sort()
-        order, key = word & ((1 << bits) - 1), word >> bits
-        dist = np.concatenate([prev.dist[a:b], cv[ok]])[order]
-        new = _starts(key)
-        gid = np.cumsum(new) - 1
-        hit = np.flatnonzero(dist == np.minimum.reduceat(dist, np.flatnonzero(new))[gid])
-        keep = hit[_starts(gid[hit])]
-        won = order[keep]
-        via = np.concatenate([prev.via[a:b], k[walk[ok]]])
-        parts.append((key[keep] + r0 * n, dist[keep], via[won], won >= b - a))
+        order = word & ((1 << bits) - 1)
+        key = np.right_shift(word, bits, out=word)
+        dist = dist[order]
+        first = np.flatnonzero(_starts(key))
+        gmin = np.minimum.reduceat(dist, first)
+        hit = np.flatnonzero(dist == np.repeat(gmin, np.diff(first, append=e)))
+        won = order[hit[_starts(key[hit])]]
+        gkey = key[first] + r0 * n
+        # i * n + j is a multiple of n + 1 exactly when i == j
+        kept = (order[first] < m) | ((gkey % (n + 1) != 0) & (gmin < SENTINEL))
+        won = won[kept]
+        parts.append((gkey[kept], gmin[kept], via[won], won >= m))
         r0 = r1
     key, dist, via, improved = (np.concatenate(p) for p in zip(*parts))
     return Hop(key, dist, via, n), improved
@@ -246,7 +267,9 @@ def propagate(
             rows, _, d = geo.cross()
             active &= row_min(rows, d, cross_width(merged)) > threshold
             geo.masked_per_hop.append(float(1.0 - active.mean()))
+        t0 = time.perf_counter()
         hop, fresh = _extend(geo.hops[-1], fresh, active, ptr, dst, length)
+        geo.hop_seconds.append(time.perf_counter() - t0)
         geo.hops.append(hop)
         geo.improved_per_hop.append(int(fresh.sum()))
     return geo

@@ -144,6 +144,7 @@ def geocd(
     diagnostics["timings"] = {
         "graph": t1 - t0,
         "propagation": t2 - t1,
+        **{f"hop_{h}": s for h, s in enumerate(geo.hop_seconds, start=2)},
         "loss": t3 - t2,
         "gradient": gradient_s,
     }

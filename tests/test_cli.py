@@ -127,6 +127,26 @@ def test_compute_at_scales_whose_squares_overflow_or_underflow(tmp_path, capsys,
     assert scaled["f1"]["fraction"] == unit["f1"]["fraction"]
 
 
+def test_compute_where_the_box_bounds_sum_beyond_the_largest_float(tmp_path, capsys):
+    # x spans [1e308, 1.3e308]: lo + hi overflows although the diagonal is
+    # representable; the report still matches the pair's at unit scale
+    rng = np.random.default_rng(2)
+    p, q = (rng.random((50, 3)) * (0.3, 0.1, 0.1) + (1.0, 0.0, 0.0) for _ in range(2))
+    reports = []
+    for s in (1.0, 1e308):
+        a, b = tmp_path / f"p{s:g}.xyz", tmp_path / f"q{s:g}.xyz"
+        write_cloud(PointCloud(p * s), a)
+        write_cloud(PointCloud(q * s), b)
+        code, report = run_json(capsys, ["compute", str(a), str(b)])
+        assert code == 0
+        reports.append(report)
+    unit, large = reports
+    for key in ("cd", "hd"):
+        assert large[key] == pytest.approx(unit[key], rel=1e-12)
+    assert large["geocd"]["value"] == pytest.approx(unit["geocd"]["value"], rel=1e-12)
+    assert large["f1"]["fraction"] == unit["f1"]["fraction"]
+
+
 def test_compute_beyond_the_largest_float_exits_2(tmp_path, capsys):
     p, q = tmp_path / "p.xyz", tmp_path / "q.xyz"
     p.write_text("-1e308 0 0\n0 1 0\n")
@@ -196,12 +216,14 @@ def test_compute_no_normalize_rejects_raw_coordinates(tmp_path, capsys):
 def test_compute_json_stage_timings(small_pair, tmp_path, schema):
     a, b = small_pair
     out = tmp_path / "report.json"
-    assert main(["compute", str(a), str(b), "--k", "3", "--json", str(out)]) == 0
+    assert main(["compute", str(a), str(b), "--k", "3", "--hops", "3", "--json", str(out)]) == 0
     report = strict_json(out.read_text(encoding="utf-8"))
     validate(report, schema, "compute_report")
     timings = report["manifest"]["timings"]
-    assert set(timings) == {"graph", "propagation", "loss", "gradient", "total"}
+    hops = {"hop_2", "hop_3"}  # one per extension of the graph
+    assert set(timings) == {"graph", "propagation", "loss", "gradient", "total"} | hops
     assert timings["gradient"] == 0.0  # compute takes no gradient
+    assert 0.0 < sum(timings[h] for h in hops) <= timings["propagation"]
 
 
 def test_compute_reports_the_resolved_mask_threshold(small_pair, capsys, schema):

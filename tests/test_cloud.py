@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,3 +143,16 @@ def test_box_diagonal_beyond_the_largest_float_is_an_input_error():
     # each extent is finite, the diagonal is not
     with pytest.raises(DegenerateCloudError, match=message):
         box_diagonal(np.zeros(3), np.full(3, 1.5e308))
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(5e-324, 2.5e-323), (1.5e-323, 5e-323), (1e308, 1.3e308), (-1.3e308, -1e308), (0.1, 0.7)],
+)
+def test_translation_is_the_rounded_midpoint_of_the_box(lo, hi):
+    # on subnormal bounds, halving each one can round where their sum does
+    # not; on large bounds of one sign, the sum overflows
+    pts = np.array([[lo, 0.0, 0.0], [hi, 1.0, 1.0]])
+    _, t = normalize_unit_bbox(PointCloud(pts))
+    want = [float((Fraction(a) + Fraction(b)) / 2) for a, b in zip(*pts)]
+    assert t.translation.tolist() == want

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -466,10 +468,19 @@ def test_frontier_extension_matches_the_full_sort_reference():
     assert improved > 0  # the deep hops do extend fresh entries
 
 
-@pytest.mark.parametrize("span", [1, 7, 64])
+def hemisphere_graph(n, k):
+    """Merged set and kNN graph of a hemisphere and its noisy copy, n points each."""
+    gt = sample_shape(ShapeSpec("hemisphere", n, seed=1))
+    pred, gt, _ = normalize_pair(noisy_copy(gt, 0.02, 2), gt)
+    z = merge(pred, gt)
+    return z, knn_adjacency(z, k)
+
+
+@pytest.mark.parametrize("span", [1, 7, 64, 1 << 20])
 def test_row_ranges_give_the_same_records(span, monkeypatch):
     rng = np.random.default_rng(span)
-    cases = []
+    z, adj = hemisphere_graph(1024, 8)  # many ranges at the default SPAN
+    cases = [(z, adj, 3, MaskConfig(), propagate(z, adj, 3))]
     for trial in range(12):
         pred, gt = deep_pair(("random", "lattice", "duplicate")[trial % 3], rng)
         z = merge(pred, gt)
@@ -483,6 +494,19 @@ def test_row_ranges_give_the_same_records(span, monkeypatch):
         assert got.improved_per_hop == want.improved_per_hop
 
 
+def test_extension_memory_stays_near_the_records_it_adds():
+    z, adj = hemisphere_graph(1024, 8)
+    tracemalloc.start()
+    try:
+        geo = propagate(z, adj, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    added = sum(a.nbytes for hop in geo.hops[1:] for a in (hop.key, hop.dist, hop.via))
+    # a range's transient fields are bounded by SPAN, not by all candidates
+    assert peak < 5 * added
+
+
 def test_per_hop_counts(rng):
     pred, gt = random_normalized_pair(rng, 14, 12)
     z = merge(pred, gt)
@@ -490,6 +514,8 @@ def test_per_hop_counts(rng):
         geo = propagate(z, knn_adjacency(z, 3, symmetrize=symmetrize), 5, mask)
         assert geo.hop_entries == [hop.key.size for hop in geo.hops]
         assert len(geo.improved_per_hop) == geo.hops_used - 1
+        assert len(geo.hop_seconds) == geo.hops_used - 1
+        assert all(s > 0.0 for s in geo.hop_seconds)
         for h, count in enumerate(geo.improved_per_hop):
             # a new entry holds less than the sentinel, so it counts as shorter too
             assert count == int((geo.dense(h + 1) < geo.dense(h)).sum())
