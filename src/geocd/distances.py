@@ -20,12 +20,15 @@ BLOCK = 64  # rows per block: the scratch arrays stay small and are reused
 def squared_lengths(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Fill ``out`` with the squared lengths from points ``a`` to points ``b``.
 
-    ``a`` and ``b`` are (x, y, z) triples of coordinate arrays that broadcast
-    to the shape of ``out``; ``tmp`` is scratch of that shape.
+    ``a`` and ``b`` yield the x, y and z coordinate arrays, in that order,
+    which broadcast to the shape of ``out``; ``tmp`` is scratch of that
+    shape. Each coordinate is read once, so a generator may build them
+    one at a time.
     """
-    np.subtract(a[0], b[0], out=out)
+    pairs = zip(a, b)
+    np.subtract(*next(pairs), out=out)
     np.multiply(out, out, out=out)
-    for ac, bc in zip(a[1:], b[1:]):
+    for ac, bc in pairs:
         np.subtract(ac, bc, out=tmp)
         np.multiply(tmp, tmp, out=tmp)
         np.add(out, tmp, out=out)

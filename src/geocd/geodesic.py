@@ -202,11 +202,17 @@ def _extend(
         order = word & ((1 << bits) - 1)
         key = np.right_shift(word, bits, out=word)
         dist = dist[order]
-        first = np.flatnonzero(_starts(key))
-        gmin = np.minimum.reduceat(dist, first)
-        hit = np.flatnonzero(dist == np.repeat(gmin, np.diff(first, append=e)))
-        won = order[hit[_starts(key[hit])]]
+        starts = _starts(key)
+        first = np.flatnonzero(starts)
         gkey = key[first] + r0 * n
+        # each entry's group number, in the buffer of the keys it replaces;
+        # one scatter-minimum gives every group's minimum
+        group = np.cumsum(starts, out=key)
+        group -= 1
+        gmin = np.full(first.size, np.inf)
+        np.minimum.at(gmin, group, dist)
+        hit = np.flatnonzero(dist == gmin[group])
+        won = order[hit[_starts(group[hit])]]
         # i * n + j is a multiple of n + 1 exactly when i == j
         kept = (order[first] < m) | ((gkey % (n + 1) != 0) & (gmin < SENTINEL))
         won = won[kept]

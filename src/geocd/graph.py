@@ -17,7 +17,10 @@ from .cloud import PointCloud
 from .distances import BLOCK, pairwise_distances, squared_lengths
 from .errors import KTooLargeError
 
-CHUNK = 128  # grid rows per pass: the padded candidate matrices stay small
+# a grid chunk's padded candidate matrix holds at most CHUNK * n entries, an
+# eighth of a dense block's, so the dense sample sets the peak memory
+CHUNK = BLOCK // 8
+RADII = (1, 2)  # block radius of each grid pass, in cells: 3x3x3, then 5x5x5
 CELLS = 2**20  # most cells along an axis, so that cell ids fit an intp
 # Value of every non-neighbour entry: the bound on pairwise distances that
 # normalize_pair guarantees (the box diagonal is scaled to 1)
@@ -85,7 +88,8 @@ def _select(d: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     at the k-th length keep the lowest point indices, as a stable sort of the
     full distance row would.
     """
-    kth = np.partition(d, k - 1, axis=1)[:, k - 1, None]
+    # a copy, so that the partitioned rows are freed at once
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1, None].copy()
     sel = d <= kth
     tied = np.flatnonzero(np.count_nonzero(sel, axis=1) > k)
     dt, kt, ct = d[tied], kth[tied], np.broadcast_to(cols, d.shape)[tied]
@@ -97,11 +101,12 @@ def _select(d: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     return sel, kth[:, 0]
 
 
-def _cell_edge(pts: np.ndarray, kth: np.ndarray) -> tuple[float, float]:
-    """Cell edge ``h`` from a sample's k-th lengths, and the grid's ``reach``.
+def _cell_edge(pts: np.ndarray, kth: np.ndarray) -> tuple[float, list[float]]:
+    """Cell edge ``h`` from a sample's k-th lengths, and the reach of each grid pass.
 
-    Every point outside the 3x3x3 block of cells around a point has a
-    computed length above ``reach`` from it.
+    For every radius r of ``RADII``, every point outside the (2r+1)^3 block
+    of cells around a point has a computed length above that pass's reach
+    from it.
     """
     # 1.4 times the sample's 90th percentile k-th length: surfaces and
     # volumes alike get small blocks, few rows fall back to the dense pass,
@@ -113,39 +118,64 @@ def _cell_edge(pts: np.ndarray, kth: np.ndarray) -> tuple[float, float]:
     h = max(min(h, extent), extent / CELLS, 2 * np.sqrt(np.finfo(np.float64).tiny))
     # With u = 2**-53, the quotient fl(fl(p - lo) / h) behind a cell is off
     # by a relative 2u + u*u at most, and p - lo <= extent. So two points
-    # whose cells differ by two or more along an axis lie more than
-    # h - (4u + 2u*u) * extent apart along it. The square of that gap is a
+    # whose cells differ by r + 1 or more along an axis lie more than
+    # r*h - (4u + 2u*u) * extent apart along it. The square of that gap is a
     # normal number, as h >= 2 * sqrt(tiny) and h >= extent / CELLS, so the
     # roundings of the length's difference, squares, sums and square root
-    # shrink it by a relative 4u at most: it is above h - 5u * (extent + h).
-    # A margin of 4 * eps = 8u times (extent + h) covers that and the
-    # rounding of ``reach`` itself. An infinite extent gives a NaN reach,
+    # shrink it by a relative 4u at most: it is above r*h - 5u * (extent + r*h).
+    # A margin of 4 * eps = 8u times (extent + r*h) covers that and the
+    # rounding of the reach itself. An infinite extent gives a NaN reach,
     # which certifies no row.
-    return h, h - 4 * np.finfo(np.float64).eps * (extent + h)
+    eps = np.finfo(np.float64).eps
+    return h, [r * h - 4 * eps * (extent + r * h) for r in RADII]
 
 
 def _grid(pts: np.ndarray, h: float):
     """Sort the points into cubic cells of edge ``h``.
 
     Returns ``order`` (point indices sorted by cell), ``cell_of`` (the cell
-    of each position in ``order``), and for every occupied cell where each
-    of the 27 cells of its 3x3x3 block starts in ``order`` and how many
-    points it holds.
+    of each position in ``order``, cells numbered in sorted order) and
+    ``runs(cells, r)``. For each given cell, ``runs`` returns where the
+    (2r+1)^2 z-runs of its (2r+1)^3 block of cells start and stop in
+    ``order``, as two (cells, (2r+1)^2) arrays: cells of one x and y are
+    adjacent in cell order, so each run is one range of positions.
     """
-    # cell coordinates start at 1, so that every block cell has coordinates
-    # >= 0 and one id. h >= extent / CELLS bounds them, and fmin also maps
-    # the NaN of an overflowing p - lo into range.
-    cell = np.floor(np.fmin((pts - pts.min(axis=0)) / h, CELLS)).astype(np.intp) + 1
-    dims = cell.max(axis=0) + 2
+    # cell coordinates start at the largest radius, so that every block cell
+    # has coordinates >= 0 and one id, and a run never reaches into the next
+    # column. h >= extent / CELLS bounds them, and fmin also maps the NaN of
+    # an overflowing p - lo into range.
+    pad = RADII[-1]
+    cell = np.floor(np.fmin((pts - pts.min(axis=0)) / h, CELLS)).astype(np.intp) + pad
+    dims = cell.max(axis=0) + pad + 1
     cid = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
-    step = np.arange(-1, 2)
-    block = ((step[:, None, None] * dims[1] + step[:, None]) * dims[2] + step).ravel()
     order = np.argsort(cid, kind="stable")
-    cells, first, count = np.unique(cid[order], return_index=True, return_counts=True)
-    near = cells[:, None] + block
-    at = np.minimum(np.searchsorted(cells, near), cells.size - 1)
-    block_size = np.where(cells[at] == near, count[at], 0)
-    return order, np.repeat(np.arange(cells.size), count), first[at], block_size
+    ids, first = np.unique(cid[order], return_index=True)
+    bounds = np.r_[first, pts.shape[0]]  # where each cell starts in order, then the end
+
+    def runs(cells: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+        step = np.arange(-r, r + 1)
+        column = ids[cells, None] + ((step[:, None] * dims[1] + step) * dims[2]).ravel()
+        return (
+            bounds[np.searchsorted(ids, column - r)],
+            bounds[np.searchsorted(ids, column + r, side="right")],
+        )
+
+    return order, np.repeat(np.arange(ids.size), np.diff(bounds)), runs
+
+
+def _candidates(order: np.ndarray, start: np.ndarray, stop: np.ndarray, k: int) -> np.ndarray:
+    """(cells, width) matrix of the points of each cell's block, run after run.
+
+    ``start`` and ``stop`` are the cells' runs (see ``_grid``). Short rows are
+    padded with the index ``order.size``, one past the last point.
+    """
+    size = stop - start
+    width_of = size.sum(axis=1)
+    cand = np.full((size.shape[0], max(width_of.max(), k)), order.size)  # partition needs k columns
+    size = size.ravel()
+    pos = np.repeat(start.ravel() - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    cand[np.arange(cand.shape[1]) < width_of[:, None]] = order[pos]
+    return cand
 
 
 def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
@@ -157,9 +187,10 @@ def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
 
     An evenly spaced sample of rows is searched against all points, and its
     k-th lengths size a grid of cells. Every other row searches the 3x3x3
-    block of cells around its point, unless that block holds over a quarter
-    of all points. The result stands when the row's k-th length lies below
-    the block's reach, which no point outside the block can undercut; the
+    block of cells around its point, and the rows that block cannot certify
+    then search the 5x5x5 block, unless a block holds over a quarter of all
+    points. The result stands when the row's k-th length lies below the
+    block's reach, which no point outside the block can undercut; the
     remaining rows are searched against all points. Either way a row gets
     the neighbours and lengths of its full distance row. A set of at most
     BLOCK points is its own sample and needs no grid.
@@ -188,47 +219,47 @@ def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
     if sample.size == n:  # the sample is every row
         return _edge_list(src, dst, length, n, symmetrize)
     h, reach = _cell_edge(pts, kth)
-    order, cell_of, block_first, block_size = _grid(pts, h)
-    width_of = block_size.sum(axis=1)
-    sampled = np.zeros(n, dtype=bool)
-    sampled[sample] = True
-    sampled = sampled[order]
-    # a grid candidate costs several dense entries, so rows whose block
-    # holds over a quarter of all points are searched against all points;
-    # this also keeps a chunk's candidates below half a dense block's
-    wide = width_of[cell_of] > n // 4
-    rest = [order[~sampled & wide]]
-    on_grid = ~(sampled | wide)
-    grid_rows, grid_cells = order[on_grid], cell_of[on_grid]
-    cols = [np.ascontiguousarray(pts[:, c]) for c in range(3)]
-
-    for r0 in range(0, grid_rows.size, CHUNK):
-        # rows in cell order, so that a chunk's rows share most candidates
-        rows, cells = grid_rows[r0 : r0 + CHUNK], grid_cells[r0 : r0 + CHUNK]
-        size, per_row = block_size[cells].ravel(), width_of[cells]
-        width = max(per_row.max(), k)  # partition needs k columns
-        # each row's candidates, cell after cell, and their flat slots in a
-        # (rows, width) matrix padded with infinite lengths
-        pos = np.repeat(block_first[cells].ravel() - (np.cumsum(size) - size), size)
-        pos += np.arange(pos.size)
-        slot = np.repeat(np.arange(rows.size) * width - (np.cumsum(per_row) - per_row), per_row)
-        slot += np.arange(slot.size)
-        i, j = np.repeat(rows, per_row), order[pos]
-        dij = np.empty(i.size)
-        squared_lengths([c[i] for c in cols], [c[j] for c in cols], dij, np.empty(i.size))
-        np.sqrt(dij, out=dij)
-        dij[i == j] = np.inf
-        d = np.full((rows.size, width), np.inf)
-        cand = np.zeros((rows.size, width), dtype=np.intp)
-        d.ravel()[slot] = dij
-        cand.ravel()[slot] = j
-        sel, kth = _select(d, cand, k)
-        sure = kth < reach
-        r, c = np.nonzero(sel & sure[:, None])
-        src.append(rows[r])
-        dst.append(cand[r, c])
-        length.append(d[r, c])
-        rest.append(rows[~sure])
+    order, cell_of, runs = _grid(pts, h)
+    # the positions in order of the rows left, in cell order
+    at = np.flatnonzero(np.isin(order, sample, invert=True))
+    # coordinates, and a padding point n that measures +inf from every point
+    cols = [np.r_[pts[:, c], np.inf] for c in range(3)]
+    rest = []
+    for r, reach_r in zip(RADII, reach):
+        cells, local = np.unique(cell_of[at], return_inverse=True)
+        start, stop = runs(cells, r)
+        width = (stop - start).sum(axis=1)[local]
+        # a grid candidate costs several dense entries, so rows whose block
+        # holds over a quarter of all points are searched against all points
+        wide = width > n // 4
+        rest.append(order[at[wide]])
+        at, local, width = at[~wide], local[~wide], np.maximum(width[~wide], k)
+        unsure = []
+        c0 = 0
+        while c0 < at.size:
+            # rows in cell order, so that about five rows share each cell, and
+            # as many as keep the padded candidate matrix within CHUNK * n entries
+            widest = np.maximum.accumulate(width[c0:])
+            fit = np.searchsorted(widest * np.arange(1, widest.size + 1), CHUNK * n, side="right")
+            c1 = c0 + max(1, int(fit))
+            rows = order[at[c0:c1]]
+            own, row_cell = np.unique(local[c0:c1], return_inverse=True)
+            cand = _candidates(order, start[own], stop[own], k)[row_cell]
+            d, tmp = np.empty(cand.shape), np.empty(cand.shape)
+            # the candidates' coordinates are gathered one axis at a time
+            squared_lengths([c[rows, None] for c in cols], (c[cand] for c in cols), d, tmp)
+            np.sqrt(d, out=d)
+            d[cand == rows[:, None]] = np.inf  # self is never its own neighbour
+            sel, kth = _select(d, cand, k)
+            sure = kth < reach_r
+            i, j = np.nonzero(sel & sure[:, None])
+            src.append(rows[i])
+            dst.append(cand[i, j])
+            length.append(d[i, j])
+            unsure.append(at[c0:c1][~sure])
+            c0 = c1
+        at = np.concatenate(unsure) if unsure else at
+    rest.append(order[at])
 
     rest = np.concatenate(rest)
     for b0 in range(0, rest.size, BLOCK):

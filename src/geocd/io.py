@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
+from itertools import chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -63,27 +64,43 @@ def write_cloud(cloud: PointCloud, path, fmt: str = FORMAT_XYZ) -> None:
 
 
 def _read_xyz(path: Path) -> PointCloud:
-    rows = []
+    # the file iterator's lines: newlines translated, split on "\n" alone
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split()
-            if len(tokens) != 3:
-                raise ParseError(
-                    f"expected 3 coordinates, got {len(tokens)}", path=path, line=lineno
-                )
-            try:
-                xyz = [float(t) for t in tokens]
-            except ValueError:
-                raise ParseError("non-numeric coordinate", path=path, line=lineno) from None
-            if not all(map(math.isfinite, xyz)):
-                raise ParseError("non-finite coordinate", path=path, line=lineno)
-            rows.append(xyz)
-    if not rows:
+        lines = fh.read().split("\n")
+    fields = list(map(str.split, lines))
+    count = np.fromiter(map(len, fields), np.intp, len(fields))
+    comment = np.fromiter(map(str.startswith, map(str.lstrip, lines), repeat("#")), bool, len(lines))
+    record = (count > 0) & ~comment
+    if not record.any():
         raise EmptyFileError(f"{path}: no point records")
-    return PointCloud(np.array(rows, dtype=np.float64))
+    try:
+        if (count[record] != 3).any():
+            raise ValueError
+        # every token in one pass, by Python's float
+        xyz = np.fromiter(map(float, chain.from_iterable(compress(fields, record))), np.float64)
+        if not np.isfinite(xyz).all():
+            raise ValueError
+    except ValueError:
+        _raise_first_fault(path, lines)
+    return PointCloud(xyz.reshape(-1, 3))
+
+
+def _raise_first_fault(path: Path, lines: list[str]) -> None:
+    """Raise the ParseError of the first faulty record line."""
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 3:
+            raise ParseError(f"expected 3 coordinates, got {len(tokens)}", path=path, line=lineno)
+        try:
+            xyz = [float(t) for t in tokens]
+        except ValueError:
+            raise ParseError("non-numeric coordinate", path=path, line=lineno) from None
+        if not all(map(math.isfinite, xyz)):
+            raise ParseError("non-finite coordinate", path=path, line=lineno)
+    raise AssertionError("no faulty line found")
 
 
 def _read_binary(path: Path) -> PointCloud:

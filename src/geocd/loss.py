@@ -54,8 +54,9 @@ def softmin(row) -> float:
     return m - float(np.log(np.exp(-(row - m)).sum()))
 
 
-def _softmin_rows(rows, d, width) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise softmin values, and the softmax(-d) weight of every real entry.
+def _softmin_rows(rows, d, width) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise softmin values, the softmax(-d) weight of every real entry,
+    and each row's weight on its sentinel entries.
 
     Row r has ``width[r]`` entries; the ones not listed in (``rows``, ``d``)
     hold the sentinel and join the row's sum in closed form.
@@ -63,8 +64,9 @@ def _softmin_rows(rows, d, width) -> tuple[np.ndarray, np.ndarray]:
     m = row_min(rows, d, width)
     w = np.exp(-(d - m[rows]))
     missing = width - np.bincount(rows, minlength=width.size)
-    s = np.bincount(rows, weights=w, minlength=width.size) + missing * np.exp(-(SENTINEL - m))
-    return m - np.log(s), w / s[rows]
+    sentinel = missing * np.exp(-(SENTINEL - m))
+    s = np.bincount(rows, weights=w, minlength=width.size) + sentinel
+    return m - np.log(s), w / s[rows], sentinel / s
 
 
 def _scatter(index: np.ndarray, vectors: np.ndarray, size: int) -> np.ndarray:
@@ -117,13 +119,16 @@ def geocd(
     t2 = time.perf_counter()
 
     src, dst, d = geo.cross()
-    v, w = _softmin_rows(src, d, cross_width(z))
+    v, w, on_sentinel = _softmin_rows(src, d, cross_width(z))
     n, m = z.n_pred, z.n_gt
     value = float(v[:n].mean() + v[n:].mean())
 
     total = 2 * n * m  # cross entries; the unlisted ones hold the sentinel
     diagnostics = {
         "sentinel_fraction": (total - d.size) / total,
+        # the share of the loss's softmin weight, rows weighted 1/n and 1/m,
+        # that sits on gradient-free sentinel entries
+        "sentinel_mass": float(on_sentinel[:n].mean() + on_sentinel[n:].mean()) / 2,
         "masked_fraction": geo.masked_per_hop[-1] if geo.masked_per_hop else 0.0,
         "hops_used": geo.hops_used,
         "hop_entries": geo.hop_entries,

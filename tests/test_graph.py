@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geocd import KTooLargeError, PointCloud, knn_adjacency, merge
+from geocd import KTooLargeError, PointCloud, ShapeSpec, knn_adjacency, merge
+from geocd import noisy_copy, normalize_pair, sample_shape
 from geocd import graph
 from conftest import random_cloud
 
@@ -182,24 +183,36 @@ def grid_case(name):
         return rng.random((graph.BLOCK, 3))
     if name == "volume":  # k-th lengths all over, some just below the reach
         return rng.random((700, 3))
+    if name == "sparse":
+        # a fine grid and a twice coarser one side by side on a plane: the
+        # coarse grid's k-th lengths lie beyond the 3x3x3 block's reach but
+        # within the 5x5x5 block's, so only the second pass certifies them
+        fine = np.stack(np.meshgrid(np.arange(24), np.arange(24)), -1).reshape(-1, 2)
+        coarse = 2 * np.stack(np.meshgrid(np.arange(4), np.arange(8)), -1).reshape(-1, 2) + [25, 0]
+        p = np.vstack([fine, coarse]) + 0.1 * rng.random((608, 2))
+        return np.c_[p / 40, np.full(608, 0.25)][rng.permutation(608)]
     return rng.integers(0, 12, (700, 3)) / 16.0  # chunks: lattice ties over two grid chunks
 
 
 @pytest.mark.parametrize(
-    "name", "outlier identical collinear coplanar underflow tiny block volume chunks".split()
+    "name", "outlier identical collinear coplanar underflow tiny block volume sparse chunks".split()
 )
 def test_grid_matches_dense_reference(name, monkeypatch):
     pts = grid_case(name)
     n = len(pts)
     z = merge(PointCloud(pts[: n // 2]), PointCloud(pts[n // 2 :]))
-    dense_rows, grid_chunks = [], []
+    dense_rows, grid_rows = [], []  # rows of every dense call and of every grid chunk
     real, select = graph.pairwise_distances, graph._select
     monkeypatch.setattr(
         graph, "pairwise_distances", lambda a, b: dense_rows.append(len(a)) or real(a, b)
     )
-    monkeypatch.setattr(
-        graph, "_select", lambda d, cols, k: grid_chunks.append(cols.ndim == 2) or select(d, cols, k)
-    )
+
+    def counted_select(d, cols, k):
+        if cols.ndim == 2:  # a grid chunk; the dense pass passes one row of point indices
+            grid_rows.append(len(d))
+        return select(d, cols, k)
+
+    monkeypatch.setattr(graph, "_select", counted_select)
     if n <= graph.BLOCK:  # the dense sample is every row: no grid to build
 
         def no_grid(*_):
@@ -207,42 +220,70 @@ def test_grid_matches_dense_reference(name, monkeypatch):
 
         monkeypatch.setattr(graph, "_cell_edge", no_grid)
         monkeypatch.setattr(graph, "_grid", no_grid)
-    builds = 0
+    builds = []  # k, and the rows of the build's dense calls and grid chunks
     for k in sorted({1, 3, 8, n - 1} & set(range(1, n))):  # n - 1: n < k + 2
         for symmetrize in (False, True):
             ref, d = stable_sort_knn_mask(z.points, k, symmetrize)
+            dense_rows.clear()
+            grid_rows.clear()
             adj = knn_adjacency(z, k, symmetrize=symmetrize)
-            builds += 1
+            builds.append((k, dense_rows[:], grid_rows[:]))
             assert np.array_equal(np.c_[np.divmod(adj.key, z.size)], np.argwhere(ref))
             assert np.array_equal(adj.dist, d[ref])
     if name == "outlier":  # one dense call per build sizes the cells; the rest are fallbacks
-        assert len(dense_rows) > builds
+        assert sum(len(dense) for _, dense, _ in builds) > len(builds)
     if name in ("volume", "chunks"):
-        assert sum(grid_chunks) > 2 * builds
+        assert sum(len(grid) for _, _, grid in builds) > 2 * len(builds)
+    if name == "sparse":
+        # every grid row takes the first pass, so the excess took the second,
+        # and no row but the sample's reached the dense pass
+        sample = len(range(0, n, -(-n // graph.BLOCK)))
+        for k, dense, grid in builds:
+            if k < n - 1:  # at k = n - 1 every block is too wide
+                assert sum(grid) > n - sample
+                assert dense == [sample]
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
 def test_grid_reach_bounds_every_point_outside_the_block(offset):
-    # the certificate: a point outside a row's 3x3x3 block of cells has a
-    # computed length above ``reach``; a large offset adds rounding to the
-    # cell coordinates
+    # the certificate: a point outside a row's (2r+1)^3 block of cells has a
+    # computed length above that pass's reach; a large offset adds rounding
+    # to the cell coordinates
     pts = np.random.default_rng(5).random((400, 3)) + offset
     _, d = stable_sort_knn_mask(pts, 1, False)
     np.fill_diagonal(d, 0.0)
     kth = np.sort(d, axis=1)[::7, 3]  # every 7th row's 3rd neighbour; column 0 is the row
     h, reach = graph._cell_edge(pts, kth)
-    order, cell_of, block_first, block_size = graph._grid(pts, h)
-    closest = np.inf
-    for at, row in enumerate(order):
-        c = cell_of[at]
-        inside = np.zeros(len(pts), dtype=bool)
-        for first, size in zip(block_first[c], block_size[c]):
-            inside[order[first : first + size]] = True
-        assert inside[row]
-        outside = d[row][~inside]
-        assert (outside > reach).all()
-        closest = min(closest, outside.min(initial=np.inf))
-    assert closest < 1.5 * h  # some outside points lie just beyond the block
+    order, cell_of, runs = graph._grid(pts, h)
+    cell = np.floor((pts - pts.min(axis=0)) / h)
+    assert graph.RADII == (1, 2)
+    for r, reach_r in zip(graph.RADII, reach):
+        start, stop = runs(np.arange(cell_of[-1] + 1), r)
+        closest = np.inf
+        for at, row in enumerate(order):
+            c = cell_of[at]
+            inside = np.zeros(len(pts), dtype=bool)
+            for first, last in zip(start[c], stop[c]):
+                inside[order[first:last]] = True
+            # the runs hold exactly the points within r cells along every axis
+            assert np.array_equal(inside, (np.abs(cell - cell[row]) <= r).all(axis=1))
+            outside = d[row][~inside]
+            assert (outside > reach_r).all()
+            closest = min(closest, outside.min(initial=np.inf))
+        assert closest < (r + 0.5) * h  # some outside points lie just beyond the block
+
+
+def test_grid_matches_dense_reference_on_a_surface_pair():
+    # train-step's setting: 1024 + 1024 points of a noisy surface pair
+    gt = sample_shape(ShapeSpec("hemisphere", 1024, seed=3))
+    pred, gt, _ = normalize_pair(noisy_copy(gt, 0.02, 4), gt)
+    z = merge(pred, gt)
+    for k in (5, 8):
+        directed, d = stable_sort_knn_mask(z.points, k, False)
+        for ref, symmetrize in ((directed, False), (directed | directed.T, True)):
+            adj = knn_adjacency(z, k, symmetrize=symmetrize)
+            assert np.array_equal(np.c_[np.divmod(adj.key, z.size)], np.argwhere(ref))
+            assert np.array_equal(adj.dist, d[ref])
 
 
 def test_knn_memory_stays_below_dense(rng):

@@ -48,6 +48,25 @@ def test_xyz_non_finite(tmp_path):
         assert exc.value.line == 4
 
 
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("0 0 0\n1 2\n1 x 3\nnan 1 1\n", 2, "expected 3 coordinates, got 2"),
+        ("0 0 0\n1 x 3\n1 2\nnan 1 1\n", 2, "non-numeric coordinate"),
+        ("# c\n\nnan 1 1\n1 x 3\n1 2\n", 3, "non-finite coordinate"),
+        ("0 0 0\n1 2 3 # note\n", 2, "expected 3 coordinates, got 5"),  # no inline comments
+        ("0 0 0\r1 2 3\r\n4 5 x\n", 3, "non-numeric coordinate"),  # \r and \r\n end lines
+        ("0 0 0\x0b1 2 3\n", 1, "expected 3 coordinates, got 6"),  # \x0b does not
+    ],
+)
+def test_xyz_reports_the_first_faulty_line(tmp_path, text, line, message):
+    f = tmp_path / "bad.xyz"
+    f.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError, match=message) as exc:
+        read_cloud(f)
+    assert exc.value.line == line
+
+
 def test_xyz_byte_order_mark(tmp_path):
     text = "# header\n0.5 0.25 -1\n1 2 3\n"
     plain, bom = tmp_path / "plain.xyz", tmp_path / "bom.xyz"

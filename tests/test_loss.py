@@ -6,17 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geocd import (
+    FitConfig,
     GeoCdConfig,
     KTooLargeError,
     MaskConfig,
     PointCloud,
+    ShapeSpec,
     chamfer,
     finite_diff_grad,
     geocd,
     knn_adjacency,
     merge,
+    noisy_copy,
     normalize_pair,
     propagate,
+    sample_shape,
     softmin,
 )
 from geocd.distances import nearest
@@ -192,6 +196,38 @@ def test_geocd_value_matches_dense_softmin():
                 assert abs(geocd(pred, gt, cfg).value - expected) <= 1e-12
 
 
+def test_sentinel_mass_matches_dense_softmax_weights():
+    # the share of softmax(-d) weight on the entries no walk reached, each
+    # cloud's rows averaged, then the two clouds
+    for seed in range(3):
+        pred, gt = random_normalized_pair(np.random.default_rng(seed), 14, 11)
+        z = merge(pred, gt)
+        n = z.n_pred
+        for k in (1, 3):
+            cfg = GeoCdConfig(k=k, n_hops=2)
+            geo = propagate(z, knn_adjacency(z, k), cfg.n_hops)
+            real = np.zeros((z.size, z.size), dtype=bool)
+            real.flat[geo.hops[-1].key] = True
+            d = geo.dense()
+            share = []
+            for rows, cols in ((slice(None, n), slice(n, None)), (slice(n, None), slice(None, n))):
+                w = np.exp(-(d[rows, cols] - d[rows, cols].min(axis=1, keepdims=True)))
+                share.append(((w * ~real[rows, cols]).sum(axis=1) / w.sum(axis=1)).mean())
+            mass = geocd(pred, gt, cfg).diagnostics["sentinel_mass"]
+            assert 0.0 < mass < 1.0
+            assert mass == pytest.approx(np.mean(share), rel=1e-12)
+        # a complete graph reaches every cross entry: no weight on the sentinel
+        assert geocd(pred, gt, GeoCdConfig(k=z.size - 1)).diagnostics["sentinel_mass"] == 0.0
+
+
+def test_sentinel_mass_dominates_a_training_start_pair():
+    # criterion 8's start pair at the training configuration: most of the
+    # softmin weight sits on gradient-free sentinel entries
+    gt_raw = sample_shape(ShapeSpec("hemisphere", 512, seed=42))
+    init, gt, _ = normalize_pair(noisy_copy(gt_raw, 0.05, seed=43), gt_raw)
+    assert geocd(init, gt, FitConfig().geo).diagnostics["sentinel_mass"] > 0.9
+
+
 def test_geocd_value_symmetry(rng):
     pred, gt = random_normalized_pair(rng, 14, 9)
     cfg = GeoCdConfig(k=4, n_hops=2)
@@ -314,7 +350,7 @@ def test_geocd_grad_matches_batched_scatter():
         adj = knn_adjacency(z, cfg.k, cfg.symmetrize)
         geo = propagate(z, adj, cfg.n_hops, cfg.mask)
         src, dst, d = geo.cross()
-        _, w = _softmin_rows(src, d, cross_width(z))
+        _, w, _ = _softmin_rows(src, d, cross_width(z))
         weights = w / np.where(src < n, n, m)
         ref, ref_degenerate = batched_path_gradients(geo, src, dst, weights)
         got = np.vstack([rep.grad_pred, rep.grad_gt])
