@@ -24,7 +24,10 @@ copy of the target or a separate sample of another size, 1-8 Chamfer steps
 and 0-3 GeoCD steps, the mask on or off. Fit 12 has 512 points per cloud,
 the default fit's size. Fit 13 overflows in the Chamfer phase and aborts
 there, fit 14 throws its points out of the unit box so that the first GeoCD
-step raises ``NormalizationError``, and fit 15 runs no Chamfer step. A fit
+step raises ``NormalizationError``, and fit 15 runs no Chamfer step. Fit 16
+is the default fit, ``FitConfig()`` on a 512-point hemisphere and its noisy
+copy: 200 Chamfer steps and 20 GeoCD steps, each Chamfer step moving the
+prediction a little against the same target. A fit
 record holds sha256 digests of every ``FitStep`` field, of the final
 points' bytes and of the ``final`` dict, and the aborted phase.
 A fit that takes a GeoCD step passes its gradients through ``np.exp`` into
@@ -62,8 +65,8 @@ SEEDS = range(212)
 KINDS = ("random", "lattice", "duplicate", "raw")
 SURFACES = range(200, 212)
 OUTLIER_SEED, OFFSET_SEED = 210, 211
-FIT_SEEDS = range(16)
-FIT_LARGE, FIT_OVERFLOW, FIT_UNIT_BOX, FIT_NO_CD = 12, 13, 14, 15
+FIT_SEEDS = range(17)
+FIT_LARGE, FIT_OVERFLOW, FIT_UNIT_BOX, FIT_NO_CD, FIT_DEFAULT = 12, 13, 14, 15, 16
 
 
 def _digest(*arrays) -> str:
@@ -194,8 +197,29 @@ def record(seed: int) -> dict:
     return out
 
 
+def _default_fit_instance(seed: int) -> tuple[dict, PointCloud, PointCloud, FitConfig]:
+    cfg = FitConfig()
+    spec = {
+        "shape": "hemisphere",
+        "n": 512,
+        "m": 512,
+        "steps_cd": cfg.steps_cd,
+        "steps_geocd": cfg.steps_geocd,
+        "lr": cfg.lr,
+        "k": cfg.geo.k,
+        "hops": cfg.geo.n_hops,
+        "mask": cfg.geo.mask.enabled,
+        "tau": cfg.tau_fraction,
+    }
+    gt = sample_shape(ShapeSpec("hemisphere", 512, seed=seed))
+    init, gt, _ = normalize_pair(noisy_copy(gt, 0.05, seed + 1), gt)
+    return spec, init, gt, cfg
+
+
 def fit_instance(seed: int) -> tuple[dict, PointCloud, PointCloud, FitConfig]:
     """The spec, the initial guess, the target and the config of one fit."""
+    if seed == FIT_DEFAULT:
+        return _default_fit_instance(seed)
     rng = np.random.default_rng(10_000 + seed)
     shape = SHAPE_KINDS[seed % len(SHAPE_KINDS)]
     n, m = (int(2.0**v) for v in rng.uniform(4.0, 9.0, 2))  # log-uniform, 16-511
