@@ -252,6 +252,9 @@ def cmd_fit(args) -> int:
     manifest = {
         "manifest": _manifest("fit", args, config, timings, seed=args.seed),
         "final": trace.final,
+        # per phase, and "final": the share of nearest-neighbour rows the
+        # fit's tracker searched in full
+        "full_search_share": {k: full / asked for k, (full, asked) in trace.search_rows.items()},
         "aborted": trace.aborted,
         "outputs": {
             "trace": str(out_dir / "trace.csv"),

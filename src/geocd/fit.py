@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
+from .distances import NearestTracker
 from .errors import GeoCdError, NormalizationError
 from .geodesic import MaskConfig
 from .loss import GeoCdConfig, chamfer, geocd
@@ -76,6 +77,9 @@ class FitTrace:
     # phase -> seconds of each step that reached its Adam update, from the
     # loss call to the end of the update
     step_seconds: dict[str, list[float]] = field(default_factory=dict)
+    # phase, or "final" for the final report -> (rows the fit's nearest-
+    # neighbour tracker searched in full, rows asked for)
+    search_rows: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 class Adam:
@@ -162,19 +166,24 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
     aborted = None
 
     tau = f1_threshold(pred_init, gt, cfg.tau_fraction)  # depends on gt alone
+    # every search of the fit is against gt, by points that move a little
+    search = NearestTracker()
+    search_rows: dict[str, tuple[int, int]] = {}
 
     def cd_step(cloud):
         # the metrics come from the loss's own nearest-neighbour pass
-        rep = chamfer(cloud, gt, with_grad=True)
+        rep = chamfer(cloud, gt, with_grad=True, search=search)
         return rep, report_from_pass(rep.diagnostics["sq_pred"], rep.diagnostics["sq_gt"], tau)
 
     def geocd_step(cloud):
-        return geocd(cloud, gt, cfg.geo, with_grad=True), evaluate(cloud, gt, cfg.tau_fraction)
+        rep = geocd(cloud, gt, cfg.geo, with_grad=True)
+        return rep, evaluate(cloud, gt, cfg.tau_fraction, search=search)
 
     phases = (("cd", cfg.steps_cd, cd_step), ("geocd", cfg.steps_geocd, geocd_step))
     for phase, n_steps, step_fn in phases:
         if aborted:
             break
+        search.rows_searched = search.rows_asked = 0
         adam = Adam(params.shape, cfg.lr)
         for s in range(n_steps):
             cloud = PointCloud(params)
@@ -190,9 +199,13 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
                 break
             params = adam.step(params, rep.grad_pred)
             step_seconds.setdefault(phase, []).append(time.perf_counter() - t0)
+        if search.rows_asked:
+            search_rows[phase] = (search.rows_searched, search.rows_asked)
 
     final_cloud = PointCloud(params)
-    met = evaluate(final_cloud, gt, cfg.tau_fraction)
+    search.rows_searched = search.rows_asked = 0
+    met = evaluate(final_cloud, gt, cfg.tau_fraction, search=search)
+    search_rows["final"] = (search.rows_searched, search.rows_asked)
     try:
         geocd_loss = geocd(final_cloud, gt, cfg.geo).value
     except GeoCdError:
@@ -212,4 +225,4 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
         "chamfer_loss": clean(met.cd),  # equal to chamfer(final_cloud, gt).value
         "geocd_loss": clean(geocd_loss),
     }
-    return FitTrace(steps, final_cloud, final, aborted, step_seconds)
+    return FitTrace(steps, final_cloud, final, aborted, step_seconds, search_rows)

@@ -74,7 +74,7 @@ def _scatter(index: np.ndarray, vectors: np.ndarray, size: int) -> np.ndarray:
     return np.column_stack([np.bincount(index, c, size) for c in vectors.T])
 
 
-def chamfer(pred: PointCloud, gt: PointCloud, with_grad: bool = False) -> LossReport:
+def chamfer(pred: PointCloud, gt: PointCloud, with_grad: bool = False, search=None) -> LossReport:
     """Symmetric mean of squared nearest-neighbour distances.
 
     Nearest-neighbour ties break toward the lower index. The ``pred``
@@ -82,10 +82,12 @@ def chamfer(pred: PointCloud, gt: PointCloud, with_grad: bool = False) -> LossRe
     hold the squared nearest distances of the pass, ``sq_pred`` (from each
     predicted point) and ``sq_gt`` (from each target point), from which
     ``metrics.report_from_pass`` reads the metrics without a second pass.
+    ``search`` is the nearest-neighbour search, ``nearest`` by default, or a
+    ``NearestTracker`` that returns the same.
     """
     p, q = pred.points, gt.points
     n, m = p.shape[0], q.shape[0]
-    j_star, sq_p, i_star, sq_q = nearest(p, q)
+    j_star, sq_p, i_star, sq_q = (search or nearest)(p, q)
     value = float(sq_p.mean() + sq_q.mean())
 
     grad_pred = None
@@ -130,12 +132,16 @@ def geocd(
         # that sits on gradient-free sentinel entries
         "sentinel_mass": float(on_sentinel[:n].mean() + on_sentinel[n:].mean()) / 2,
         "masked_fraction": geo.masked_per_hop[-1] if geo.masked_per_hop else 0.0,
+        "masked_per_hop": geo.masked_per_hop,
+        "max_real_weight": float(w.max()) if w.size else 0.0,
+        "cross_per_row": d.size / (n + m),
         "hops_used": geo.hops_used,
         "hop_entries": geo.hop_entries,
         "improved_per_hop": geo.improved_per_hop,
         "mean_cross_distance": float((d.sum() + (total - d.size) * SENTINEL) / total),
         "mask_threshold": geo.mask_threshold,
         "degenerate_edges": 0,
+        "grad_norm": None,
     }
 
     t3 = time.perf_counter()
@@ -145,6 +151,7 @@ def geocd(
         grad, degenerate = _path_gradients(geo, src, dst, w / np.where(src < n, n, m))
         grad_pred, grad_gt = grad[:n], (grad[n:] if with_gt_grad else None)
         diagnostics["degenerate_edges"] = degenerate
+        diagnostics["grad_norm"] = float(np.linalg.norm(grad_pred))
         gradient_s = time.perf_counter() - t3
     diagnostics["timings"] = {
         "graph": t1 - t0,

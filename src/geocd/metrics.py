@@ -60,10 +60,14 @@ def evaluate(
     gt: PointCloud,
     tau_fraction: float = 0.01,
     diag_source: str = "gt",
+    search=None,
 ) -> MetricsReport:
-    """Chamfer + Hausdorff + F1 in one report, from one nearest-neighbour pass."""
+    """Chamfer + Hausdorff + F1 in one report, from one nearest-neighbour pass.
+
+    ``search`` is the pass, ``nearest`` by default (see ``loss.chamfer``).
+    """
     tau = f1_threshold(pred, gt, tau_fraction, diag_source)
-    _, sq_p, _, sq_q = nearest(pred.points, gt.points)
+    _, sq_p, _, sq_q = (search or nearest)(pred.points, gt.points)
     return report_from_pass(sq_p, sq_q, tau)
 
 

@@ -278,6 +278,29 @@ def test_compute_reports_per_hop_counts(small_pair, capsys, schema):
     assert diagnostics["improved_per_hop"] == geo.improved_per_hop
 
 
+def test_compute_reports_the_weight_and_frozen_row_diagnostics(small_pair, capsys, schema):
+    a, b = small_pair
+    argv = ["compute", str(a), str(b), "--k", "3", "--hops", "3", "--mask"]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    validate(report, schema, "compute_report")
+    diagnostics = report["geocd"]["diagnostics"]
+    assert len(diagnostics["masked_per_hop"]) == 2
+    assert diagnostics["masked_per_hop"][-1] == diagnostics["masked_fraction"]
+    assert 0.0 < diagnostics["max_real_weight"] <= 1.0
+    assert diagnostics["cross_per_row"] > 0.0
+    assert diagnostics["grad_norm"] is None  # compute takes no gradient
+    # each of them is required, and a gradient's norm is a number
+    def with_diagnostics(d):
+        return {**report, "geocd": {**report["geocd"], "diagnostics": d}}
+
+    for key in ("masked_per_hop", "max_real_weight", "cross_per_row", "grad_norm"):
+        missing = {k: v for k, v in diagnostics.items() if k != key}
+        with pytest.raises(jsonschema.ValidationError):
+            validate(with_diagnostics(missing), schema, "compute_report")
+    validate(with_diagnostics({**diagnostics, "grad_norm": 0.25}), schema, "compute_report")
+
+
 def test_compute_beyond_the_merged_size_limit_exits_3(small_pair, capsys, monkeypatch):
     a, b = small_pair
     monkeypatch.setattr(geodesic, "MAX_POINTS", 40)  # the pair merges 44 points
@@ -361,6 +384,30 @@ def test_fit_manifest_step_seconds(tmp_path, schema, steps_cd, steps_geocd, keys
     timings = manifest["manifest"]["timings"]
     assert set(timings) == {"total"} | keys
     assert all(0.0 < timings[key] < timings["total"] for key in keys)
+
+
+@pytest.mark.parametrize(
+    "steps_cd, steps_geocd, keys",
+    [("4", "2", {"cd", "geocd", "final"}), ("3", "0", {"cd", "final"}), ("0", "0", {"final"})],
+)
+def test_fit_manifest_full_search_share(tmp_path, schema, steps_cd, steps_geocd, keys):
+    out = tmp_path / "run"
+    argv = [
+        "fit", "--target", "sphere", "--n-points", "24", "--k", "3",
+        "--steps-cd", steps_cd, "--steps-geocd", steps_geocd,
+        "--out-dir", str(out), "--quiet",
+    ]
+    assert main(argv) == 0
+    manifest = strict_json((out / "manifest.json").read_text())
+    validate(manifest, schema, "fit_manifest")
+    share = manifest["full_search_share"]
+    assert set(share) == keys
+    assert all(0.0 <= v <= 1.0 for v in share.values())
+    if keys == {"final"}:  # the fit's only search is its first: every row
+        assert share["final"] == 1.0
+    manifest.pop("full_search_share")
+    with pytest.raises(jsonschema.ValidationError):
+        validate(manifest, schema, "fit_manifest")
 
 
 def test_fit_abort_raises_no_overflow_warning(tmp_path):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geocd.distances import nearest, pairwise_distances
+from geocd import distances
+from geocd.distances import NearestTracker, nearest, pairwise_distances
 
 
 def dense_squared(p, q):
@@ -40,3 +43,158 @@ def test_nearest_ties_go_to_lower_index_across_row_blocks():
     j, sq_p, i, sq_q = nearest(p, q)
     assert (i[0], sq_q[0]) == (5, 0.0)
     assert (j[3], sq_p[3]) == (7, 0.0)
+
+
+# ---------------------------------------------------------------- tracker
+
+
+def tracker_cloud(kind, rng, n):
+    if kind == "lattice":  # equal distances: ties in both directions
+        return rng.integers(0, 3, (n, 3)) * 0.5
+    if kind == "duplicate":
+        p = rng.random((n, 3))
+        p[rng.integers(0, n, n // 2 + 1)] = p[0]
+        return p
+    if kind == "one":
+        return rng.random((1, 3))
+    return rng.random((n, 3))
+
+
+def move(kind, rng, p):
+    if kind == "sub-gap":
+        return p + rng.normal(scale=10.0 ** -rng.integers(3, 12), size=p.shape)
+    if kind == "jump":
+        return p + rng.normal(scale=0.3, size=p.shape)
+    if kind == "one point":
+        p = p.copy()
+        p[rng.integers(len(p))] = rng.random(3)
+        return p
+    if kind == "lattice":  # stays on the lattice, so ties stay exact
+        return p + rng.integers(-1, 2, p.shape) * 0.5
+    return p.copy()  # zero move
+
+
+def assert_same(got, want):
+    """The same four arrays, bit for bit."""
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+CLOUDS = ("random", "lattice", "duplicate", "one")
+MOVES = ("zero", "sub-gap", "jump", "one point", "lattice")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kinds=st.tuples(st.sampled_from(CLOUDS), st.sampled_from(CLOUDS)),
+    n=st.integers(1, 90),
+    m=st.integers(1, 90),
+    seed=st.integers(0, 2**32 - 1),
+    moves=st.lists(st.sampled_from(MOVES), max_size=10),
+)
+def test_tracker_returns_what_nearest_returns(kinds, n, m, seed, moves):
+    rng = np.random.default_rng(seed)
+    p, q = tracker_cloud(kinds[0], rng, n), tracker_cloud(kinds[1], rng, m)
+    track = NearestTracker()
+    assert_same(track(p, q), nearest(p, q))
+    for kind in moves:
+        p = move(kind, rng, p)
+        assert_same(track(p, q), nearest(p, q))
+    assert 0 < track.rows_searched <= track.rows_asked == (1 + len(moves)) * (len(p) + len(q))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_tracker_follows_moves_of_a_few_ulps_across_a_tie(seed):
+    # p[r] starts a few ulps from the midpoint of q[2r] and q[2r + 1], on
+    # the line between them, and steps across it toward q[2r] by a few ulps
+    # per call: the bound of the triangle inequality is tight along the
+    # line, so only the certificate's slack covers the rounding
+    rng = np.random.default_rng(seed)
+    k, ulp = 256, 2.0**-52
+    e = rng.normal(size=(k, 3))
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    mid, half = rng.random((k, 3)), rng.uniform(0.01, 0.3, (k, 1))
+    q = np.empty((2 * k, 3))
+    q[0::2], q[1::2] = mid + half * e, mid - half * e
+    p = mid - rng.integers(1, 40, (k, 1)) * ulp * e
+    step = rng.integers(1, 4, (k, 1)) * ulp * rng.choice([0.25, 0.5, 1.0, 2.0], (k, 1)) * e
+    track = NearestTracker()
+    for _ in range(8):
+        assert_same(track(p, q), nearest(p, q))
+        p = p + step
+
+
+def test_tracker_searches_only_the_rows_that_may_have_changed(monkeypatch):
+    rng = np.random.default_rng(5)
+    p, q = rng.random((50, 3)), rng.random((70, 3))
+    searched = []
+
+    def recording(a, b):
+        searched.append(a.copy())
+        return row_search(a, b)
+
+    row_search = distances._row_search
+    monkeypatch.setattr(distances, "_row_search", recording)
+    track = NearestTracker()
+    track(p, q)
+    assert (track.rows_searched, track.rows_asked) == (120, 120)
+    # p unchanged, every nearest point unique: no row is searched again
+    assert_same(track(p.copy(), q), nearest(p, q))
+    assert track.rows_searched == 120
+    # p[7] jumps onto the q point after its nearest: only that p row is
+    # searched, and its nearest point changes
+    j = nearest(p, q)[0]
+    p[7] = q[(j[7] + 1) % 70]
+    searched.clear()
+    got = track(p, q)
+    assert_same(got, nearest(p, q))
+    assert np.array_equal(searched[0], p[[7]])
+    assert got[0][7] == (j[7] + 1) % 70
+    # another target array starts over
+    before = track.rows_searched
+    assert_same(track(p, q.copy()), nearest(p, q))
+    assert track.rows_searched - before == 120
+
+
+def test_tracker_bounds_how_far_every_point_has_moved():
+    # p[0] swings about q[0] to its other side: its length to q[0] and
+    # q[1]'s length to p[1] stay put, yet q[1] and p[0] become each
+    # other's nearest points
+    q = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    p = np.array([[-0.4, 0.0, 0.0], [1.3, 0.0, 0.0]])
+    track = NearestTracker()
+    assert_same(track(p, q), nearest(p, q))
+    p[0] = [0.4, 0.0, 0.0]
+    got = track(p, q)
+    assert_same(got, nearest(p, q))
+    assert got[0][0] == 1 and got[2][1] == 0
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_tracker_searches_every_row_at_extreme_scales(scale):
+    # squared lengths underflow to zero or subnormals at 1e-170 and overflow
+    # at 1e200: no row is certified, and every call matches nearest
+    rng = np.random.default_rng(11)
+    p, q = rng.random((30, 3)) * scale, rng.random((20, 3)) * scale
+    track = NearestTracker()
+    with np.errstate(over="ignore"):
+        for _ in range(4):
+            assert_same(track(p, q), nearest(p, q))
+            p = p + rng.normal(scale=1e-3 * scale, size=p.shape)
+    assert track.rows_searched == track.rows_asked
+
+
+def test_tracker_leaves_non_finite_coordinates_to_nearest():
+    # a nan length decides nearest's column minima block by block, which
+    # no row search reproduces: such a call is nearest's own
+    rng = np.random.default_rng(2)
+    p, q = rng.random((100, 3)), rng.random((30, 3))
+    track = NearestTracker()
+    track(p, q)
+    p[70, 1] = np.nan
+    assert_same(track(p, q), nearest(p, q))
+    p[70, 1] = 0.5
+    assert_same(track(p, q), nearest(p, q))
+    assert track.rows_searched == 3 * 130  # the nan call and the restart after it search every row

@@ -4,7 +4,7 @@ import importlib
 import numpy as np
 import pytest
 
-from geocd import GeoCdConfig, chamfer, normalize_pair
+from geocd import GeoCdConfig, chamfer, distances, normalize_pair
 from geocd.fit import (
     Adam,
     FitConfig,
@@ -142,24 +142,45 @@ def test_fit_final_chamfer_loss_is_final_cd():
 
 
 def test_fit_makes_one_nearest_pass_per_step(monkeypatch):
-    calls = []
+    tracked, dense = [], []
 
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn)
-            return fn(*args, **kwargs)
+    class Counting(distances.NearestTracker):
+        def __call__(self, p, q):
+            tracked.append(len(p))
+            return super().__call__(p, q)
 
-        return wrapper
+    def counting(*args, **kwargs):
+        dense.append(args)
+        return nearest(*args, **kwargs)
 
-    for name in ("geocd.loss", "geocd.metrics"):
-        module = importlib.import_module(name)
-        monkeypatch.setattr(module, "nearest", counting(module.nearest))
+    nearest = distances.nearest
+    monkeypatch.setattr(importlib.import_module("geocd.fit"), "NearestTracker", Counting)
+    for name in ("geocd.distances", "geocd.loss", "geocd.metrics"):
+        monkeypatch.setattr(importlib.import_module(name), "nearest", counting)
     init, gt = normalized_problem(n=40, seed=5)
     trace = fit(init, gt, FitConfig(steps_cd=7, steps_geocd=3, geo=GeoCdConfig(k=3)))
     assert trace.aborted is None and len(trace.steps) == 10
-    # one pass per Chamfer step (the loss's), one per GeoCD step (its
-    # metrics) and one for the final metrics
-    assert len(calls) == 7 + 3 + 1
+    # one search through the fit's tracker per Chamfer step (the loss's),
+    # one per GeoCD step (its metrics) and one for the final metrics; no
+    # one-pass nearest besides
+    assert len(tracked) == 7 + 3 + 1
+    assert dense == []
+
+
+def test_fit_counts_the_rows_its_tracker_searched():
+    init, gt = normalized_problem(n=48, seed=8)
+    rows = init.size + gt.size
+    trace = fit(init, gt, FitConfig(steps_cd=30, steps_geocd=2, geo=GeoCdConfig(k=3)))
+    assert set(trace.search_rows) == {"cd", "geocd", "final"}
+    assert trace.search_rows["cd"][1] == 30 * rows
+    assert trace.search_rows["geocd"][1] == 2 * rows
+    assert trace.search_rows["final"][1] == rows
+    # the first search covers every row; most later rows keep their match
+    searched, asked = trace.search_rows["cd"]
+    assert rows <= searched < asked / 2
+    # a phase that runs no step records nothing
+    trace = fit(init, gt, FitConfig(steps_cd=3, steps_geocd=0))
+    assert set(trace.search_rows) == {"cd", "final"}
 
 
 def test_fit_determinism():

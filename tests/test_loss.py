@@ -220,6 +220,56 @@ def test_sentinel_mass_matches_dense_softmax_weights():
         assert geocd(pred, gt, GeoCdConfig(k=z.size - 1)).diagnostics["sentinel_mass"] == 0.0
 
 
+def test_real_weight_and_cross_entries_match_dense_softmax_weights():
+    # the largest softmax(-d) weight on an entry a walk reached, and the
+    # mean number of such cross entries per row
+    for seed in range(3):
+        pred, gt = random_normalized_pair(np.random.default_rng(seed), 14, 11)
+        z = merge(pred, gt)
+        n = z.n_pred
+        for k in (1, 3, z.size - 1):
+            cfg = GeoCdConfig(k=k, n_hops=2)
+            geo = propagate(z, knn_adjacency(z, k), cfg.n_hops)
+            real = np.zeros((z.size, z.size), dtype=bool)
+            real.flat[geo.hops[-1].key] = True
+            d = geo.dense()
+            weights, count = [0.0], 0
+            for rows, cols in ((slice(None, n), slice(n, None)), (slice(n, None), slice(None, n))):
+                w = np.exp(-(d[rows, cols] - d[rows, cols].min(axis=1, keepdims=True)))
+                w /= w.sum(axis=1, keepdims=True)
+                weights.extend(w[real[rows, cols]])
+                count += int(real[rows, cols].sum())
+            diagnostics = geocd(pred, gt, cfg).diagnostics
+            assert diagnostics["max_real_weight"] == pytest.approx(max(weights), rel=1e-12)
+            assert diagnostics["cross_per_row"] == count / z.size
+        # k = size - 1 reaches every cross entry
+        assert diagnostics["cross_per_row"] == 2 * 14 * 11 / z.size
+
+
+def test_masked_per_hop_lists_every_hop(rng):
+    pred, gt = random_normalized_pair(rng, 30, 26)
+    z = merge(pred, gt)
+    cfg = GeoCdConfig(k=3, n_hops=4, mask=MaskConfig(enabled=True))
+    geo = propagate(z, knn_adjacency(z, cfg.k), cfg.n_hops, cfg.mask)
+    diagnostics = geocd(pred, gt, cfg).diagnostics
+    assert diagnostics["masked_per_hop"] == geo.masked_per_hop
+    assert len(geo.masked_per_hop) == cfg.n_hops - 1
+    assert diagnostics["masked_fraction"] == geo.masked_per_hop[-1]
+    # frozen rows stay frozen: the share never falls
+    assert geo.masked_per_hop == sorted(geo.masked_per_hop)
+    assert geocd(pred, gt, GeoCdConfig(k=3, n_hops=4)).diagnostics["masked_per_hop"] == []
+
+
+def test_grad_norm_is_the_prediction_gradient_norm(rng):
+    pred, gt = random_normalized_pair(rng, 14, 9)
+    cfg = GeoCdConfig(k=3, n_hops=2)
+    assert geocd(pred, gt, cfg).diagnostics["grad_norm"] is None
+    rep = geocd(pred, gt, cfg, with_grad=True, with_gt_grad=True)
+    g = rep.grad_pred
+    assert rep.diagnostics["grad_norm"] == pytest.approx(np.sqrt((g * g).sum()), rel=1e-12)
+    assert rep.diagnostics["grad_norm"] > 0.0
+
+
 def test_sentinel_mass_dominates_a_training_start_pair():
     # criterion 8's start pair at the training configuration: most of the
     # softmin weight sits on gradient-free sentinel entries
