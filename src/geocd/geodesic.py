@@ -3,15 +3,15 @@
 Hop h holds, for every ordered pair, the cost of the cheapest directed walk
 of at most h edges (sentinel entries act as genuine cost-sentinel edges).
 One hop is a (min, +) product of the previous hop with the 1-hop matrix;
-the argmin intermediate of every improvement is recorded so the winning
-walk can be rebuilt exactly, which the loss gradient needs.
+every entry records its walk's last edge, by its position in hop 1, so the
+winning walk can be rebuilt exactly, which the loss gradient needs.
 
 Each hop is stored sparsely, as one ``graph.Hop`` record of the pairs that
 hold a real walk, sorted by ``key = src * n + dst``. Every other
 off-diagonal pair holds the sentinel and the diagonal is zero. Hop 1 is the
 kNN graph's own record. Callers use ``GeoDistances.cross``, the ``dense``
 view, ``reconstruct_path`` and ``unroll``, which returns the edges of many
-recorded walks as flat arrays ``(walk, a, b)``, last first.
+recorded walks as flat arrays ``(walk, edge)``, last first.
 
 Masking freezes a point's outgoing row once its best cross-set distance
 drops below a threshold; frozen points still serve as intermediates for
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NormalizationError
-from .graph import NO_VIA, SENTINEL, Hop, MergedSet
+from .graph import SENTINEL, Hop, MergedSet
 
 SPAN = 1 << 16  # most entries and candidates that one extension range sorts at once
 MAX_POINTS = 1 << 20  # largest merged set that multi-hop propagation takes
@@ -162,7 +162,7 @@ def _extend(
     candidates (a larger row is a range of its own), each sorted by one
     packed word, local key above concatenation index; the module docstring
     derives why that word fits an int64. Each range builds its word, dist
-    and via in one buffer each, the previous entries' slice first.
+    and last edge in one buffer each, the previous entries' slice first.
     """
     n = active.size
     i, k = np.divmod(prev.key, n)
@@ -184,13 +184,13 @@ def _extend(
         edge = np.arange(cum[la], cum[lb])
         edge += np.repeat(start[la:lb] - cum[la:lb], rep)
         # One buffer per field: the previous entries, then the candidates
-        word, dist, via = np.empty(e, np.int64), np.empty(e), np.empty(e, np.int64)
+        word, dist, last = np.empty(e, np.int64), np.empty(e), np.empty(e, np.int64)
         np.subtract(prev.key[a:b], r0 * n, out=word[:m])
         np.add(np.repeat((i[ext] - r0) * n, rep), dst[edge], out=word[m:])
         dist[:m] = prev.dist[a:b]
         np.add(np.repeat(prev.dist[ext], rep), length[edge], out=dist[m:])
-        via[:m] = prev.via[a:b]
-        via[m:] = np.repeat(k[ext], rep)
+        last[:m] = prev.edge[a:b]
+        last[m:] = edge
         # Sorting (local key, concatenation index) words orders each key's
         # entries as a stable sort would: the previous entry first, then the
         # candidates by rising intermediate. The first entry at the key's
@@ -216,10 +216,10 @@ def _extend(
         # i * n + j is a multiple of n + 1 exactly when i == j
         kept = (order[first] < m) | ((gkey % (n + 1) != 0) & (gmin < SENTINEL))
         won = won[kept]
-        parts.append((gkey[kept], gmin[kept], via[won], won >= m))
+        parts.append((gkey[kept], gmin[kept], last[won], won >= m))
         r0 = r1
-    key, dist, via, improved = (np.concatenate(p) for p in zip(*parts))
-    return Hop(key, dist, via, n), improved
+    key, dist, last, improved = (np.concatenate(p) for p in zip(*parts))
+    return Hop(key, dist, last, n), improved
 
 
 def propagate(
@@ -284,7 +284,7 @@ def propagate(
 def unroll(geo: GeoDistances, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
     """Edges of the recorded walks starts[t] -> ends[t], last edge first.
 
-    Returns flat arrays (walk, a, b): walk walk[u] uses the edge a[u] -> b[u].
+    Returns flat arrays (walk, edge): walk walk[u] uses hop 1's entry edge[u].
     Group g holds the g-th last edge of every walk longer than g edges, in
     rising walk order. Every pair must hold a real walk in the last hop.
     """
@@ -293,12 +293,13 @@ def unroll(geo: GeoDistances, starts: np.ndarray, ends: np.ndarray) -> tuple[np.
     parts = []
     for hop in reversed(geo.hops):
         pos, found = hop.find(starts[idx] * n + ends)
-        # a recorded intermediate always carries a real prefix walk
+        # a walk's prefix is always a real walk of the hop before
         assert found.all(), "walk routed through a sentinel entry"
-        via = hop.via[pos]
-        direct = via == NO_VIA
-        parts.append((idx, np.where(direct, starts[idx], via), ends))
-        idx, ends = idx[~direct], via[~direct]
+        edge = hop.edge[pos]
+        parts.append((idx, edge))
+        src = geo.hops[0].key[edge] // n  # the walk goes on unless its last edge starts it
+        more = src != starts[idx]
+        idx, ends = idx[more], src[more]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -307,11 +308,15 @@ def reconstruct_path(geo: GeoDistances, i: int, j: int) -> list[int] | None:
 
     Returns the node sequence [i, ..., j] whose edge lengths sum to the
     final distance, or None when the entry is the untouched sentinel
-    constant (no walk was ever cheaper).
+    constant (no walk was ever cheaper). Raises ValueError for an index
+    outside [0, n).
     """
+    n = geo.merged.size
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"path indices ({i}, {j}) must lie in [0, {n}), the merged set's points")
     if i == j:
         return [i]
-    if not geo.hops[-1].find(i * geo.merged.size + j)[1]:
+    if not geo.hops[-1].find(i * n + j)[1]:
         return None
-    _, a, _ = unroll(geo, np.array([i]), np.array([j]))
-    return [*a[::-1].tolist(), j]
+    _, edge = unroll(geo, np.array([i]), np.array([j]))
+    return [*(geo.hops[0].key[edge[::-1]] // n).tolist(), j]

@@ -25,7 +25,6 @@ CELLS = 2**20  # most cells along an axis, so that cell ids fit an intp
 # Value of every non-neighbour entry: the bound on pairwise distances that
 # normalize_pair guarantees (the box diagonal is scaled to 1)
 SENTINEL = 1.0
-NO_VIA = -1  # entry still holds its 1-hop value (a direct edge)
 
 
 @dataclass
@@ -50,10 +49,11 @@ class MergedSet:
 class Hop:
     """The real walks of one hop over ``size`` points, sorted by ``key = src * size + dst``.
 
-    Every pair not listed holds ``SENTINEL``, and the diagonal is zero. Hop 1
+    Every pair not listed holds ``SENTINEL``, and the diagonal is zero. Each
+    entry's ``edge`` is the position in hop 1 of its walk's last edge. Hop 1
     is the directed kNN graph: each entry is an edge, its ``dist`` the edge's
-    Euclidean length and its ``via`` ``NO_VIA``. kNN is directed, so the
-    edge set is generally asymmetric. An edge whose length equals the
+    Euclidean length and its ``edge`` its own position. kNN is directed, so
+    the edge set is generally asymmetric. An edge whose length equals the
     sentinel (two points at opposite corners of the unit box) is still an
     edge and still carries gradient; rounding that measures it just above
     the sentinel is stored as the sentinel.
@@ -61,7 +61,7 @@ class Hop:
 
     key: np.ndarray  # (e,) int64
     dist: np.ndarray  # (e,) float64, every entry <= sentinel
-    via: np.ndarray  # (e,) int64, NO_VIA or the walk's last intermediate
+    edge: np.ndarray  # (e,) int64, the position in hop 1 of the walk's last edge
     size: int
 
     def find(self, key):
@@ -288,4 +288,4 @@ def _edge_list(src, dst, length, n: int, symmetrize: bool) -> Hop:
         src, dst = np.divmod(key, n)
         key, first = np.unique(np.r_[key, dst * n + src], return_index=True)
         length = np.r_[length, length][first]
-    return Hop(key, length, np.full(key.size, NO_VIA), n)
+    return Hop(key, length, np.arange(key.size), n)

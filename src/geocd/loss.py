@@ -170,13 +170,17 @@ def _path_gradients(
 
     For a walk edge (a, b) with weight w, grad[a] += w * (z_a - z_b)/|z_a - z_b|
     and grad[b] gets the negation; a degenerate edge divides by inf and adds
-    zero. Also returns the number of degenerate edges.
+    zero. Also returns the number of degenerate walk edges.
     """
-    z = geo.merged.points
-    walk, a, b = unroll(geo, starts, ends)
-    d = z[a] - z[b]
-    length = np.sqrt(squared_lengths(d.T, (0.0, 0.0, 0.0), np.empty(a.size), np.empty(a.size)))
+    zt, n = np.ascontiguousarray(geo.merged.points.T), geo.merged.size  # rows gather contiguously
+    walk, edge = unroll(geo, starts, ends)
+    a, b = np.divmod(geo.hops[0].key, n)
+    d = zt.take(a, axis=1)  # each graph edge is measured once, then gathered per walk edge
+    d -= zt.take(b, axis=1)
+    length = np.sqrt(squared_lengths(d, (0.0, 0.0, 0.0), np.empty(a.size), np.empty(a.size)))
     ok = length > DEGENERATE_EDGE
-    contrib = weights[walk, None] * (d / np.where(ok, length, np.inf)[:, None])
-    n = z.shape[0]
-    return _scatter(a, contrib, n) - _scatter(b, contrib, n), int((~ok).sum())
+    d /= np.where(ok, length, np.inf)
+    contrib = d.take(edge, axis=1)
+    contrib *= weights[walk]
+    a, b = a.take(edge), b.take(edge)
+    return _scatter(a, contrib.T, n) - _scatter(b, contrib.T, n), int((~ok).take(edge).sum())

@@ -86,11 +86,11 @@ def check_propagation(
 
 
 def propagation_signature(pred_points: np.ndarray, gt: PointCloud, cfg: GeoCdConfig):
-    """Discrete structure of one evaluation: every hop's keys and intermediates, hop 1 the graph."""
+    """Discrete structure of one evaluation: every hop's keys and last edges, hop 1 the graph."""
     z = merge(PointCloud(pred_points), gt)
     adj = knn_adjacency(z, cfg.k, cfg.symmetrize)
     geo = propagate(z, adj, cfg.n_hops, cfg.mask)
-    return tuple(h.key.tobytes() + h.via.tobytes() for h in geo.hops)
+    return tuple(h.key.tobytes() + h.edge.tobytes() for h in geo.hops)
 
 
 def check_gradients(

@@ -13,10 +13,14 @@ outlier cluster, whose sparse rows the grid cannot certify, and one is
 left at raw scale with a large offset. Arrays built by exact arithmetic (the graph edges,
 every hop record, ``masked_per_hop`` and the ``evaluate`` fields) are stored
 as sha256 digests of their raw bytes, cut to 16 hex digits, and an error as
-its text. The loss and the gradients pass through ``np.exp`` and ``np.log``,
-whose last bit may depend on the CPU's SIMD path, so they are stored as
-values: the loss, and for each gradient its 2-norm and its projection on
-fixed weights. The file also records the numpy version it was made with.
+its text. A hop record is digested as its keys, its lengths and each entry's
+last intermediate, -1 for a single edge: the source of the entry's last
+edge (``Hop.edge``) where that differs from the entry's own source. For a
+fixed graph the intermediates and the edges determine each other, so this
+digest pins the edges too. The loss and the gradients pass through
+``np.exp`` and ``np.log``, whose last bit may depend on the CPU's SIMD path,
+so they are stored as values: the loss, and for each gradient its 2-norm
+and its projection on fixed weights. The file also records the numpy version it was made with.
 
 Fits 0-15 each run ``fit`` from their seed alone: a ``sample_shape`` target
 of 16-512 points of every kind, an initial guess that is either a noisy
@@ -103,6 +107,12 @@ def _pair(kind: str, rng, n: int, m: int) -> tuple[PointCloud, PointCloud]:
     return PointCloud(scale * rng.random((n, 3))), PointCloud(scale * rng.random((m, 3)))
 
 
+def intermediates(hop, adj) -> np.ndarray:
+    """Each entry's last intermediate, -1 where its walk is a single edge."""
+    src = adj.key[hop.edge] // hop.size
+    return np.where(src == hop.key // hop.size, -1, src)
+
+
 def _gradient_summary(g: np.ndarray) -> list[float]:
     w = np.random.default_rng(0).random(g.shape) - 0.5
     return [float(np.sqrt((g * g).sum())), float((g * w).sum())]
@@ -186,7 +196,7 @@ def record(seed: int) -> dict:
         geo = propagate(z, adj, cfg.n_hops, cfg.mask)
         out["hops"] = _digest(
             np.array(geo.masked_per_hop, dtype=np.float64),
-            *(a for h in geo.hops for a in (h.key, h.dist, h.via)),
+            *(a for h in geo.hops for a in (h.key, h.dist, intermediates(h, adj))),
         )
         rep = geocd(pred, gt, cfg, with_grad=True, with_gt_grad=True)
         out["loss"] = rep.value

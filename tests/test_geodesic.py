@@ -15,11 +15,12 @@ from geocd import (
     reconstruct_path,
 )
 from geocd import geodesic
-from geocd.geodesic import NO_VIA, Hop, MaskConfig, cross_width, row_min, unroll
+from geocd.geodesic import Hop, MaskConfig, cross_width, row_min, unroll
 from geocd.graph import SENTINEL, MergedSet
 from geocd.fit import ShapeSpec, noisy_copy, sample_shape
 from geocd import normalize_pair
 from conftest import random_normalized_pair
+from golden.generate import intermediates
 
 
 def l_shape():
@@ -51,7 +52,8 @@ def test_the_graph_is_hop_one(rng):
     for symmetrize in (False, True):
         adj = knn_adjacency(z, 3, symmetrize=symmetrize)
         assert (np.diff(adj.key) > 0).all()
-        assert adj.via.dtype == np.int64 and (adj.via == NO_VIA).all()
+        assert adj.edge.dtype == np.int64 and np.array_equal(adj.edge, np.arange(adj.key.size))
+        assert (intermediates(adj, adj) == -1).all()
         assert adj.size == z.size
         for hops in (1, 3):
             for mask in (MaskConfig(), MaskConfig(enabled=True)):
@@ -100,7 +102,7 @@ def test_straight_line_complete_graph_fixed_point():
     adj = knn_adjacency(z, k=5)
     geo = propagate(z, adj, n_hops=2)
     assert np.allclose(geo.dense(1), geo.dense(0), atol=1e-12)
-    assert (geo.hops[1].via == NO_VIA).all()
+    assert (intermediates(geo.hops[1], adj) == -1).all()
 
 
 def test_isolated_pair_stays_sentinel():
@@ -202,11 +204,12 @@ def test_pred_decomposition_invariant(rng):
     geo = propagate(z, adj, n_hops=4)
     for h in range(1, geo.hops_used):
         hop = geo.hops[h]
-        routed = hop.via != NO_VIA
+        via = intermediates(hop, adj)
+        routed = via != -1
         if not routed.any():
             continue
         ii, jj = np.divmod(hop.key[routed], z.size)
-        kk = hop.via[routed]
+        kk = via[routed]
         recomposed = geo.dense(h - 1)[ii, kk] + adj.dense()[kk, jj]
         assert np.abs(geo.dense(h)[ii, jj] - recomposed).max() < 1e-12
 
@@ -233,6 +236,20 @@ def test_path_consistency(rng):
                 assert abs(length - final[i, j]) < 1e-9
                 checked += 1
         assert checked > 0
+
+
+def test_reconstruct_path_rejects_indices_outside_the_merged_set():
+    rng = np.random.default_rng(0)
+    pred, gt, _ = normalize_pair(PointCloud(rng.random((6, 3))), PointCloud(rng.random((5, 3))))
+    z = merge(pred, gt)
+    geo = propagate(z, knn_adjacency(z, 3), n_hops=2)
+    n = z.size
+    # key 0 * n + n + 2 is the key of the pair (1, 2), which holds a walk
+    assert geo.hops[-1].find(n + 2)[1]
+    for i, j in ((0, n + 2), (0, n), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match=rf"\({i}, {j}\) must lie in \[0, {n}\)"):
+            reconstruct_path(geo, i, j)
+    assert reconstruct_path(geo, n - 1, n - 1) == [n - 1]
 
 
 def test_mask_threshold_zero_rejected(rng):
@@ -332,23 +349,23 @@ def test_masked_rows_still_serve_as_intermediates():
 def assert_unroll_contract(geo):
     """Every cross walk's unrolled edges chain start -> end and sum to its distance."""
     starts, ends, dist = geo.cross()
-    walk, a, b = unroll(geo, starts, ends)
-    for arr in (walk, a, b):
+    walk, edge = unroll(geo, starts, ends)
+    for arr in (walk, edge):
         assert arr.dtype.kind == "i" and arr.shape == walk.shape
+    adj, n = geo.hops[0], geo.merged.size
+    assert ((0 <= edge) & (edge < adj.key.size)).all()
+    a, b = np.divmod(adj.key[edge], n)
     # the first group holds every walk's last edge, in walk order
     assert np.array_equal(walk[: starts.size], np.arange(starts.size))
     assert np.array_equal(b[: starts.size], ends)
-    adj, n = geo.hops[0], geo.merged.size
     for t in range(starts.size):
         edges = np.flatnonzero(walk == t)[::-1]  # first edge first
         assert 1 <= edges.size <= geo.hops_used
         nodes = np.r_[a[edges], b[edges[-1]]]
         assert nodes[0] == starts[t] and nodes[-1] == ends[t]
         assert np.array_equal(a[edges[1:]], b[edges[:-1]])
-        pos = np.searchsorted(adj.key, a[edges] * n + b[edges])
-        assert np.array_equal(adj.key[pos], a[edges] * n + b[edges])
         total = 0.0
-        for length in adj.dist[pos]:  # the hops add edge lengths left to right
+        for length in adj.dist[edge[edges]]:  # the hops add edge lengths left to right
             total += length
         assert total == dist[t]
     return walk.size
@@ -401,15 +418,15 @@ def full_sort_extend(prev, active, ptr, dst, length):
 
     key = np.concatenate([prev.key, ci[ok] * n + cj[ok]])
     dist = np.concatenate([prev.dist, cv[ok]])
-    via = np.concatenate([prev.via, k[walk[ok]]])
+    last = np.concatenate([prev.edge, edge[ok]])
     order = np.argsort(key, kind="stable")
-    key, dist, via = key[order], dist[order], via[order]
+    key, dist, last = key[order], dist[order], last[order]
     start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     best = np.repeat(np.minimum.reduceat(dist, start), np.diff(np.r_[start, key.size]))
     hit = np.flatnonzero(dist == best)
     group = np.searchsorted(start, hit, side="right")
     keep = hit[np.r_[True, group[1:] != group[:-1]]]
-    return Hop(key[keep], dist[keep], via[keep], n)
+    return Hop(key[keep], dist[keep], last[keep], n)
 
 
 def full_sort_records(z, adj, n_hops, mask):
@@ -434,7 +451,7 @@ def full_sort_records(z, adj, n_hops, mask):
 def assert_same_records(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        for name in ("key", "dist", "via"):
+        for name in ("key", "dist", "edge"):
             a, b = getattr(g, name), getattr(w, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -449,6 +466,30 @@ def deep_pair(kind, rng):
         q[: m // 2] = p[rng.integers(0, n, m // 2)]
     pred, gt, _ = normalize_pair(PointCloud(p), PointCloud(q))
     return pred, gt
+
+
+def test_every_entry_names_its_last_edge_in_hop_one():
+    rng = np.random.default_rng(23)
+    routed = 0
+    for trial in range(48):
+        pred, gt = deep_pair(("random", "lattice", "duplicate")[trial % 3], rng)
+        z = merge(pred, gt)
+        n = z.size
+        adj = knn_adjacency(z, int(rng.integers(1, 7)), symmetrize=bool(trial // 3 % 2))
+        geo = propagate(z, adj, 1 + trial % 4, MaskConfig(enabled=bool(trial // 6 % 2)))
+        assert np.array_equal(adj.edge, np.arange(adj.key.size))
+        for hop in geo.hops:
+            assert hop.edge.dtype == np.int64 and hop.edge.shape == hop.key.shape
+            assert ((0 <= hop.edge) & (hop.edge < adj.key.size)).all()
+            last = adj.key[hop.edge]
+            # the last edge ends at the entry's destination
+            assert np.array_equal(last % n, hop.key % n)
+            # a single-edge entry names its own edge and holds its length
+            direct = last // n == hop.key // n
+            assert np.array_equal(last[direct], hop.key[direct])
+            assert np.array_equal(hop.dist[direct], adj.dist[hop.edge[direct]])
+            routed += int((~direct).sum())
+    assert routed > 0  # later hops do hold walks of several edges
 
 
 def test_frontier_extension_matches_the_full_sort_reference():
@@ -502,7 +543,7 @@ def test_extension_memory_stays_near_the_records_it_adds():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    added = sum(a.nbytes for hop in geo.hops[1:] for a in (hop.key, hop.dist, hop.via))
+    added = sum(a.nbytes for hop in geo.hops[1:] for a in (hop.key, hop.dist, hop.edge))
     # a range's transient fields are bounded by SPAN, not by all candidates
     assert peak < 5 * added
 

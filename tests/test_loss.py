@@ -24,10 +24,11 @@ from geocd import (
     softmin,
 )
 from geocd.distances import nearest
-from geocd.geodesic import NO_VIA, cross_width, unroll
+from geocd.geodesic import cross_width, unroll
 from geocd.loss import DEGENERATE_EDGE, _softmin_rows
 from geocd.verify import propagation_signature
 from conftest import random_normalized_pair
+from golden.generate import intermediates
 
 
 def cloud(*pts):
@@ -345,8 +346,8 @@ def batched_path_gradients(geo, starts, ends, weights):
     degenerate = 0
     idx, cur = np.arange(starts.size), ends
     for hop in reversed(geo.hops):
-        via = hop.via[hop.find(starts[idx] * n + cur)[0]]
-        direct = via == NO_VIA
+        via = intermediates(hop, geo.hops[0])[hop.find(starts[idx] * n + cur)[0]]
+        direct = via == -1
         a, b, w = np.where(direct, starts[idx], via), cur, weights[idx]
         d = z[a] - z[b]
         length = np.sqrt((d * d).sum(axis=1))
@@ -364,7 +365,8 @@ def batched_path_gradients(geo, starts, ends, weights):
 def masked_bincount_path_gradients(geo, starts, ends, weights):
     """Reference: the unrolled edges, boolean-masked contributions, np.bincount."""
     z = geo.merged.points
-    walk, a, b = unroll(geo, starts, ends)
+    walk, edge = unroll(geo, starts, ends)
+    a, b = np.divmod(geo.hops[0].key[edge], z.shape[0])
     d = z[a] - z[b]
     length = np.sqrt((d * d).sum(axis=1))
     ok = length > DEGENERATE_EDGE
