@@ -9,9 +9,10 @@ winning walk can be rebuilt exactly, which the loss gradient needs.
 Each hop is stored sparsely, as one ``graph.Hop`` record of the pairs that
 hold a real walk, sorted by ``key = src * n + dst``. Every other
 off-diagonal pair holds the sentinel and the diagonal is zero. Hop 1 is the
-kNN graph's own record. Callers use ``GeoDistances.cross``, the ``dense``
-view, ``reconstruct_path`` and ``unroll``, which returns the edges of many
-recorded walks as flat arrays ``(walk, edge)``, last first.
+kNN graph's own record. Callers use ``GeoDistances.cross``, which also
+gives the cross walks' positions in the last hop, the ``dense`` view,
+``reconstruct_path`` and ``unroll``, which returns the edges of the walks
+at given positions as flat arrays ``(walk, edge)``, last first.
 
 Masking freezes a point's outgoing row once its best cross-set distance
 drops below a threshold; frozen points still serve as intermediates for
@@ -102,11 +103,14 @@ class GeoDistances:
         return self.dense()[n:, :n]
 
     def cross(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(src, dst, dist) of the last hop's real walks between the two clouds, in key order."""
+        """(pos, src, dist) of the last hop's real walks between the two clouds.
+
+        ``pos`` are the walks' positions in the last hop's record, in key order.
+        """
         n_pred = self.merged.n_pred
         src, dst = np.divmod(self.hops[-1].key, self.merged.size)
-        c = (src < n_pred) != (dst < n_pred)
-        return src[c], dst[c], self.hops[-1].dist[c]
+        pos = np.flatnonzero((src < n_pred) != (dst < n_pred))
+        return pos, src[pos], self.hops[-1].dist[pos]
 
 
 def cross_width(merged: MergedSet) -> np.ndarray:
@@ -270,7 +274,7 @@ def propagate(
     fresh = np.ones(length.size, dtype=bool)  # every 1-hop entry is new
     for _ in range(n_hops - 1):
         if mask.enabled:
-            rows, _, d = geo.cross()
+            _, rows, d = geo.cross()
             active &= row_min(rows, d, cross_width(merged)) > threshold
             geo.masked_per_hop.append(float(1.0 - active.mean()))
         t0 = time.perf_counter()
@@ -281,25 +285,27 @@ def propagate(
     return geo
 
 
-def unroll(geo: GeoDistances, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Edges of the recorded walks starts[t] -> ends[t], last edge first.
+def unroll(geo: GeoDistances, pos: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Edges of the walks at positions ``pos`` of the last hop's record, last edge first.
 
-    Returns flat arrays (walk, edge): walk walk[u] uses hop 1's entry edge[u].
-    Group g holds the g-th last edge of every walk longer than g edges, in
-    rising walk order. Every pair must hold a real walk in the last hop.
+    Returns flat arrays (walk, edge): walk walk[u], the one at pos[walk[u]],
+    uses hop 1's entry edge[u]. Group g holds the g-th last edge of every
+    walk longer than g edges, in rising walk order.
     """
     n = geo.merged.size
-    idx = np.arange(starts.size)
+    starts, ends = np.divmod(geo.hops[-1].key[pos], n)
+    idx = np.arange(pos.size)
     parts = []
-    for hop in reversed(geo.hops):
-        pos, found = hop.find(starts[idx] * n + ends)
-        # a walk's prefix is always a real walk of the hop before
-        assert found.all(), "walk routed through a sentinel entry"
-        edge = hop.edge[pos]
+    for h in range(len(geo.hops) - 1, -1, -1):
+        edge = geo.hops[h].edge[pos]
         parts.append((idx, edge))
         src = geo.hops[0].key[edge] // n  # the walk goes on unless its last edge starts it
         more = src != starts[idx]
         idx, ends = idx[more], src[more]
+        if h:
+            pos, found = geo.hops[h - 1].find(starts[idx] * n + ends)
+            # a walk's prefix is always a real walk of the hop before
+            assert found.all(), "walk routed through a sentinel entry"
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -316,7 +322,8 @@ def reconstruct_path(geo: GeoDistances, i: int, j: int) -> list[int] | None:
         raise ValueError(f"path indices ({i}, {j}) must lie in [0, {n}), the merged set's points")
     if i == j:
         return [i]
-    if not geo.hops[-1].find(i * n + j)[1]:
+    pos, found = geo.hops[-1].find(np.array([i * n + j]))
+    if not found[0]:
         return None
-    _, edge = unroll(geo, np.array([i]), np.array([j]))
+    _, edge = unroll(geo, pos)
     return [*(geo.hops[0].key[edge[::-1]] // n).tolist(), j]

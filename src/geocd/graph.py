@@ -17,8 +17,8 @@ from .cloud import PointCloud
 from .distances import BLOCK, pairwise_distances, squared_lengths
 from .errors import KTooLargeError
 
-# a grid chunk's padded candidate matrix holds at most CHUNK * n entries, an
-# eighth of a dense block's, so the dense sample sets the peak memory
+# a grid chunk's candidate matrix holds at most CHUNK * n entries, a quarter
+# of the dense sample's, so the sample sets the peak memory
 CHUNK = BLOCK // 8
 RADII = (1, 2)  # block radius of each grid pass, in cells: 3x3x3, then 5x5x5
 CELLS = 2**20  # most cells along an axis, so that cell ids fit an intp
@@ -154,28 +154,37 @@ def _grid(pts: np.ndarray, h: float):
 
     def runs(cells: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         step = np.arange(-r, r + 1)
-        column = ids[cells, None] + ((step[:, None] * dims[1] + step) * dims[2]).ravel()
+        # searched one z-run offset at a time, along which the ids rise:
+        # searchsorted is several times faster on rising keys
+        column = ((step[:, None] * dims[1] + step) * dims[2]).ravel()[:, None] + ids[cells]
         return (
-            bounds[np.searchsorted(ids, column - r)],
-            bounds[np.searchsorted(ids, column + r, side="right")],
+            bounds[np.searchsorted(ids, column - r)].T,
+            bounds[np.searchsorted(ids, column + r, side="right")].T,
         )
 
     return order, np.repeat(np.arange(ids.size), np.diff(bounds)), runs
 
 
-def _candidates(order: np.ndarray, start: np.ndarray, stop: np.ndarray, k: int) -> np.ndarray:
-    """(cells, width) matrix of the points of each cell's block, run after run.
+def _smallest(d: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of each row's k smallest entries, and the rows where they are certain.
 
-    ``start`` and ``stop`` are the cells' runs (see ``_grid``). Short rows are
-    padded with the index ``order.size``, one past the last point.
+    ``d`` holds non-negative lengths or +inf, and needs more than k columns.
+    Each entry is packed into one int64 word, the bits of its length with
+    the low b bits replaced by its column, b = bits(W - 1) for W columns:
+    non-negative float64 values, +inf among them, order as their bit
+    patterns do, so one ``partition`` of the words puts each row's k
+    smallest words first. Where the largest of them lies below the next
+    word even with its low b bits set, every chosen length is strictly
+    below every other, and the chosen columns are exactly the row's k
+    smallest entries, with no tie to settle. Other rows (an exact tie, a
+    near tie, or lengths too small to keep any bits) are not certain.
     """
-    size = stop - start
-    width_of = size.sum(axis=1)
-    cand = np.full((size.shape[0], max(width_of.max(), k)), order.size)  # partition needs k columns
-    size = size.ravel()
-    pos = np.repeat(start.ravel() - (np.cumsum(size) - size), size) + np.arange(size.sum())
-    cand[np.arange(cand.shape[1]) < width_of[:, None]] = order[pos]
-    return cand
+    low = (1 << int(d.shape[1] - 1).bit_length()) - 1
+    word = d.view(np.int64) & ~low
+    word |= np.arange(d.shape[1])
+    word.partition(k, axis=1)
+    first = word[:, :k]
+    return first & low, (first.max(axis=1) | low) < word[:, k]
 
 
 def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
@@ -185,15 +194,32 @@ def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
     making the graph deterministic across platforms. ``symmetrize`` adds the
     reverse of every edge (off by default).
 
-    An evenly spaced sample of rows is searched against all points, and its
+    A set of at most BLOCK points is searched as one dense block. Otherwise
+    BLOCK // 2 evenly spaced rows are searched against all points, and their
     k-th lengths size a grid of cells. Every other row searches the 3x3x3
     block of cells around its point, and the rows that block cannot certify
-    then search the 5x5x5 block, unless a block holds over a quarter of all
-    points. The result stands when the row's k-th length lies below the
-    block's reach, which no point outside the block can undercut; the
-    remaining rows are searched against all points. Either way a row gets
-    the neighbours and lengths of its full distance row. A set of at most
-    BLOCK points is its own sample and needs no grid.
+    then search the 5x5x5 block. The result stands when the row's k-th
+    length is at most the block's reach, which every point outside the
+    block exceeds. Rows whose block holds over a quarter of all points, and
+    the rows neither block certifies, are searched against all points.
+    Either way a row gets the neighbours and lengths of its full distance
+    row.
+
+    A grid pass orders its rows by the width of their block, the rows of one
+    cell together, and cuts them into chunks whose candidate matrix, as
+    wide as the chunk's last row needs, holds at most ``CHUNK * n`` entries.
+    The candidates' coordinates are gathered once per cell and copied to
+    each of its rows, and a row's own point is found by its position in the
+    centre run of its block. Rows with fewer than k other candidates go on
+    to the next pass unsearched.
+
+    Every row, grid or dense, picks its k smallest lengths with one
+    partition of packed words, each the bits of a length with its low bits
+    replaced by its column (``_smallest``), which also tells where the
+    chosen lengths lie strictly below all others. The other rows (exact or
+    near ties at the k-th length, or subnormal lengths) go through
+    ``_select`` on their saved lengths, which keeps the lowest point
+    indices among the tied entries.
     """
     n = z.size
     if k < 1:
@@ -201,26 +227,45 @@ def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
     if k > n - 1:
         raise KTooLargeError(f"k={k} exceeds the {n - 1} other points in the merged set")
     pts = z.points
-    everyone = np.arange(n)
     src, dst, length = [], [], []
+
+    def keep(rows, d, cand, row_cell, reach):
+        """Record the edges of the rows whose k-th length is at most ``reach``.
+
+        Row i of ``d`` holds the lengths from point ``rows[i]`` to the
+        points ``cand[row_cell[i]]``, +inf where a column is no candidate.
+        Returns which rows were recorded, and every row's k-th length.
+        """
+        j, clear = _smallest(d, k)
+        dj = np.take_along_axis(d, j, axis=1)
+        kth = dj.max(axis=1)
+        tied = np.flatnonzero(~clear)
+        if tied.size:  # the tie rule, on the rows' saved lengths
+            sel, kth[tied] = _select(d[tied], cand[row_cell[tied]], k)
+        done = kth <= reach
+        i = clear & done
+        src.append(np.repeat(rows[i], k))
+        dst.append(cand[row_cell[i, None], j[i]].ravel())
+        length.append(dj[i].ravel())
+        if tied.size:
+            t, c = np.nonzero(sel & done[tied, None])
+            src.append(rows[tied[t]])
+            dst.append(cand[row_cell[tied[t]], c])
+            length.append(d[tied[t], c])
+        return done, kth
 
     def full_rows(rows: np.ndarray) -> np.ndarray:
         d = pairwise_distances(pts[rows], pts)
         d[np.arange(rows.size), rows] = np.inf  # self is never its own neighbour
-        sel, kth = _select(d, everyone, k)
-        r, c = np.nonzero(sel)
-        src.append(rows[r])
-        dst.append(c)
-        length.append(d[r, c])
-        return kth
+        return keep(rows, d, np.arange(n)[None], np.zeros(rows.size, np.intp), np.inf)[1]
 
-    sample = everyone[:: -(-n // BLOCK)]  # one dense block of evenly spaced rows
-    kth = full_rows(sample)
-    if sample.size == n:  # the sample is every row
+    if n <= BLOCK:  # one dense block, no grid
+        full_rows(np.arange(n))
         return _edge_list(src, dst, length, n, symmetrize)
-    h, reach = _cell_edge(pts, kth)
+    sample = np.arange(0, n, -(-n // (BLOCK // 2)))
+    h, reach = _cell_edge(pts, full_rows(sample))
     order, cell_of, runs = _grid(pts, h)
-    # the positions in order of the rows left, in cell order
+    # the positions in order of the rows left
     at = np.flatnonzero(np.isin(order, sample, invert=True))
     # coordinates, and a padding point n that measures +inf from every point
     cols = [np.r_[pts[:, c], np.inf] for c in range(3)]
@@ -228,37 +273,50 @@ def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
     for r, reach_r in zip(RADII, reach):
         cells, local = np.unique(cell_of[at], return_inverse=True)
         start, stop = runs(cells, r)
-        width = (stop - start).sum(axis=1)[local]
-        # a grid candidate costs several dense entries, so rows whose block
-        # holds over a quarter of all points are searched against all points
-        wide = width > n // 4
-        rest.append(order[at[wide]])
-        at, local, width = at[~wide], local[~wide], np.maximum(width[~wide], k)
-        unsure = []
+        size = stop - start
+        width = size.sum(axis=1)
+        # rows by block width, then by cell. A grid candidate costs several
+        # dense entries, so rows whose block holds over a quarter of all
+        # points are searched against all points; of the others, rows with
+        # fewer than k other candidates cannot be certified and go on.
+        by = np.argsort(width[local] * cells.size + local)
+        at, local = at[by], local[by]
+        row_width = width[local]
+        few, many = np.searchsorted(row_width, (min(k, n // 4), n // 4), side="right")
+        unsure = [at[:few]]
+        rest.append(order[at[many:]])
+        at, local, row_width = at[few:many], local[few:many], row_width[few:many]
+        # self's column: its own cell lies in the centre run of its block
+        mid = size.shape[1] // 2
+        own_col = size[:, :mid].sum(axis=1)[local] + at - start[local, mid]
+        # the pass's cells in row order, each row's place among them, and the
+        # point indices of each cell's block, run after run, cell after cell
+        new = np.diff(local, prepend=-1) != 0
+        seq, rank = local[new], np.cumsum(new) - 1
+        sz = size[seq].ravel()
+        pos = np.repeat(start[seq].ravel() - (np.cumsum(sz) - sz), sz) + np.arange(sz.sum())
+        block, bound = order[pos], np.r_[0, np.cumsum(width[seq])]
         c0 = 0
         while c0 < at.size:
-            # rows in cell order, so that about five rows share each cell, and
-            # as many as keep the padded candidate matrix within CHUNK * n entries
-            widest = np.maximum.accumulate(width[c0:])
-            fit = np.searchsorted(widest * np.arange(1, widest.size + 1), CHUNK * n, side="right")
-            c1 = c0 + max(1, int(fit))
-            rows = order[at[c0:c1]]
-            own, row_cell = np.unique(local[c0:c1], return_inverse=True)
-            cand = _candidates(order, start[own], stop[own], k)[row_cell]
-            d, tmp = np.empty(cand.shape), np.empty(cand.shape)
-            # the candidates' coordinates are gathered one axis at a time
-            squared_lengths([c[rows, None] for c in cols], (c[cand] for c in cols), d, tmp)
+            # as many rows as keep the chunk's candidate matrix within CHUNK * n
+            # entries; widths rise, so the last row's is the chunk's
+            cost = row_width[c0:] * np.arange(1, at.size - c0 + 1)
+            c1 = c0 + max(1, int(np.searchsorted(cost, CHUNK * n, "right")))
+            rows, w = order[at[c0:c1]], row_width[c1 - 1]
+            g0, g1 = rank[c0], rank[c1 - 1] + 1
+            cand = np.full((g1 - g0, w), n)  # the chunk's cells' blocks, padded with n
+            cand[np.arange(w) < width[seq[g0:g1], None]] = block[bound[g0] : bound[g1]]
+            row_cell = rank[c0:c1] - g0
+            xyz = [c[cand] for c in cols]  # gathered once per cell, copied per row
+            d, tmp = np.empty((rows.size, w)), np.empty((rows.size, w))
+            b = (c.take(row_cell, axis=0) for c in xyz)
+            squared_lengths([c[rows, None] for c in cols], b, d, tmp)
             np.sqrt(d, out=d)
-            d[cand == rows[:, None]] = np.inf  # self is never its own neighbour
-            sel, kth = _select(d, cand, k)
-            sure = kth < reach_r
-            i, j = np.nonzero(sel & sure[:, None])
-            src.append(rows[i])
-            dst.append(cand[i, j])
-            length.append(d[i, j])
-            unsure.append(at[c0:c1][~sure])
+            d[np.arange(rows.size), own_col[c0:c1]] = np.inf  # self is never its own neighbour
+            done, _ = keep(rows, d, cand, row_cell, reach_r)
+            unsure.append(at[c0:c1][~done])
             c0 = c1
-        at = np.concatenate(unsure) if unsure else at
+        at = np.concatenate(unsure)
     rest.append(order[at])
 
     rest = np.concatenate(rest)

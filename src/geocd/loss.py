@@ -120,7 +120,7 @@ def geocd(
     geo = propagate(z, adj, cfg.n_hops, cfg.mask)
     t2 = time.perf_counter()
 
-    src, dst, d = geo.cross()
+    pos, src, d = geo.cross()
     v, w, on_sentinel = _softmin_rows(src, d, cross_width(z))
     n, m = z.n_pred, z.n_gt
     value = float(v[:n].mean() + v[n:].mean())
@@ -148,7 +148,7 @@ def geocd(
     grad_pred = grad_gt = None
     gradient_s = 0.0
     if with_grad:
-        grad, degenerate = _path_gradients(geo, src, dst, w / np.where(src < n, n, m))
+        grad, degenerate = _path_gradients(geo, pos, w / np.where(src < n, n, m))
         grad_pred, grad_gt = grad[:n], (grad[n:] if with_gt_grad else None)
         diagnostics["degenerate_edges"] = degenerate
         diagnostics["grad_norm"] = float(np.linalg.norm(grad_pred))
@@ -164,7 +164,7 @@ def geocd(
 
 
 def _path_gradients(
-    geo: GeoDistances, starts: np.ndarray, ends: np.ndarray, weights: np.ndarray
+    geo: GeoDistances, pos: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Scatter softmin weights along every recorded cross-set walk.
 
@@ -173,7 +173,7 @@ def _path_gradients(
     zero. Also returns the number of degenerate walk edges.
     """
     zt, n = np.ascontiguousarray(geo.merged.points.T), geo.merged.size  # rows gather contiguously
-    walk, edge = unroll(geo, starts, ends)
+    walk, edge = unroll(geo, pos)
     a, b = np.divmod(geo.hops[0].key, n)
     d = zt.take(a, axis=1)  # each graph edge is measured once, then gathered per walk edge
     d -= zt.take(b, axis=1)

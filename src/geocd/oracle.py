@@ -1,8 +1,9 @@
 """Slow reference implementations for tests and the ``verify`` command.
 
-Deliberately independent of the production propagation code: shortest walks
-are recomputed per source with plain relaxation rounds over the dense edge
-set, and gradients come from central finite differences.
+Deliberately independent of the production code: the kNN graph comes from a
+stable sort of every dense distance row, shortest walks are recomputed per
+source with plain relaxation rounds over the dense edge set, and gradients
+come from central finite differences.
 """
 
 from __future__ import annotations
@@ -12,6 +13,25 @@ import heapq
 import numpy as np
 
 from .graph import Hop
+
+
+def stable_sort_knn_mask(
+    points: np.ndarray, k: int, symmetrize: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense kNN reference: the first k entries of a stable sort of each distance row.
+
+    Returns the (n, n) edge mask, with its transpose added when
+    ``symmetrize``, and the distance matrix with +inf on the diagonal. Each
+    length is ``sqrt((dx*dx + dy*dy) + dz*dz)``, the graph's expression.
+    """
+    diff = points[:, None, :] - points[None, :, :]
+    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+    d = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    np.fill_diagonal(d, np.inf)
+    mask = np.zeros(d.shape, dtype=bool)
+    order = np.argsort(d, axis=1, kind="stable")[:, :k]
+    mask[np.arange(len(d))[:, None], order] = True
+    return (mask | mask.T) if symmetrize else mask, d
 
 
 def hop_bounded_shortest_paths(adj: Hop, n_hops: int) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Randomized cross-checks used by tests and the ``verify`` command.
 
-Two check families:
+Three check families:
 
 * propagation: fast multi-hop propagation vs hop-bounded relaxation walks,
-* gradients: analytic softmin-path gradients vs central finite differences.
+* gradients: analytic softmin-path gradients vs central finite differences,
+* graph: the grid-built kNN graph vs a stable sort of every dense row.
 
-Both draw instances from a seeded generator so failures are reproducible.
+All draw instances from a seeded generator so failures are reproducible.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .cloud import PointCloud, normalize_pair
+from .distances import BLOCK
 from .geodesic import propagate
 from .graph import knn_adjacency, merge
 from .loss import GeoCdConfig, geocd
-from .oracle import finite_diff_grad, hop_bounded_shortest_paths
+from .oracle import finite_diff_grad, hop_bounded_shortest_paths, stable_sort_knn_mask
 
 PROPAGATION_TOL = 1e-9
 GRADIENT_REL_TOL = 1e-4
@@ -83,6 +85,40 @@ def check_propagation(
         "mismatch_count": mismatches,
         "worst_offenders": offenders[:5],
     }
+
+
+def check_graph(trials: int, seed: int) -> dict:
+    """Compare ``knn_adjacency`` with the dense reference, edge for edge.
+
+    The merged sizes run from BLOCK + 1 to 600, so the grid passes run.
+    Half the instances are uniform, half a coarse lattice with exact ties
+    and repeated points; all lie in a box of edge 0.5, so that no length
+    reaches the sentinel. A mismatch is an edge that only one side has, or
+    a shared edge whose lengths differ in any bit.
+    """
+    rng = np.random.default_rng(seed)
+    mismatches = 0
+    offenders = []
+    for trial in range(trials):
+        size = int(rng.integers(BLOCK + 1, 601))
+        lattice = bool(trial % 2)
+        pts = rng.integers(0, 7, (size, 3)) / 12.0 if lattice else rng.random((size, 3)) / 2
+        n = int(rng.integers(1, size))
+        k = int(rng.integers(1, 9))
+        symmetrize = bool(rng.integers(2))
+        z = merge(PointCloud(pts[:n]), PointCloud(pts[n:]))
+        adj = knn_adjacency(z, k, symmetrize)
+        ref, d = stable_sort_knn_mask(z.points, k, symmetrize)
+        want = np.flatnonzero(ref)
+        shared, here, there = np.intersect1d(adj.key, want, return_indices=True)
+        bad = adj.key.size + want.size - 2 * shared.size
+        bad += int((adj.dist[here] != d.flat[want[there]]).sum())
+        mismatches += bad
+        if bad:
+            offenders.append(
+                {"trial": trial, "size": size, "k": k, "symmetrize": symmetrize, "edges": bad}
+            )
+    return {"trials": trials, "mismatch_count": mismatches, "worst_offenders": offenders[:5]}
 
 
 def propagation_signature(pred_points: np.ndarray, gt: PointCloud, cfg: GeoCdConfig):
@@ -164,7 +200,7 @@ def run_verification(
     grad_trials: int | None = None,
 ) -> dict:
     """Full check battery: the verify report's ``passed``, ``oracle``,
-    ``propagation`` and ``gradients`` blocks.
+    ``propagation``, ``gradients`` and ``graph`` blocks.
 
     ``passed`` mirrors the verify exit status; bad counts or sizes raise ValueError.
     """
@@ -177,6 +213,7 @@ def run_verification(
         grad_trials = max(1, trials // 5) if trials else 0
     prop = check_propagation(trials, seed, size_range=size_range)
     grad = check_gradients(grad_trials, seed + 1)
+    graph = check_graph(trials, seed + 2)
     oracle = {
         "max_abs_diff": prop["max_abs_diff"],
         "max_rel_diff": prop["max_rel_diff"],
@@ -188,5 +225,11 @@ def run_verification(
         grad["matched"] == checked
         and grad["skipped_tie_components"] <= 0.05 * grad["components"]
     )
-    passed = prop["mismatch_count"] == 0 and grads_ok
-    return {"passed": passed, "oracle": oracle, "propagation": prop, "gradients": grad}
+    passed = prop["mismatch_count"] == 0 and grads_ok and graph["mismatch_count"] == 0
+    return {
+        "passed": passed,
+        "oracle": oracle,
+        "propagation": prop,
+        "gradients": grad,
+        "graph": graph,
+    }

@@ -17,10 +17,15 @@ its text. A hop record is digested as its keys, its lengths and each entry's
 last intermediate, -1 for a single edge: the source of the entry's last
 edge (``Hop.edge``) where that differs from the entry's own source. For a
 fixed graph the intermediates and the edges determine each other, so this
-digest pins the edges too. The loss and the gradients pass through
-``np.exp`` and ``np.log``, whose last bit may depend on the CPU's SIMD path,
-so they are stored as values: the loss, and for each gradient its 2-norm
-and its projection on fixed weights. The file also records the numpy version it was made with.
+digest pins the edges too. The loss and the gradients are sums whose last
+digits move whenever a change reorders their terms, so they are stored as
+values, compared at a relative tolerance: the loss, and for each gradient
+its 2-norm and its projection on fixed weights. The committed gradient
+summaries are older than one such change, the gradient scatter's move from
+``np.add.at`` to ``np.bincount``, which moved 165 of them within that
+tolerance; a re-record on today's code moves those lines and no other,
+while a re-record on the code they were made with reproduces the file
+byte for byte. The file also records the numpy version it was made with.
 
 Fits 0-15 each run ``fit`` from their seed alone: a ``sample_shape`` target
 of 16-512 points of every kind, an initial guess that is either a noisy

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geocd import PointCloud, knn_adjacency, merge, normalize_pair, read_cloud, write_cloud
-from geocd import geodesic, propagate
+from geocd import geodesic, graph, propagate
 from geocd import FitConfig, GeoCdConfig
 from geocd.cli import _fit_config, _geo_config, build_parser, main
 from geocd.fit import ShapeSpec, sample_shape
@@ -509,8 +509,30 @@ def test_verify_zero_trials(capsys, schema):
     assert report["oracle"]["mismatch_count"] == 0
     validate(report, schema, "verify_report")
     _, full = run_json(capsys, ["verify", "--trials", "3"])
-    for block in ("oracle", "propagation", "gradients"):
+    for block in ("oracle", "propagation", "gradients", "graph"):
         assert list(report[block]) == list(full[block])
+
+
+def test_verify_checks_the_grid_graph(capsys, schema):
+    code, report = run_json(capsys, ["verify", "--trials", "4", "--grad-trials", "0"])
+    assert code == 0
+    assert report["graph"] == {"trials": 4, "mismatch_count": 0, "worst_offenders": []}
+    validate(report, schema, "verify_report")
+
+
+def test_verify_graph_fault_fails(capsys, monkeypatch, schema):
+    # every row taken as certain: tied rows keep the lower columns, not the
+    # lower point indices
+    smallest = graph._smallest
+    monkeypatch.setattr(
+        graph, "_smallest", lambda d, k: (smallest(d, k)[0], np.ones(len(d), dtype=bool))
+    )
+    code, report = run_json(capsys, ["verify", "--trials", "4", "--grad-trials", "0"])
+    assert code == 1
+    assert report["passed"] is False
+    assert report["graph"]["mismatch_count"] > 0
+    assert report["graph"]["worst_offenders"]
+    validate(report, schema, "verify_report")
 
 
 @pytest.mark.parametrize(

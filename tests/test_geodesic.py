@@ -269,7 +269,7 @@ def test_mask_resolved_zero_threshold_is_used():
     adj = knn_adjacency(z, 3)
     geo = propagate(z, adj, n_hops=2, mask=MaskConfig(enabled=True))
     assert geo.mask_threshold == 0.0
-    rows, _, d = propagate(z, adj, n_hops=1).cross()
+    _, rows, d = propagate(z, adj, n_hops=1).cross()
     frozen = row_min(rows, d, cross_width(z)) == 0.0
     assert 0 < frozen.sum() < z.size
     assert geo.masked_per_hop == [pytest.approx(frozen.mean())]
@@ -348,8 +348,10 @@ def test_masked_rows_still_serve_as_intermediates():
 
 def assert_unroll_contract(geo):
     """Every cross walk's unrolled edges chain start -> end and sum to its distance."""
-    starts, ends, dist = geo.cross()
-    walk, edge = unroll(geo, starts, ends)
+    pos, src, dist = geo.cross()
+    starts, ends = np.divmod(geo.hops[-1].key[pos], geo.merged.size)
+    assert np.array_equal(starts, src)
+    walk, edge = unroll(geo, pos)
     for arr in (walk, edge):
         assert arr.dtype.kind == "i" and arr.shape == walk.shape
     adj, n = geo.hops[0], geo.merged.size
@@ -393,9 +395,9 @@ def test_unroll_without_cross_walks_is_empty():
     gt = PointCloud(np.array([[0.5, 0.0, 0.0], [0.51, 0.0, 0.0]]))
     z = merge(pred, gt)
     geo = propagate(z, knn_adjacency(z, 1), n_hops=3)
-    starts, ends, _ = geo.cross()
-    assert starts.size == 0
-    for arr in unroll(geo, starts, ends):
+    pos, starts, _ = geo.cross()
+    assert pos.size == starts.size == 0
+    for arr in unroll(geo, pos):
         assert arr.dtype.kind == "i" and arr.size == 0
     rep = geocd(pred, gt, GeoCdConfig(k=1, n_hops=3), with_grad=True, with_gt_grad=True)
     assert rep.diagnostics["sentinel_fraction"] == 1.0

@@ -6,6 +6,7 @@ import pytest
 from geocd import KTooLargeError, PointCloud, ShapeSpec, knn_adjacency, merge
 from geocd import noisy_copy, normalize_pair, sample_shape
 from geocd import graph
+from geocd.oracle import stable_sort_knn_mask
 from conftest import random_cloud
 
 
@@ -112,18 +113,6 @@ def test_symmetrize_flag(rng):
     assert np.allclose(adj.dense(), adj.dense().T)
 
 
-def stable_sort_knn_mask(points, k, symmetrize):
-    """Reference: the first k entries of a stable sort of each distance row."""
-    diff = points[:, None, :] - points[None, :, :]
-    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
-    d = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    np.fill_diagonal(d, np.inf)
-    mask = np.zeros(d.shape, dtype=bool)
-    order = np.argsort(d, axis=1, kind="stable")[:, :k]
-    mask[np.arange(len(d))[:, None], order] = True
-    return (mask | mask.T) if symmetrize else mask, d
-
-
 @pytest.mark.parametrize("n_pred,n_gt", [(20, 23), (30, 35), (70, 75)])  # merged 43, 65, 145
 def test_boundary_ties_keep_lowest_indices(n_pred, n_gt):
     # a coarse lattice with repeated points: most rows have more entries at
@@ -202,17 +191,17 @@ def test_grid_matches_dense_reference(name, monkeypatch):
     n = len(pts)
     z = merge(PointCloud(pts[: n // 2]), PointCloud(pts[n // 2 :]))
     dense_rows, grid_rows = [], []  # rows of every dense call and of every grid chunk
-    real, select = graph.pairwise_distances, graph._select
+    real, smallest = graph.pairwise_distances, graph._smallest
     monkeypatch.setattr(
         graph, "pairwise_distances", lambda a, b: dense_rows.append(len(a)) or real(a, b)
     )
 
-    def counted_select(d, cols, k):
-        if cols.ndim == 2:  # a grid chunk; the dense pass passes one row of point indices
+    def counted_smallest(d, k):
+        if d.shape[1] < n:  # a grid chunk; a dense row spans all n points
             grid_rows.append(len(d))
-        return select(d, cols, k)
+        return smallest(d, k)
 
-    monkeypatch.setattr(graph, "_select", counted_select)
+    monkeypatch.setattr(graph, "_smallest", counted_smallest)
     if n <= graph.BLOCK:  # the dense sample is every row: no grid to build
 
         def no_grid(*_):
@@ -237,11 +226,69 @@ def test_grid_matches_dense_reference(name, monkeypatch):
     if name == "sparse":
         # every grid row takes the first pass, so the excess took the second,
         # and no row but the sample's reached the dense pass
-        sample = len(range(0, n, -(-n // graph.BLOCK)))
+        sample = len(range(0, n, -(-n // (graph.BLOCK // 2))))
         for k, dense, grid in builds:
             if k < n - 1:  # at k = n - 1 every block is too wide
                 assert sum(grid) > n - sample
                 assert dense == [sample]
+
+
+def selection_case(name):
+    rng = np.random.default_rng(11)
+    if name == "ties":
+        # a full lattice in shuffled order: most rows tie at their k-th and
+        # (k+1)-th lengths, and the lowest point indices must win
+        pts = np.stack(np.meshgrid(*[np.arange(10)] * 3), -1).reshape(-1, 3) / 16.0
+        return pts[rng.permutation(len(pts))], (3, 8)
+    if name == "underflow":  # subnormal lengths keep too few bits to certify
+        return rng.integers(0, 9, (300, 3)) / 8.0 * 1e-162, (1, 5)
+    if name == "k64":
+        # a plane: blocks of up to 400 candidates, so a word carries more
+        # than 8 column bits
+        return np.c_[rng.random((1600, 2)), np.zeros(1600)], (64,)
+    return rng.random((600, 3)), (int(name[1:]),)  # k16, k32
+
+
+@pytest.mark.parametrize("name", "ties underflow k16 k32 k64".split())
+def test_packed_selection_matches_dense_reference(name, monkeypatch):
+    pts, ks = selection_case(name)
+    n = len(pts)
+    assert n > graph.BLOCK  # the grid is built
+    z = merge(PointCloud(pts[: n // 2]), PointCloud(pts[n // 2 :]))
+    dense_rows, grid_widths, grid_tied, tied = [], [], [], []
+    real, smallest, select = graph.pairwise_distances, graph._smallest, graph._select
+    monkeypatch.setattr(
+        graph, "pairwise_distances", lambda a, b: dense_rows.append(len(a)) or real(a, b)
+    )
+
+    def counted_smallest(d, k):
+        if d.shape[1] < n:  # a grid chunk; a dense row spans all n points
+            grid_widths.append(d.shape[1])
+        return smallest(d, k)
+
+    def counted_select(d, cols, k):
+        (grid_tied if d.shape[1] < n else tied).append(len(d))
+        return select(d, cols, k)
+
+    monkeypatch.setattr(graph, "_smallest", counted_smallest)
+    monkeypatch.setattr(graph, "_select", counted_select)
+    for k in ks:
+        for symmetrize in (False, True):
+            ref, d = stable_sort_knn_mask(z.points, k, symmetrize)
+            dense_rows.clear()
+            adj = knn_adjacency(z, k, symmetrize=symmetrize)
+            assert np.array_equal(np.c_[np.divmod(adj.key, z.size)], np.argwhere(ref))
+            assert np.array_equal(adj.dist, d[ref])
+            if name == "ties":  # every tied grid row was settled on the grid
+                assert dense_rows == [len(range(0, n, -(-n // (graph.BLOCK // 2))))]
+    if name != "underflow":
+        assert grid_widths
+    if name == "ties":
+        assert sum(grid_tied) > n
+    if name == "k64":
+        assert max(grid_widths) > 256
+    if name == "underflow":
+        assert sum(tied) > n
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])

@@ -362,10 +362,10 @@ def batched_path_gradients(geo, starts, ends, weights):
     return grad, degenerate
 
 
-def masked_bincount_path_gradients(geo, starts, ends, weights):
+def masked_bincount_path_gradients(geo, pos, weights):
     """Reference: the unrolled edges, boolean-masked contributions, np.bincount."""
     z = geo.merged.points
-    walk, edge = unroll(geo, starts, ends)
+    walk, edge = unroll(geo, pos)
     a, b = np.divmod(geo.hops[0].key[edge], z.shape[0])
     d = z[a] - z[b]
     length = np.sqrt((d * d).sum(axis=1))
@@ -401,14 +401,15 @@ def test_geocd_grad_matches_batched_scatter():
         z = merge(pred, gt)
         adj = knn_adjacency(z, cfg.k, cfg.symmetrize)
         geo = propagate(z, adj, cfg.n_hops, cfg.mask)
-        src, dst, d = geo.cross()
+        pos, src, d = geo.cross()
+        dst = geo.hops[-1].key[pos] % z.size
         _, w, _ = _softmin_rows(src, d, cross_width(z))
         weights = w / np.where(src < n, n, m)
         ref, ref_degenerate = batched_path_gradients(geo, src, dst, weights)
         got = np.vstack([rep.grad_pred, rep.grad_gt])
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert rep.diagnostics["degenerate_edges"] == ref_degenerate
-        exact, exact_degenerate = masked_bincount_path_gradients(geo, src, dst, weights)
+        exact, exact_degenerate = masked_bincount_path_gradients(geo, pos, weights)
         assert np.array_equal(got, exact)
         assert exact_degenerate == ref_degenerate
         degenerate += ref_degenerate

@@ -119,7 +119,7 @@ def test_check_gradients_clean():
 
 def test_run_verification_roundtrip(monkeypatch):
     res = run_verification(trials=3, seed=2, grad_trials=1)
-    assert list(res) == ["passed", "oracle", "propagation", "gradients"]
+    assert list(res) == ["passed", "oracle", "propagation", "gradients", "graph"]
     assert res["passed"]
     assert res["oracle"]["mismatch_count"] == 0
     fault_the_reference(monkeypatch)
