@@ -35,9 +35,12 @@ there, fit 14 throws its points out of the unit box so that the first GeoCD
 step raises ``NormalizationError``, and fit 15 runs no Chamfer step. Fit 16
 is the default fit, ``FitConfig()`` on a 512-point hemisphere and its noisy
 copy: 200 Chamfer steps and 20 GeoCD steps, each Chamfer step moving the
-prediction a little against the same target. A fit
-record holds sha256 digests of every ``FitStep`` field, of the final
-points' bytes and of the ``final`` dict, and the aborted phase.
+prediction a little against the same target. Fit 17 runs a long GeoCD phase
+on a symmetrized graph: a 400-point torus and its noisy copy, 50 Chamfer
+steps, then 60 GeoCD steps at k = 8 with ``symmetrize`` and the mask on, so
+that every step's graph differs from the last in a few rows and their
+reverse edges. A fit record holds sha256 digests of every ``FitStep`` field,
+of the final points' bytes and of the ``final`` dict, and the aborted phase.
 A fit that takes a GeoCD step passes its gradients through ``np.exp`` into
 the points, so its digests also pin the CPU's ``exp`` and ``log``.
 
@@ -73,8 +76,8 @@ SEEDS = range(212)
 KINDS = ("random", "lattice", "duplicate", "raw")
 SURFACES = range(200, 212)
 OUTLIER_SEED, OFFSET_SEED = 210, 211
-FIT_SEEDS = range(17)
-FIT_LARGE, FIT_OVERFLOW, FIT_UNIT_BOX, FIT_NO_CD, FIT_DEFAULT = 12, 13, 14, 15, 16
+FIT_SEEDS = range(18)
+FIT_LARGE, FIT_OVERFLOW, FIT_UNIT_BOX, FIT_NO_CD, FIT_DEFAULT, FIT_SYMMETRIC = range(12, 18)
 
 
 def _digest(*arrays) -> str:
@@ -230,10 +233,32 @@ def _default_fit_instance(seed: int) -> tuple[dict, PointCloud, PointCloud, FitC
     return spec, init, gt, cfg
 
 
+def _symmetric_fit_instance(seed: int) -> tuple[dict, PointCloud, PointCloud, FitConfig]:
+    spec = {
+        "shape": "torus",
+        "n": 400,
+        "m": 400,
+        "steps_cd": 50,
+        "steps_geocd": 60,
+        "lr": 5e-4,
+        "k": 8,
+        "hops": 2,
+        "mask": True,
+        "symmetrize": True,
+        "tau": 0.01,
+    }
+    gt = sample_shape(ShapeSpec("torus", 400, seed=seed))
+    init, gt, _ = normalize_pair(noisy_copy(gt, 0.05, seed + 1), gt)
+    geo = GeoCdConfig(k=8, n_hops=2, symmetrize=True, mask=MaskConfig(enabled=True))
+    return spec, init, gt, FitConfig(steps_cd=50, steps_geocd=60, lr=5e-4, geo=geo)
+
+
 def fit_instance(seed: int) -> tuple[dict, PointCloud, PointCloud, FitConfig]:
     """The spec, the initial guess, the target and the config of one fit."""
     if seed == FIT_DEFAULT:
         return _default_fit_instance(seed)
+    if seed == FIT_SYMMETRIC:
+        return _symmetric_fit_instance(seed)
     rng = np.random.default_rng(10_000 + seed)
     shape = SHAPE_KINDS[seed % len(SHAPE_KINDS)]
     n, m = (int(2.0**v) for v in rng.uniform(4.0, 9.0, 2))  # log-uniform, 16-511
