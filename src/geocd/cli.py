@@ -255,6 +255,8 @@ def cmd_fit(args) -> int:
         # per phase, and "final": the share of nearest-neighbour rows the
         # fit's tracker searched in full
         "full_search_share": {k: full / asked for k, (full, asked) in trace.search_rows.items()},
+        # the same for the rows of the kNN graphs the fit built
+        "graph_search_share": {k: full / asked for k, (full, asked) in trace.graph_rows.items()},
         "aborted": trace.aborted,
         "outputs": {
             "trace": str(out_dir / "trace.csv"),

@@ -6,9 +6,11 @@ it. It matches a scalar double loop bit for bit, which the reference checks
 in the test suite rely on, and ``sqrt`` is correctly rounded, so all four
 measure the same length to the last bit. The dense matrix and the nearest
 neighbours fill a fixed (BLOCK, m) scratch block in place with it.
+``CandidateLists`` keeps each row's few nearest points from call to call
+and proves, row by row, that they still hold its nearest ones;
 ``NearestTracker`` returns what ``nearest`` returns for a cloud that moves
 a little between calls against one target, and searches in full only the
-rows whose nearest point it cannot prove unchanged.
+rows it cannot prove.
 """
 
 from __future__ import annotations
@@ -18,12 +20,18 @@ from typing import Iterator
 import numpy as np
 
 BLOCK = 64  # rows per block: the scratch arrays stay small and are reused
-# NearestTracker's certificate: a relative margin far above the few ulps a
-# computed length is off by; squared lengths below FLOOR (tiny / SLACK) are
-# never certified; an overflowed runner-up counts as CEIL
+SCRATCH = 2**14  # entries per row block of CandidateLists.search
+# NearestTracker searches with every row it must search those that this many
+# more calls like the last would leave uncertified: over the 200 short
+# Chamfer steps of a fit, fewer, larger searches cost less
+AHEAD = 4
+# CandidateLists' certificate: a relative margin far above the few ulps a
+# computed length is off by; squared lengths below FLOOR (tiny / SLACK), that
+# is lengths below ROOT_FLOOR, are never certified; an overflowed length
+# bounds the others as ROOT_CEIL
 SLACK = 2.0**-40
 FLOOR = 2.0**-982
-CEIL = 2.0**1022
+ROOT_FLOOR, ROOT_CEIL = 2.0**-491, 2.0**511
 
 
 def squared_lengths(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -93,60 +101,234 @@ def nearest(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return j, sq_p, i, sq_q
 
 
-def _squared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared lengths from each point of ``a`` to the same row of ``b``."""
-    return squared_lengths(a.T, b.T, np.empty(len(a)), np.empty(len(a)))
+def _norms(at: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """Length of each column of ``at - bt``, coordinate rows of the same
+    shape, counted as at least sqrt(FLOOR)."""
+    sq = squared_lengths(at, bt, np.empty(at.shape[1]), np.empty(at.shape[1]))
+    return np.sqrt(np.maximum(sq, FLOOR, out=sq), out=sq)
 
 
-def _row_search(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each point of ``a``: its nearest point of ``b`` (ties to the lower
-    index), that squared length, and the root of the runner-up's, which
-    equals the first on a tie and is at most sqrt(CEIL)."""
-    n = len(a)
-    k, best, second = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
-    for rows, sq in _squared_blocks(a, b):
-        r = np.arange(sq.shape[0])
-        k[rows] = sq.argmin(axis=1)
-        best[rows] = sq[r, k[rows]]
-        sq[r, k[rows]] = np.inf
-        second[rows] = sq.min(axis=1)
-    return k, best, np.sqrt(np.minimum(second, CEIL))
+def list_size(k: int) -> int:
+    """Candidates a tracker keeps per row for a search of the k nearest."""
+    return k + 7
 
 
-def _uncertified(sq: np.ndarray, far: np.ndarray) -> np.ndarray:
-    """Rows whose kept point, at squared length ``sq``, is not proved
-    nearest by every other point lying at least ``far`` away."""
-    kept = (sq >= FLOOR) & (np.sqrt(sq) * (1 + SLACK) < far * (1 - SLACK))
+def _select(d: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of each row's k smallest entries, and each row's k-th length.
+
+    ``cols`` (broadcast to ``d``) holds the point index of every entry. Ties
+    at the k-th length keep the lowest point indices, as a stable sort of the
+    full distance row would.
+    """
+    # a copy, so that the partitioned rows are freed at once
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1, None].copy()
+    sel = d <= kth
+    tied = np.flatnonzero(np.count_nonzero(sel, axis=1) > k)
+    dt, kt, ct = d[tied], kth[tied], np.broadcast_to(cols, d.shape)[tied]
+    eq = dt == kt
+    free = k - np.count_nonzero(dt < kt, axis=1)
+    # the free-th lowest point index among each row's tied entries
+    cut = np.sort(np.where(eq, ct, np.iinfo(np.intp).max), axis=1)[np.arange(tied.size), free - 1]
+    sel[tied] &= ~eq | (ct <= cut[:, None])
+    return sel, kth[:, 0]
+
+
+def _smallest(d: np.ndarray, k: int, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of each row's k smallest entries, and the rows where they are certain.
+
+    ``d`` holds non-negative lengths or +inf, and needs more than k columns.
+    Each entry is packed into one int64 word, the bits of its length with
+    the low b bits replaced by its column, b = bits(W - 1) for W columns:
+    non-negative float64 values, +inf among them, order as their bit
+    patterns do, so one ``partition`` of the words puts each row's k
+    smallest words first. Where the largest of them lies below the next
+    word even with its low b bits set, every chosen length is strictly
+    below every other, and the chosen columns are exactly the row's k
+    smallest entries, with no tie to settle. Other rows (an exact tie, a
+    near tie, or lengths too small to keep any bits) are not certain. The
+    words go to ``out``, an int64 array of the shape of ``d``, if given.
+    """
+    low = (1 << int(d.shape[1] - 1).bit_length()) - 1
+    word = np.bitwise_and(d.view(np.int64), ~low, out=out)
+    word |= np.arange(d.shape[1])
+    word.partition(k, axis=1)
+    first = word[:, :k]
+    return first & low, (first.max(axis=1) | low) < word[:, k]
+
+
+def _first_k(d: np.ndarray, cols: np.ndarray, k: int, out=None) -> np.ndarray:
+    """Columns of each row's k smallest entries, ascending.
+
+    ``cols`` (broadcast to ``d``) holds the point index of every entry, rising
+    along each row; ties at the k-th length keep the lowest point indices, as
+    in ``knn_adjacency``. ``out`` is int64 scratch for ``_smallest``.
+    """
+    if k == d.shape[1]:
+        return np.tile(np.arange(k), (len(d), 1))
+    j, clear = _smallest(d, k, out)
+    j.sort(axis=1)
+    tied = np.flatnonzero(~clear)
+    if tied.size:
+        cols = np.broadcast_to(cols, d.shape)[tied].astype(np.intp, copy=False)
+        sel = _select(d[tied], cols, k)[0]
+        j[tied] = np.nonzero(sel)[1].reshape(tied.size, k)
+    return j
+
+
+def _uncertified(kth: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """Rows whose k-th candidate, at length ``kth``, is not proved nearer
+    than every point outside their list, all at least ``far`` away."""
+    kept = (kth >= ROOT_FLOOR) & (kth * (1 + SLACK) < far * (1 - SLACK))
     return np.flatnonzero(~kept)
+
+
+class CandidateLists:
+    """Each row's K nearest points at its last full search, kept across calls.
+
+    The rows are the points of a set, passed as coordinate rows, a (3, N)
+    array; each row's targets are all other points, or with ``split`` = n,
+    bipartite, the points from n on for the rows below n and the points
+    below n for the others. Row ``a`` keeps ``cand[a]``: the first K targets
+    in the order of their length from point ``a`` and then of their index,
+    sorted by index. ``far[a]`` is the K-th of those lengths, or ROOT_CEIL
+    where no target lies outside the list, and at most ROOT_CEIL: every
+    target outside the list lay at least that far. Lengths are squared, as
+    ``nearest`` ranks them, or rooted, as the kNN graph does (``root``). A
+    call recomputes every candidate's length with ``squared_lengths``, the
+    dense pass's value bit for bit, and a caller's ``pick`` chooses each
+    row's answer among them, ties to the lower column, that is to the lower
+    index.
+
+    A row's k-th candidate stands for its k-th nearest target when it is
+    proved nearer than every target outside the list. Point ``a`` has moved
+    ``|a - anchor[a]|`` since its last full search, and each of its targets
+    at most ``moved[g] - moved_at[a]``, where ``moved[g]`` sums each call's
+    largest move within the group g of its targets (all points, or one side
+    of the split), so by the triangle inequality every target outside the
+    list lies at least ``far`` minus both moves away. The row is certified
+    when its k-th length, widened by ``SLACK``, is below that bound with
+    the moves widened and the result narrowed by ``SLACK``. A computed
+    length is within a few ulps of the exact one wherever its square is at
+    least FLOOR, far inside ``SLACK``, so every target outside the list has
+    a strictly larger entry in the dense pass, and the k smallest entries
+    of the row, ties settled by index, are the k smallest of its
+    candidates. Zero, subnormal and overflowed k-th lengths are never
+    certified; moves are counted as at least sqrt(FLOOR), which bounds the
+    error of a move too short to square, and ``moved`` is summed rounding
+    up. Other rows are searched in full, which renews their lists; a list
+    that is the first K targets of its row holds the row's k nearest for
+    every k <= K, ties included.
+    """
+
+    def __init__(self, zt: np.ndarray, size: int, root: bool, split: int | None = None):
+        n = zt.shape[1]
+        self.root, self.split = root, split
+        self.cand = np.zeros((n, size), dtype=np.int32)
+        self.far = np.full(n, -np.inf)  # certifies no row before its first search
+        self.anchor, self.moved_at = zt.copy(), np.zeros(n)
+        # where each group of points starts, and the group of each row's targets
+        self.starts = np.array([0] if split is None else [0, split])
+        self.targets = np.zeros(n, dtype=np.intp)
+        if split is not None:
+            self.targets[:split] = 1
+        self.moved = np.zeros(self.starts.size)
+        self.searched = 0  # rows searched in full
+
+    def renew(self, rows, cand, kth, zt: np.ndarray, moved, others: int) -> None:
+        """Set the lists of ``rows`` from a full search of ``others`` targets each."""
+        self.cand[rows] = cand
+        far = kth if self.root else np.sqrt(kth)
+        if self.cand.shape[1] == others:  # no target outside the list
+            far = np.inf
+        self.far[rows] = np.minimum(far, ROOT_CEIL)
+        self.anchor[:, rows], self.moved_at[rows] = zt[:, rows], moved[rows]
+        self.searched += len(cand)
+
+    def lengths(self, zt: np.ndarray) -> np.ndarray:
+        """(N, K) lengths from each point to its candidates."""
+        c = self.cand
+        d = squared_lengths(
+            [x[:, None] for x in zt], (x.take(c) for x in zt), np.empty(c.shape), np.empty(c.shape)
+        )
+        return np.sqrt(d, out=d) if self.root else d
+
+    def search(self, rows: np.ndarray, zt: np.ndarray, moved: np.ndarray) -> np.ndarray:
+        """Search ``rows`` (ascending) in full, renew their lists and return
+        their candidates' lengths."""
+        n, size = zt.shape[1], self.cand.shape[1]
+        if self.split is None:
+            groups = [(rows, 0, n)]
+        else:
+            s = np.searchsorted(rows, self.split)
+            groups = [(rows[:s], self.split, n), (rows[s:], 0, self.split)]
+        out, done = np.empty((rows.size, size)), 0
+        # one scratch of SCRATCH entries, or one row, for every block: its
+        # lengths, then their packed words
+        widest = max(hi - lo for _, lo, hi in groups)
+        step = max(1, SCRATCH // widest)
+        scratch = np.empty((2, min(step, rows.size) * widest))
+        for group, lo, hi in groups:
+            width = hi - lo
+            for r0 in range(0, group.size, step):
+                r = group[r0 : r0 + step]
+                d, words = (x[: r.size * width].reshape(r.size, width) for x in scratch)
+                squared_lengths([x[r, None] for x in zt], zt[:, lo:hi], d, words)
+                if self.split is None:  # a point is never its own target
+                    d[np.arange(r.size), r] = np.inf
+                if self.root:
+                    np.sqrt(d, out=d)
+                cand = _first_k(d, np.arange(width), size, words.view(np.int64))
+                o = out[done : done + r.size]
+                o[:] = d[np.arange(r.size)[:, None], cand]
+                self.renew(r, cand + lo, o.max(axis=1), zt, moved, width - (self.split is None))
+                done += r.size
+        return out
+
+    def track(self, zt: np.ndarray, steps: np.ndarray, pick, ahead: int = 0):
+        """Every row's candidates' lengths, ``pick``'s choice among them and
+        the chosen k-th lengths.
+
+        ``steps`` holds each point's move since the last call, counted as
+        at least sqrt(FLOOR) (see ``_norms``); on a row's first call, zeros.
+        ``pick(d, cand)`` returns a choice per row of ``d`` and each row's
+        k-th length. The rows it cannot be proved right for are searched in
+        full and picked again from their new lists, and with them, where
+        there are any, the rows that ``ahead`` more calls would leave
+        unproved if each lowered their bound as much as this one, so that
+        searches come in fewer, larger batches.
+        """
+        largest = np.maximum.reduceat(steps, self.starts)
+        self.moved = np.nextafter(self.moved + largest, np.inf)
+        moved = self.moved[self.targets]
+        d = self.lengths(zt)
+        chosen, kth = pick(d, self.cand)
+        move = _norms(zt, self.anchor)
+        move += moved - self.moved_at
+        kth_r = kth if self.root else np.sqrt(kth)
+        bound = self.far - move * (1 + SLACK)
+        rows = _uncertified(kth_r, bound)
+        if rows.size:
+            rows = _uncertified(kth_r, bound - ahead * (steps + largest[self.targets]))
+            d[rows] = self.search(rows, zt, moved)
+            chosen[rows], kth[rows] = pick(d[rows], self.cand[rows])
+        return d, chosen, kth
+
+
+def _nearest_of(d: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest candidate column (the lower on a tie) and its length."""
+    c = d.argmin(axis=1)
+    return c, d[np.arange(len(d)), c]
 
 
 class NearestTracker:
     """``nearest(p, q)`` against one fixed ``q``, for a ``p`` that moves a little between calls.
 
-    Every call returns what ``nearest(p, q)`` returns, bit for bit. A full
-    search of a row keeps its nearest point and ``r2``, the length to the
-    runner-up. A later call recomputes each row's squared length to its kept
-    point, which is the dense pass's entry bit for bit, and searches a row
-    in full again only where the kept point cannot be proved the unique
-    nearest:
-
-    - ``p[a]``, having moved ``|p[a] - anchor[a]|`` since its last full
-      search, is at least ``r2 - |p[a] - anchor[a]|`` from every other
-      point of ``q`` (triangle inequality);
-    - every point of ``p`` has moved at most ``S - S_b`` since ``q[b]``'s
-      last full search, where ``S`` sums each call's largest move, so
-      ``q[b]`` is at least ``r2 - (S - S_b)`` from every other point of ``p``.
-
-    The kept point is certified when its length, widened by ``SLACK``, is
-    below that bound with the move widened and the result narrowed by
-    ``SLACK``. A computed squared length is within a few ulps of the exact
-    one wherever it is at least FLOOR, far inside ``SLACK``, so the dense
-    pass's entries of all other points are strictly larger and its argmin
-    picks the kept point. Zero, subnormal and overflowed lengths are never
-    certified; moves are counted as at least sqrt(FLOOR), which bounds the
-    error of a move too short to square, and ``S`` is summed rounding up.
-    ``q`` must be the same array, unchanged, on every call; another array,
-    or a move that overflows, starts over with a full search of every row.
+    Every call returns what ``nearest(p, q)`` returns, bit for bit. The
+    points of ``p`` and ``q`` together keep ``CandidateLists``, bipartite,
+    ranked by squared length, each point with ``list_size(1)`` candidates
+    in the other cloud. ``q`` must be the same array, unchanged, on every
+    call; another array, another size of ``p``, or a move that overflows,
+    starts over with a full search of every row.
     """
 
     def __init__(self):
@@ -155,43 +337,29 @@ class NearestTracker:
         self.rows_asked = self.rows_searched = 0
         self._q = None
 
-    def _start(self, p: np.ndarray, q: np.ndarray) -> None:
-        n, m = len(p), len(q)
-        self._q, self._prev, self._anchor = q, p.copy(), p.copy()
-        self._j, self._r2_p = np.zeros(n, dtype=np.intp), np.full(n, -np.inf)
-        self._i, self._r2_q = np.zeros(m, dtype=np.intp), np.full(m, -np.inf)
-        self._moved, self._moved_at = 0.0, np.zeros(m)
-
     def __call__(
         self, p: np.ndarray, q: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         p = np.asarray(p, dtype=np.float64)
         q = np.asarray(q, dtype=np.float64)
-        self.rows_asked += len(p) + len(q)
+        n, m = len(p), len(q)
+        self.rows_asked += n + m
         if not (np.isfinite(p).all() and np.isfinite(q).all()):
             # nearest's blocked pass settles nan lengths its own way
             self._q = None
-            self.rows_searched += len(p) + len(q)
+            self.rows_searched += n + m
             return nearest(p, q)
-        step = np.inf
-        if q is self._q and len(p) == len(self._prev):
-            step = np.sqrt(max(_squared(p, self._prev).max(), FLOOR))
-        if np.isfinite(step):
-            self._moved = float(np.nextafter(self._moved + step, np.inf))
-            self._prev[:] = p
+        zt = np.concatenate([p.T, q.T], axis=1)
+        steps = None
+        if q is self._q and zt.shape == self._prev.shape and n == self._n:
+            steps = _norms(zt, self._prev)
+        if steps is not None and np.isfinite(steps.max()):
+            self._prev[:] = zt
         else:
-            self._start(p, q)
-
-        sq_p = _squared(p, q[self._j])
-        moved = np.sqrt(np.maximum(_squared(p, self._anchor), FLOOR))
-        rows = _uncertified(sq_p, self._r2_p - moved * (1 + SLACK))
-        self._j[rows], sq_p[rows], self._r2_p[rows] = _row_search(p[rows], q)
-        self._anchor[rows] = p[rows]
-
-        sq_q = _squared(q, p[self._i])
-        cols = _uncertified(sq_q, self._r2_q - (self._moved - self._moved_at) * (1 + SLACK))
-        self._i[cols], sq_q[cols], self._r2_q[cols] = _row_search(q[cols], p)
-        self._moved_at[cols] = self._moved
-
-        self.rows_searched += rows.size + cols.size
-        return self._j.copy(), sq_p, self._i.copy(), sq_q
+            self._q, self._n, self._prev, steps = q, n, zt.copy(), np.zeros(n + m)
+            self._lists = CandidateLists(zt, min(list_size(1), n, m), root=False, split=n)
+        lists, before = self._lists, self._lists.searched
+        _, c, sq = lists.track(zt, steps, _nearest_of, AHEAD)
+        self.rows_searched += lists.searched - before
+        j = lists.cand[np.arange(n + m), c].astype(np.intp)
+        return j[:n] - n, sq[:n], j[n:], sq[n:]

@@ -3,7 +3,9 @@
 Phase 1 runs Adam on the squared-distance Chamfer loss for coarse
 alignment; phase 2 fine-tunes on the graph-geodesic softmin loss, whose
 merged-set graph only makes sense once the clouds roughly overlap. The
-kNN graph is rebuilt every fine-tuning step because the coordinates move.
+coordinates move every step, so a fit tracks its nearest neighbours and its
+kNN graph from step to step and searches in full only the rows whose answer
+may have changed.
 
 Both clouds are expected to be jointly normalized (see ``normalize_pair``);
 the harness optimizes predicted coordinates only and never touches the
@@ -21,6 +23,7 @@ from .cloud import PointCloud
 from .distances import NearestTracker
 from .errors import GeoCdError, NormalizationError
 from .geodesic import MaskConfig
+from .graph import GraphTracker
 from .loss import GeoCdConfig, chamfer, geocd
 from .metrics import evaluate, f1_threshold, report_from_pass
 
@@ -80,6 +83,9 @@ class FitTrace:
     # phase, or "final" for the final report -> (rows the fit's nearest-
     # neighbour tracker searched in full, rows asked for)
     search_rows: dict[str, tuple[int, int]] = field(default_factory=dict)
+    # the same for the fit's kNN graph tracker, where a step or the final
+    # report built a graph
+    graph_rows: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 class Adam:
@@ -167,8 +173,9 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
 
     tau = f1_threshold(pred_init, gt, cfg.tau_fraction)  # depends on gt alone
     # every search of the fit is against gt, by points that move a little
-    search = NearestTracker()
+    search, graph = NearestTracker(), GraphTracker()
     search_rows: dict[str, tuple[int, int]] = {}
+    graph_rows: dict[str, tuple[int, int]] = {}
 
     def cd_step(cloud):
         # the metrics come from the loss's own nearest-neighbour pass
@@ -176,7 +183,7 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
         return rep, report_from_pass(rep.diagnostics["sq_pred"], rep.diagnostics["sq_gt"], tau)
 
     def geocd_step(cloud):
-        rep = geocd(cloud, gt, cfg.geo, with_grad=True)
+        rep = geocd(cloud, gt, cfg.geo, with_grad=True, graph=graph)
         return rep, evaluate(cloud, gt, cfg.tau_fraction, search=search)
 
     phases = (("cd", cfg.steps_cd, cd_step), ("geocd", cfg.steps_geocd, geocd_step))
@@ -184,6 +191,7 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
         if aborted:
             break
         search.rows_searched = search.rows_asked = 0
+        graph.rows_searched = graph.rows_asked = 0
         adam = Adam(params.shape, cfg.lr)
         for s in range(n_steps):
             cloud = PointCloud(params)
@@ -199,17 +207,21 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
                 break
             params = adam.step(params, rep.grad_pred)
             step_seconds.setdefault(phase, []).append(time.perf_counter() - t0)
-        if search.rows_asked:
-            search_rows[phase] = (search.rows_searched, search.rows_asked)
+        for tracker, rows in ((search, search_rows), (graph, graph_rows)):
+            if tracker.rows_asked:
+                rows[phase] = (tracker.rows_searched, tracker.rows_asked)
 
     final_cloud = PointCloud(params)
     search.rows_searched = search.rows_asked = 0
     met = evaluate(final_cloud, gt, cfg.tau_fraction, search=search)
     search_rows["final"] = (search.rows_searched, search.rows_asked)
+    graph.rows_searched = graph.rows_asked = 0
     try:
-        geocd_loss = geocd(final_cloud, gt, cfg.geo).value
+        geocd_loss = geocd(final_cloud, gt, cfg.geo, graph=graph).value
     except GeoCdError:
         geocd_loss = None  # e.g. pair too small for cfg.geo.k
+    if graph.rows_asked:
+        graph_rows["final"] = (graph.rows_searched, graph.rows_asked)
 
     def clean(x):
         # aborted runs can leave params whose metrics overflow; keep the
@@ -225,4 +237,4 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
         "chamfer_loss": clean(met.cd),  # equal to chamfer(final_cloud, gt).value
         "geocd_loss": clean(geocd_loss),
     }
-    return FitTrace(steps, final_cloud, final, aborted, step_seconds, search_rows)
+    return FitTrace(steps, final_cloud, final, aborted, step_seconds, search_rows, graph_rows)

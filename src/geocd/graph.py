@@ -10,11 +10,22 @@ the softmin while keeping the arithmetic finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .cloud import PointCloud
-from .distances import BLOCK, pairwise_distances, squared_lengths
+from .distances import (
+    BLOCK,
+    CandidateLists,
+    _first_k,
+    _norms,
+    _select,
+    _smallest,
+    list_size,
+    pairwise_distances,
+    squared_lengths,
+)
 from .errors import KTooLargeError
 
 # a grid chunk's candidate matrix holds at most CHUNK * n entries, a quarter
@@ -81,26 +92,6 @@ def merge(pred: PointCloud, gt: PointCloud) -> MergedSet:
     return MergedSet(np.vstack([pred.points, gt.points]), pred.size, gt.size)
 
 
-def _select(d: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of each row's k smallest entries, and each row's k-th length.
-
-    ``cols`` (broadcast to ``d``) holds the point index of every entry. Ties
-    at the k-th length keep the lowest point indices, as a stable sort of the
-    full distance row would.
-    """
-    # a copy, so that the partitioned rows are freed at once
-    kth = np.partition(d, k - 1, axis=1)[:, k - 1, None].copy()
-    sel = d <= kth
-    tied = np.flatnonzero(np.count_nonzero(sel, axis=1) > k)
-    dt, kt, ct = d[tied], kth[tied], np.broadcast_to(cols, d.shape)[tied]
-    eq = dt == kt
-    free = k - np.count_nonzero(dt < kt, axis=1)
-    # the free-th lowest point index among each row's tied entries
-    cut = np.sort(np.where(eq, ct, np.iinfo(np.intp).max), axis=1)[np.arange(tied.size), free - 1]
-    sel[tied] &= ~eq | (ct <= cut[:, None])
-    return sel, kth[:, 0]
-
-
 def _cell_edge(pts: np.ndarray, kth: np.ndarray) -> tuple[float, list[float]]:
     """Cell edge ``h`` from a sample's k-th lengths, and the reach of each grid pass.
 
@@ -165,26 +156,11 @@ def _grid(pts: np.ndarray, h: float):
     return order, np.repeat(np.arange(ids.size), np.diff(bounds)), runs
 
 
-def _smallest(d: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of each row's k smallest entries, and the rows where they are certain.
-
-    ``d`` holds non-negative lengths or +inf, and needs more than k columns.
-    Each entry is packed into one int64 word, the bits of its length with
-    the low b bits replaced by its column, b = bits(W - 1) for W columns:
-    non-negative float64 values, +inf among them, order as their bit
-    patterns do, so one ``partition`` of the words puts each row's k
-    smallest words first. Where the largest of them lies below the next
-    word even with its low b bits set, every chosen length is strictly
-    below every other, and the chosen columns are exactly the row's k
-    smallest entries, with no tie to settle. Other rows (an exact tie, a
-    near tie, or lengths too small to keep any bits) are not certain.
-    """
-    low = (1 << int(d.shape[1] - 1).bit_length()) - 1
-    word = d.view(np.int64) & ~low
-    word |= np.arange(d.shape[1])
-    word.partition(k, axis=1)
-    first = word[:, :k]
-    return first & low, (first.max(axis=1) | low) < word[:, k]
+def _check_k(k: int, n: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > n - 1:
+        raise KTooLargeError(f"k={k} exceeds the {n - 1} other points in the merged set")
 
 
 def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
@@ -222,10 +198,7 @@ def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
     indices among the tied entries.
     """
     n = z.size
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > n - 1:
-        raise KTooLargeError(f"k={k} exceeds the {n - 1} other points in the merged set")
+    _check_k(k, n)
     pts = z.points
     src, dst, length = [], [], []
 
@@ -347,3 +320,71 @@ def _edge_list(src, dst, length, n: int, symmetrize: bool) -> Hop:
         key, first = np.unique(np.r_[key, dst * n + src], return_index=True)
         length = np.r_[length, length][first]
     return Hop(key, length, np.arange(key.size), n)
+
+
+def _neighbours(d: np.ndarray, cand: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k nearest candidate columns, ascending, and its k-th length."""
+    c = _first_k(d, cand, k)
+    return c, d[np.arange(len(d))[:, None], c].max(axis=1)
+
+
+class GraphTracker:
+    """``knn_adjacency(z, k, symmetrize)`` for a merged set whose points move a little.
+
+    Every call returns what ``knn_adjacency`` returns, bit for bit, and
+    raises what it raises. Each point keeps ``list_size(k)`` candidates
+    among the others in ``CandidateLists``, ranked by rooted length and
+    seeded from one ``knn_adjacency`` build. Every call picks each row's k
+    neighbours from its candidates by the graph's own rule (``_smallest``,
+    then ``_select`` for ties) and searches in full only the rows whose
+    pick the lists cannot prove. Another size of the set, another k, a move
+    that overflows, or a coordinate that is not finite or so large that a
+    squared length may overflow, starts over.
+    """
+
+    def __init__(self):
+        # rows asked for, and of those the rows searched in full; counters
+        # that a caller may reset
+        self.rows_asked = self.rows_searched = 0
+        self._lists = None
+
+    def _start(self, pts: np.ndarray, zt: np.ndarray, k: int) -> None:
+        n, size = len(pts), min(list_size(k), len(pts) - 1)
+        seed = knn_adjacency(MergedSet(pts, n, 0), size)
+        self._lists = CandidateLists(zt, size, root=True)
+        # every row holds exactly size edges, sorted by key: its first size
+        # points, sorted by index; the longest may be stored shortened to
+        # the sentinel, which only lowers far
+        dist = seed.dist.reshape(n, size)
+        cand = (seed.key % n).reshape(n, size)
+        self._lists.renew(slice(None), cand, dist.max(axis=1), zt, np.zeros(n), n - 1)
+        self._k, self._prev = k, zt.copy()
+
+    def __call__(self, z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
+        n = z.size
+        _check_k(k, n)
+        pts = np.asarray(z.points, dtype=np.float64)
+        self.rows_asked += n
+        # below 2**510 no squared length overflows, so a row's own point,
+        # at +inf in its full search, is never its candidate
+        if not np.abs(pts).max() < 2.0**510:
+            self._lists = None
+            self.rows_searched += n
+            return knn_adjacency(z, k, symmetrize)
+        zt = np.ascontiguousarray(pts.T)
+        steps = None
+        if self._lists is not None and (zt.shape, k) == (self._prev.shape, self._k):
+            steps = _norms(zt, self._prev)
+        seeded = steps is None or not np.isfinite(steps.max())
+        if seeded:
+            self._start(pts, zt, k)
+            steps = np.zeros(n)
+        else:
+            self._prev[:] = zt
+        lists, before = self._lists, self._lists.searched
+        d, c, _ = lists.track(zt, steps, partial(_neighbours, k=k))
+        # the seed build searched every row
+        self.rows_searched += n if seeded else lists.searched - before
+        r = np.arange(n)[:, None]  # row by row, each row's neighbours by index
+        dst, length = lists.cand[r, c].ravel(), d[r, c].ravel()
+        return _edge_list([np.repeat(r, k)], [dst], [length], n, symmetrize)

@@ -103,6 +103,7 @@ def geocd(
     cfg: GeoCdConfig | None = None,
     with_grad: bool = False,
     with_gt_grad: bool = False,
+    graph=None,
 ) -> LossReport:
     """Softmin loss over multi-hop graph distances of the merged set.
 
@@ -110,12 +111,13 @@ def geocd(
     ``normalize_pair``). Sentinel entries take part in every softmin sum but
     are constants: they carry no coordinate gradient. Real entries
     distribute their softmin weight along the recorded shortest walk, one
-    unit-vector contribution per edge.
+    unit-vector contribution per edge. ``graph`` builds the kNN graph,
+    ``knn_adjacency`` by default, or a ``GraphTracker`` that returns the same.
     """
     cfg = cfg or GeoCdConfig()
     t0 = time.perf_counter()
     z = merge(pred, gt)
-    adj = knn_adjacency(z, cfg.k, cfg.symmetrize)
+    adj = (graph or knn_adjacency)(z, cfg.k, cfg.symmetrize)
     t1 = time.perf_counter()
     geo = propagate(z, adj, cfg.n_hops, cfg.mask)
     t2 = time.perf_counter()

@@ -410,6 +410,32 @@ def test_fit_manifest_full_search_share(tmp_path, schema, steps_cd, steps_geocd,
         validate(manifest, schema, "fit_manifest")
 
 
+@pytest.mark.parametrize(
+    "steps_cd, steps_geocd, keys",
+    [("4", "2", {"geocd", "final"}), ("3", "0", {"final"}), ("0", "0", {"final"})],
+)
+def test_fit_manifest_graph_search_share(tmp_path, schema, steps_cd, steps_geocd, keys):
+    out = tmp_path / "run"
+    argv = [
+        "fit", "--target", "sphere", "--n-points", "24", "--k", "3",
+        "--steps-cd", steps_cd, "--steps-geocd", steps_geocd,
+        "--out-dir", str(out), "--quiet",
+    ]
+    assert main(argv) == 0
+    manifest = strict_json((out / "manifest.json").read_text())
+    validate(manifest, schema, "fit_manifest")
+    share = manifest["graph_search_share"]
+    assert set(share) == keys
+    assert all(0.0 <= v <= 1.0 for v in share.values())
+    if keys == {"final"}:  # the fit's only graph is its tracker's seed build: every row
+        assert share["final"] == 1.0
+    else:  # the GeoCD steps' graphs after the seed search fewer rows
+        assert share["geocd"] < 1.0
+    manifest.pop("graph_search_share")
+    with pytest.raises(jsonschema.ValidationError):
+        validate(manifest, schema, "fit_manifest")
+
+
 def test_fit_abort_raises_no_overflow_warning(tmp_path):
     out = tmp_path / "run"
     argv = [

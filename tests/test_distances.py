@@ -131,12 +131,12 @@ def test_tracker_searches_only_the_rows_that_may_have_changed(monkeypatch):
     p, q = rng.random((50, 3)), rng.random((70, 3))
     searched = []
 
-    def recording(a, b):
-        searched.append(a.copy())
-        return row_search(a, b)
+    def recording(lists, rows, zt, moved):
+        searched.append(zt[:, rows[rows < len(p)]].T)  # the rows of p among them
+        return search(lists, rows, zt, moved)
 
-    row_search = distances._row_search
-    monkeypatch.setattr(distances, "_row_search", recording)
+    search = distances.CandidateLists.search
+    monkeypatch.setattr(distances.CandidateLists, "search", recording)
     track = NearestTracker()
     track(p, q)
     assert (track.rows_searched, track.rows_asked) == (120, 120)

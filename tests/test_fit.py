@@ -4,7 +4,8 @@ import importlib
 import numpy as np
 import pytest
 
-from geocd import GeoCdConfig, chamfer, distances, normalize_pair
+from geocd import GeoCdConfig, chamfer, distances, graph, normalize_pair
+from geocd.distances import list_size
 from geocd.fit import (
     Adam,
     FitConfig,
@@ -181,6 +182,32 @@ def test_fit_counts_the_rows_its_tracker_searched():
     # a phase that runs no step records nothing
     trace = fit(init, gt, FitConfig(steps_cd=3, steps_geocd=0))
     assert set(trace.search_rows) == {"cd", "final"}
+
+
+def test_fit_counts_the_rows_its_graph_tracker_searched():
+    init, gt = normalized_problem(n=48, seed=8)
+    rows = init.size + gt.size
+    trace = fit(init, gt, FitConfig(steps_cd=30, steps_geocd=10, geo=GeoCdConfig(k=3)))
+    assert set(trace.graph_rows) == {"geocd", "final"}
+    assert trace.graph_rows["geocd"][1] == 10 * rows
+    assert trace.graph_rows["final"][1] == rows
+    # the seed build covers every row; most later rows keep their neighbours,
+    # the final report's graph among them
+    searched, asked = trace.graph_rows["geocd"]
+    assert rows <= searched < asked / 2
+    assert trace.graph_rows["final"][0] < rows
+    # without GeoCD steps, the final report's graph is the seed build
+    trace = fit(init, gt, FitConfig(steps_cd=3, steps_geocd=0, geo=GeoCdConfig(k=3)))
+    assert trace.graph_rows == {"final": (rows, rows)}
+
+
+def test_fit_builds_one_graph_and_tracks_it(monkeypatch):
+    built = []
+    real = graph.knn_adjacency
+    monkeypatch.setattr(graph, "knn_adjacency", lambda z, k: built.append(k) or real(z, k))
+    init, gt = normalized_problem(n=48, seed=3)
+    fit(init, gt, FitConfig(steps_cd=5, steps_geocd=6, geo=GeoCdConfig(k=3)))
+    assert built == [list_size(3)]  # the tracker's seed, for 6 steps and the final report
 
 
 def test_fit_determinism():

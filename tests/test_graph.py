@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geocd import KTooLargeError, PointCloud, ShapeSpec, knn_adjacency, merge
 from geocd import noisy_copy, normalize_pair, sample_shape
@@ -343,3 +345,150 @@ def test_knn_memory_stays_below_dense(rng):
     finally:
         tracemalloc.stop()
     assert peak < z.size**2 * 8 / 4
+
+
+# ---------------------------------------------------------------- tracker
+
+
+def same_hop(got, want):
+    """The same hop-1 record, bit for bit and dtype for dtype."""
+    assert got.size == want.size
+    for g, w in ((got.key, want.key), (got.dist, want.dist), (got.edge, want.edge)):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+def tracked_cloud(kind, rng, n):
+    if kind == "lattice":  # equal lengths: ties at every k
+        return rng.integers(0, 4, (n, 3)) * 0.125
+    if kind == "duplicate":
+        p = rng.random((n, 3))
+        p[rng.integers(0, n, n // 3 + 1)] = p[0]
+        return p
+    if kind == "underflow":  # squared lengths below the smallest normal
+        return rng.integers(0, 9, (n, 3)) / 8.0 * 1e-162
+    return rng.random((n, 3))
+
+
+def tracked_move(kind, rng, pts):
+    if kind == "sub-gap":
+        return pts + rng.normal(scale=10.0 ** -rng.integers(3, 12), size=pts.shape)
+    if kind == "adam":  # every point moves by about 5e-4 per coordinate
+        return pts + rng.choice([-5e-4, 5e-4], pts.shape)
+    if kind == "jump":
+        return pts + rng.normal(scale=0.3, size=pts.shape)
+    if kind == "one point":
+        pts = pts.copy()
+        pts[rng.integers(len(pts))] = rng.random(3) * np.abs(pts).max()
+        return pts
+    if kind == "lattice":  # stays on the lattice, so ties stay exact
+        return pts + rng.integers(-1, 2, pts.shape) * 0.125
+    return pts.copy()  # zero move
+
+
+MOVES = ("zero", "sub-gap", "adam", "jump", "one point", "lattice")
+
+
+def merged(pts, n_pred):
+    return graph.MergedSet(pts, n_pred, len(pts) - n_pred)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("random", "lattice", "duplicate", "underflow")),
+    n=st.integers(2, 90),
+    k=st.integers(1, 8),
+    symmetrize=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    moves=st.lists(st.sampled_from(MOVES), max_size=8),
+)
+# an exact tie among a row's candidates, settled by point index
+@example(kind="lattice", n=4, k=1, symmetrize=False, seed=1, moves=[])
+def test_graph_tracker_returns_what_knn_adjacency_returns(kind, n, k, symmetrize, seed, moves):
+    # n runs from below the list size plus one to past BLOCK, where the seed
+    # build and knn_adjacency take the grid
+    k = min(k, n - 1)
+    rng = np.random.default_rng(seed)
+    pts = tracked_cloud(kind, rng, n)
+    track = graph.GraphTracker()
+    z = merged(pts, n // 2)
+    same_hop(track(z, k, symmetrize), knn_adjacency(z, k, symmetrize))
+    for kind in moves:
+        pts = tracked_move(kind, rng, pts)
+        z = merged(pts, n // 2)
+        same_hop(track(z, k, symmetrize), knn_adjacency(z, k, symmetrize))
+    assert 0 < track.rows_searched <= track.rows_asked == (1 + len(moves)) * n
+
+
+def test_graph_tracker_sees_a_point_from_outside_the_lists():
+    # row 0 keeps its nearest points on a ray; a point far outside its list
+    # walks in, step by step, and ends nearer than all of them, while row 0
+    # and its candidates stay put
+    rng = np.random.default_rng(3)
+    ray = np.c_[0.1 + 0.01 * np.arange(30), np.zeros(30), np.zeros(30)]
+    pts = np.vstack([np.zeros((1, 3)), ray, [[0.0, 0.9, 0.0]], 0.5 + 0.1 * rng.random((20, 3))])
+    walker = 31
+    track = graph.GraphTracker()
+    for y in np.linspace(0.9, 0.05, 40):
+        pts[walker, 1] = y
+        z = merged(pts, 10)
+        got = track(z, 2)
+        same_hop(got, knn_adjacency(z, 2))
+    assert list(got.key[:2]) == [1, walker]  # row 0's neighbours: ray[0] and the walker
+
+
+def test_graph_tracker_starts_over_on_another_k_size_or_a_nan():
+    rng = np.random.default_rng(8)
+    pts = rng.random((80, 3))
+    track = graph.GraphTracker()
+    track(merged(pts, 40), 5)
+    assert track.rows_searched == 80  # the seed build: every row
+    pts = pts + 1e-4
+    same_hop(track(merged(pts, 40), 5), knn_adjacency(merged(pts, 40), 5))
+    assert track.rows_searched < 2 * 80
+    for z, k in ((merged(pts, 40), 6), (merged(pts[:70], 40), 6)):  # another k, another size
+        before = track.rows_searched
+        same_hop(track(z, k), knn_adjacency(z, k))
+        assert track.rows_searched - before == z.size
+    pts = pts[:70].copy()
+    pts[3, 2] = np.nan
+    before = track.rows_searched
+    want = knn_adjacency(merged(pts, 40), 6)
+    same_hop(track(merged(pts, 40), 6), want)
+    pts[3, 2] = 0.5
+    same_hop(track(merged(pts, 40), 6), knn_adjacency(merged(pts, 40), 6))
+    assert track.rows_searched - before == 2 * 70  # the nan call and the restart after it
+
+
+def test_graph_tracker_leaves_coordinates_that_may_overflow_to_knn_adjacency():
+    # four points near the origin and sixteen at 1e200: a near row's lengths
+    # to the far points overflow, so its own point ties with them at +inf in
+    # a full search and may enter its list; every call is knn_adjacency's own
+    rng = np.random.default_rng(4)
+    pts = np.vstack([rng.random((4, 3)), rng.random((16, 3)) * 1e200])
+    track = graph.GraphTracker()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            z = merged(pts, 10)
+            same_hop(track(z, 2), knn_adjacency(z, 2))
+            pts = pts * (1 + 1e-9)
+    assert track.rows_searched == track.rows_asked == 3 * 20
+
+
+def test_graph_tracker_raises_what_knn_adjacency_raises_and_keeps_its_lists():
+    rng = np.random.default_rng(9)
+    pts = rng.random((30, 3))
+    track = graph.GraphTracker()
+    track(merged(pts, 15), 4)
+    state = (track.rows_asked, track.rows_searched)
+    for k, error in ((30, KTooLargeError), (0, ValueError)):
+        with pytest.raises(error) as want:
+            knn_adjacency(merged(pts, 15), k)
+        with pytest.raises(error) as got:
+            track(merged(pts, 15), k)
+        assert str(got.value) == str(want.value)
+        assert (track.rows_asked, track.rows_searched) == state
+    # the lists survive: a small move is tracked, not started over
+    pts = pts + 1e-6
+    same_hop(track(merged(pts, 15), 4), knn_adjacency(merged(pts, 15), 4))
+    assert track.rows_searched - state[1] < 30
