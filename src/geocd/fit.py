@@ -177,14 +177,17 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
     search_rows: dict[str, tuple[int, int]] = {}
     graph_rows: dict[str, tuple[int, int]] = {}
 
+    # each step returns its loss, gradient and metrics; the loss report,
+    # with the graph geocd hands back, is freed before the next step
     def cd_step(cloud):
         # the metrics come from the loss's own nearest-neighbour pass
         rep = chamfer(cloud, gt, with_grad=True, search=search)
-        return rep, report_from_pass(rep.diagnostics["sq_pred"], rep.diagnostics["sq_gt"], tau)
+        sq_pred, sq_gt = rep.diagnostics["sq_pred"], rep.diagnostics["sq_gt"]
+        return rep.value, rep.grad_pred, report_from_pass(sq_pred, sq_gt, tau)
 
     def geocd_step(cloud):
         rep = geocd(cloud, gt, cfg.geo, with_grad=True, graph=graph)
-        return rep, evaluate(cloud, gt, cfg.tau_fraction, search=search)
+        return rep.value, rep.grad_pred, evaluate(cloud, gt, cfg.tau_fraction, search=search)
 
     phases = (("cd", cfg.steps_cd, cd_step), ("geocd", cfg.steps_geocd, geocd_step))
     for phase, n_steps, step_fn in phases:
@@ -197,15 +200,15 @@ def fit(pred_init: PointCloud, gt: PointCloud, cfg: FitConfig | None = None) -> 
             cloud = PointCloud(params)
             t0 = time.perf_counter()
             try:
-                rep, met = step_fn(cloud)
+                value, grad, met = step_fn(cloud)
             except NormalizationError:
                 aborted = phase
                 break
-            steps.append(FitStep(phase, s, rep.value, met.cd, met.hd, met.f1))
-            if not (np.isfinite(rep.value) and np.isfinite(rep.grad_pred).all()):
+            steps.append(FitStep(phase, s, value, met.cd, met.hd, met.f1))
+            if not (np.isfinite(value) and np.isfinite(grad).all()):
                 aborted = phase
                 break
-            params = adam.step(params, rep.grad_pred)
+            params = adam.step(params, grad)
             step_seconds.setdefault(phase, []).append(time.perf_counter() - t0)
         for tracker, rows in ((search, search_rows), (graph, graph_rows)):
             if tracker.rows_asked:

@@ -10,9 +10,10 @@ Each hop is stored sparsely, as one ``graph.Hop`` record of the pairs that
 hold a real walk, sorted by ``key = src * n + dst``. Every other
 off-diagonal pair holds the sentinel and the diagonal is zero. Hop 1 is the
 kNN graph's own record. Callers use ``GeoDistances.cross``, which also
-gives the cross walks' positions in the last hop, the ``dense`` view,
-``reconstruct_path`` and ``unroll``, which returns the edges of the walks
-at given positions as flat arrays ``(walk, edge)``, last first.
+gives the cross walks' positions in the last hop, ``reconstruct_path`` and
+``unroll``, which returns the edges of the walks at given positions as
+flat arrays ``(walk, edge)``, last first. The dense views of a record,
+for oracles and tests, are in ``oracle.py``.
 
 Masking freezes a point's outgoing row once its best cross-set distance
 drops below a threshold; frozen points still serve as intermediates for
@@ -85,22 +86,6 @@ class GeoDistances:
     def hop_entries(self) -> list[int]:
         """Record size (real walks) of every hop."""
         return [hop.key.size for hop in self.hops]
-
-    def dense(self, h: int = -1) -> np.ndarray:
-        """(n, n) distance matrix of ``self.hops[h]``, for oracles and tests."""
-        return self.hops[h].dense()
-
-    @property
-    def d_xy(self) -> np.ndarray:
-        """(N, M) final distances, predicted -> ground truth."""
-        n = self.merged.n_pred
-        return self.dense()[:n, n:]
-
-    @property
-    def d_yx(self) -> np.ndarray:
-        """(M, N) final distances, ground truth -> predicted."""
-        n = self.merged.n_pred
-        return self.dense()[n:, :n]
 
     def cross(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(pos, src, dist) of the last hop's real walks between the two clouds.

@@ -20,7 +20,7 @@ import numpy as np
 from .cloud import PointCloud
 from .distances import nearest, squared_lengths
 from .geodesic import GeoDistances, MaskConfig, cross_width, propagate, row_min, unroll
-from .graph import SENTINEL, knn_adjacency, merge
+from .graph import SENTINEL, Hop, knn_adjacency, merge
 
 # unused here; perfbench/spans.py traces this name through this module
 from .distances import pairwise_distances  # noqa: F401
@@ -42,6 +42,7 @@ class LossReport:
     grad_pred: np.ndarray | None = None
     grad_gt: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+    graph: Hop | None = None  # the kNN graph geocd built, hop 1 of its walks
 
 
 def softmin(row) -> float:
@@ -112,7 +113,8 @@ def geocd(
     are constants: they carry no coordinate gradient. Real entries
     distribute their softmin weight along the recorded shortest walk, one
     unit-vector contribution per edge. ``graph`` builds the kNN graph,
-    ``knn_adjacency`` by default, or a ``GraphTracker`` that returns the same.
+    ``knn_adjacency`` by default, or a ``GraphTracker`` that returns the same;
+    the report hands the graph back, for ``graph.GraphNearest`` to read.
     """
     cfg = cfg or GeoCdConfig()
     t0 = time.perf_counter()
@@ -162,7 +164,7 @@ def geocd(
         "loss": t3 - t2,
         "gradient": gradient_s,
     }
-    return LossReport(value, grad_pred, grad_gt, diagnostics)
+    return LossReport(value, grad_pred, grad_gt, diagnostics, adj)
 
 
 def _path_gradients(

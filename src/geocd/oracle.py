@@ -3,7 +3,8 @@
 Deliberately independent of the production code: the kNN graph comes from a
 stable sort of every dense distance row, shortest walks are recomputed per
 source with plain relaxation rounds over the dense edge set, and gradients
-come from central finite differences.
+come from central finite differences. ``dense``, ``d_xy`` and ``d_yx``
+expand a walk record into full matrices; no other module builds one.
 """
 
 from __future__ import annotations
@@ -12,7 +13,28 @@ import heapq
 
 import numpy as np
 
-from .graph import Hop
+from .geodesic import GeoDistances
+from .graph import SENTINEL, Hop
+
+
+def dense(hop: Hop) -> np.ndarray:
+    """(size, size) distance matrix of one hop's record."""
+    out = np.full((hop.size, hop.size), SENTINEL)
+    np.fill_diagonal(out, 0.0)
+    out.flat[hop.key] = hop.dist
+    return out
+
+
+def d_xy(geo: GeoDistances) -> np.ndarray:
+    """(N, M) final distances, predicted -> ground truth."""
+    n = geo.merged.n_pred
+    return dense(geo.hops[-1])[:n, n:]
+
+
+def d_yx(geo: GeoDistances) -> np.ndarray:
+    """(M, N) final distances, ground truth -> predicted."""
+    n = geo.merged.n_pred
+    return dense(geo.hops[-1])[n:, :n]
 
 
 def stable_sort_knn_mask(
@@ -43,7 +65,7 @@ def hop_bounded_shortest_paths(adj: Hop, n_hops: int) -> np.ndarray:
     """
     if n_hops < 1:
         raise ValueError("n_hops must be >= 1")
-    w = adj.dense()
+    w = dense(adj)
     n = w.shape[0]
     out = np.empty_like(w)
     for s in range(n):
@@ -56,7 +78,7 @@ def hop_bounded_shortest_paths(adj: Hop, n_hops: int) -> np.ndarray:
 
 def dijkstra_all_pairs(adj: Hop) -> np.ndarray:
     """Converged shortest paths (no hop bound) on the same dense graph."""
-    w = adj.dense()
+    w = dense(adj)
     n = w.shape[0]
     out = np.empty_like(w)
     for s in range(n):

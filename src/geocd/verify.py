@@ -1,10 +1,11 @@
 """Randomized cross-checks used by tests and the ``verify`` command.
 
-Three check families:
+Four check families:
 
 * propagation: fast multi-hop propagation vs hop-bounded relaxation walks,
 * gradients: analytic softmin-path gradients vs central finite differences,
-* graph: the grid-built kNN graph vs a stable sort of every dense row.
+* graph: the grid-built kNN graph vs a stable sort of every dense row,
+* metrics: nearest neighbours read from the kNN graph vs ``nearest``.
 
 All draw instances from a seeded generator so failures are reproducible.
 """
@@ -14,11 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from .cloud import PointCloud, normalize_pair
-from .distances import BLOCK
+from .distances import BLOCK, nearest
 from .geodesic import propagate
-from .graph import knn_adjacency, merge
+from .graph import GraphNearest, knn_adjacency, merge
 from .loss import GeoCdConfig, geocd
-from .oracle import finite_diff_grad, hop_bounded_shortest_paths, stable_sort_knn_mask
+from .oracle import dense, finite_diff_grad, hop_bounded_shortest_paths, stable_sort_knn_mask
 
 PROPAGATION_TOL = 1e-9
 GRADIENT_REL_TOL = 1e-4
@@ -56,7 +57,7 @@ def check_propagation(
         pred, gt = random_pair(rng, n, m)
         z = merge(pred, gt)
         adj = knn_adjacency(z, k)
-        got = propagate(z, adj, hops).dense()
+        got = dense(propagate(z, adj, hops).hops[-1])
         ref = hop_bounded_shortest_paths(adj, hops)
         diff = np.abs(got - ref)
         worst = float(diff.max())
@@ -87,25 +88,34 @@ def check_propagation(
     }
 
 
+def _graph_instance(rng, trial: int, smallest: int):
+    """Merged points, the predicted count, k and ``symmetrize`` of one graph check.
+
+    The merged size runs from ``smallest`` to 600 and k from 1 to 8. Even
+    trials are uniform, odd ones a coarse lattice with exact ties and
+    repeated points; all lie in a box of edge 0.5, so that no length
+    reaches the sentinel.
+    """
+    size = int(rng.integers(smallest, 601))
+    pts = rng.integers(0, 7, (size, 3)) / 12.0 if trial % 2 else rng.random((size, 3)) / 2
+    n = int(rng.integers(1, size))
+    k = int(rng.integers(1, min(8, size - 1) + 1))
+    return pts, n, k, bool(rng.integers(2))
+
+
 def check_graph(trials: int, seed: int) -> dict:
     """Compare ``knn_adjacency`` with the dense reference, edge for edge.
 
-    The merged sizes run from BLOCK + 1 to 600, so the grid passes run.
-    Half the instances are uniform, half a coarse lattice with exact ties
-    and repeated points; all lie in a box of edge 0.5, so that no length
-    reaches the sentinel. A mismatch is an edge that only one side has, or
-    a shared edge whose lengths differ in any bit.
+    The merged sizes run from BLOCK + 1 to 600, so the grid passes run (see
+    ``_graph_instance``). A mismatch is an edge that only one side has, or a
+    shared edge whose lengths differ in any bit.
     """
     rng = np.random.default_rng(seed)
     mismatches = 0
     offenders = []
     for trial in range(trials):
-        size = int(rng.integers(BLOCK + 1, 601))
-        lattice = bool(trial % 2)
-        pts = rng.integers(0, 7, (size, 3)) / 12.0 if lattice else rng.random((size, 3)) / 2
-        n = int(rng.integers(1, size))
-        k = int(rng.integers(1, 9))
-        symmetrize = bool(rng.integers(2))
+        pts, n, k, symmetrize = _graph_instance(rng, trial, BLOCK + 1)
+        size = len(pts)
         z = merge(PointCloud(pts[:n]), PointCloud(pts[n:]))
         adj = knn_adjacency(z, k, symmetrize)
         ref, d = stable_sort_knn_mask(z.points, k, symmetrize)
@@ -117,6 +127,32 @@ def check_graph(trials: int, seed: int) -> dict:
         if bad:
             offenders.append(
                 {"trial": trial, "size": size, "k": k, "symmetrize": symmetrize, "edges": bad}
+            )
+    return {"trials": trials, "mismatch_count": mismatches, "worst_offenders": offenders[:5]}
+
+
+def check_metrics(trials: int, seed: int) -> dict:
+    """Compare the nearest neighbours read from the kNN graph with ``nearest``.
+
+    The merged sizes run from 2 to 600, so both the dense block and the
+    grid passes build the graph (see ``_graph_instance``). A mismatch is an
+    index or a squared length, in either direction, that differs from
+    ``nearest``'s.
+    """
+    rng = np.random.default_rng(seed)
+    mismatches = 0
+    offenders = []
+    for trial in range(trials):
+        pts, n, k, symmetrize = _graph_instance(rng, trial, 2)
+        size = len(pts)
+        p, q = pts[:n], pts[n:]
+        adj = knn_adjacency(merge(PointCloud(p), PointCloud(q)), k, symmetrize)
+        got, want = GraphNearest(adj, k)(p, q), nearest(p, q)
+        bad = sum(int((g != w).sum()) for g, w in zip(got, want))
+        mismatches += bad
+        if bad:
+            offenders.append(
+                {"trial": trial, "size": size, "k": k, "symmetrize": symmetrize, "entries": bad}
             )
     return {"trials": trials, "mismatch_count": mismatches, "worst_offenders": offenders[:5]}
 
@@ -200,7 +236,7 @@ def run_verification(
     grad_trials: int | None = None,
 ) -> dict:
     """Full check battery: the verify report's ``passed``, ``oracle``,
-    ``propagation``, ``gradients`` and ``graph`` blocks.
+    ``propagation``, ``gradients``, ``graph`` and ``metrics`` blocks.
 
     ``passed`` mirrors the verify exit status; bad counts or sizes raise ValueError.
     """
@@ -214,6 +250,7 @@ def run_verification(
     prop = check_propagation(trials, seed, size_range=size_range)
     grad = check_gradients(grad_trials, seed + 1)
     graph = check_graph(trials, seed + 2)
+    metrics = check_metrics(trials, seed + 3)
     oracle = {
         "max_abs_diff": prop["max_abs_diff"],
         "max_rel_diff": prop["max_rel_diff"],
@@ -225,11 +262,13 @@ def run_verification(
         grad["matched"] == checked
         and grad["skipped_tie_components"] <= 0.05 * grad["components"]
     )
-    passed = prop["mismatch_count"] == 0 and grads_ok and graph["mismatch_count"] == 0
+    exact = prop["mismatch_count"] + graph["mismatch_count"] + metrics["mismatch_count"] == 0
+    passed = exact and grads_ok
     return {
         "passed": passed,
         "oracle": oracle,
         "propagation": prop,
         "gradients": grad,
         "graph": graph,
+        "metrics": metrics,
     }

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from geocd import PointCloud, normalize_pair, verify
+from geocd import PointCloud, graph, normalize_pair, verify
+from geocd.distances import nearest
 
 
 @pytest.fixture
@@ -30,3 +31,15 @@ def fault_the_reference(monkeypatch):
         return ref
 
     monkeypatch.setattr(verify, "hop_bounded_shortest_paths", faulty)
+
+
+def record_nearest(monkeypatch):
+    """The (rows, targets) of every ``nearest`` call that the graph read makes."""
+    calls = []
+
+    def recorded(p, q):
+        calls.append((len(p), len(q)))
+        return nearest(p, q)
+
+    monkeypatch.setattr(graph, "nearest", recorded)
+    return calls

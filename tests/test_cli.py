@@ -10,8 +10,9 @@ from geocd import PointCloud, knn_adjacency, merge, normalize_pair, read_cloud, 
 from geocd import geodesic, graph, propagate
 from geocd import FitConfig, GeoCdConfig
 from geocd.cli import _fit_config, _geo_config, build_parser, main
-from geocd.fit import ShapeSpec, sample_shape
-from conftest import fault_the_reference
+from geocd.fit import ShapeSpec, noisy_copy, sample_shape
+from geocd.metrics import evaluate
+from conftest import fault_the_reference, record_nearest
 
 
 @pytest.fixture(scope="module")
@@ -221,9 +222,58 @@ def test_compute_json_stage_timings(small_pair, tmp_path, schema):
     validate(report, schema, "compute_report")
     timings = report["manifest"]["timings"]
     hops = {"hop_2", "hop_3"}  # one per extension of the graph
-    assert set(timings) == {"graph", "propagation", "loss", "gradient", "total"} | hops
+    stages = {"graph", "propagation", "loss", "gradient", "metrics", "total"}
+    assert set(timings) == stages | hops
     assert timings["gradient"] == 0.0  # compute takes no gradient
+    assert 0.0 < timings["metrics"] < timings["total"]
     assert 0.0 < sum(timings[h] for h in hops) <= timings["propagation"]
+
+
+def far_apart(rng):
+    p = rng.random((60, 3))
+    return p, rng.random((60, 3)) + 100.0
+
+
+def overlapping(rng):
+    gt = sample_shape(ShapeSpec("sphere", 300, seed=int(rng.integers(100))))
+    return noisy_copy(gt, 0.005, 1).points, gt.points
+
+
+@pytest.mark.parametrize("make, rows", [(overlapping, []), (far_apart, [(60, 60)])])
+def test_compute_reads_the_metrics_from_the_loss_graph(
+    tmp_path, capsys, monkeypatch, schema, make, rows
+):
+    # k = 8: on a well-overlapping pair every point's list holds a point of
+    # the other cloud strictly below its 8th length, and no row is searched;
+    # on clouds far apart no list holds one, and every row is searched in
+    # one pass. The metrics are evaluate's own either way
+    p, q = make(np.random.default_rng(7))
+    a, b = tmp_path / "p.xyz", tmp_path / "q.xyz"
+    write_cloud(PointCloud(p), a)
+    write_cloud(PointCloud(q), b)
+    calls = record_nearest(monkeypatch)
+    code, report = run_json(capsys, ["compute", str(a), str(b), "--k", "8"])
+    assert code == 0
+    validate(report, schema, "compute_report")
+    assert calls == rows
+    assert report["nearest_search_share"] == (1.0 if rows else 0.0)
+    pred, gt, _ = normalize_pair(read_cloud(a), read_cloud(b))
+    met = evaluate(pred, gt, 0.01)
+    assert (report["cd"], report["hd"]) == (met.cd, met.hd)
+    f1 = report["f1"]
+    assert (f1["fraction"], f1["precision"], f1["recall"]) == (met.f1, met.precision, met.recall)
+
+
+def test_compute_reports_the_share_of_rows_searched(small_pair, capsys, schema):
+    a, b = small_pair
+    code, report = run_json(capsys, ["compute", str(a), str(b), "--k", "3"])
+    assert code == 0
+    validate(report, schema, "compute_report")
+    share = report["nearest_search_share"]
+    assert share in [rows / 44 for rows in range(1, 44)]  # of 24 + 20 rows, some
+    del report["nearest_search_share"]
+    with pytest.raises(jsonschema.ValidationError, match="nearest_search_share"):
+        validate(report, schema, "compute_report")
 
 
 def test_compute_reports_the_resolved_mask_threshold(small_pair, capsys, schema):
@@ -535,7 +585,7 @@ def test_verify_zero_trials(capsys, schema):
     assert report["oracle"]["mismatch_count"] == 0
     validate(report, schema, "verify_report")
     _, full = run_json(capsys, ["verify", "--trials", "3"])
-    for block in ("oracle", "propagation", "gradients", "graph"):
+    for block in ("oracle", "propagation", "gradients", "graph", "metrics"):
         assert list(report[block]) == list(full[block])
 
 
@@ -558,6 +608,31 @@ def test_verify_graph_fault_fails(capsys, monkeypatch, schema):
     assert report["passed"] is False
     assert report["graph"]["mismatch_count"] > 0
     assert report["graph"]["worst_offenders"]
+    validate(report, schema, "verify_report")
+
+
+def test_verify_checks_the_graph_read(capsys, schema):
+    code, report = run_json(capsys, ["verify", "--trials", "6", "--grad-trials", "0"])
+    assert code == 0
+    assert report["metrics"] == {"trials": 6, "mismatch_count": 0, "worst_offenders": []}
+    del report["metrics"]
+    with pytest.raises(jsonschema.ValidationError, match="metrics"):
+        validate(report, schema, "verify_report")
+
+
+def test_verify_metrics_fault_fails(capsys, monkeypatch, schema):
+    # the graph read's lengths summed in another order: dx^2 + (dy^2 + dz^2)
+    def reassociated(a, b, out, tmp):
+        (ax, bx), (ay, by), (az, bz) = zip(a, b)
+        out[...] = (ax - bx) * (ax - bx) + ((ay - by) * (ay - by) + (az - bz) * (az - bz))
+        return out
+
+    monkeypatch.setattr(graph, "squared_lengths", reassociated)
+    code, report = run_json(capsys, ["verify", "--trials", "4", "--grad-trials", "0"])
+    assert code == 1
+    assert report["passed"] is False
+    assert report["metrics"]["mismatch_count"] > 0
+    assert report["metrics"]["worst_offenders"]
     validate(report, schema, "verify_report")
 
 

@@ -17,6 +17,7 @@ from geocd import (
 from geocd import geodesic
 from geocd.geodesic import Hop, MaskConfig, cross_width, row_min, unroll
 from geocd.graph import SENTINEL, MergedSet
+from geocd.oracle import d_xy, d_yx, dense
 from geocd.fit import ShapeSpec, noisy_copy, sample_shape
 from geocd import normalize_pair
 from conftest import random_normalized_pair
@@ -63,7 +64,7 @@ def test_the_graph_is_hop_one(rng):
 def test_l_shape_two_hop_improvement():
     z, adj = l_shape()
     geo = propagate(z, adj, n_hops=2)
-    hop1, hop2 = geo.dense(0), geo.dense(1)
+    hop1, hop2 = dense(geo.hops[0]), dense(geo.hops[1])
     assert hop1[0, 2] == 1.0  # sentinel at hop 1
     assert hop2[0, 2] == pytest.approx(0.7, abs=1e-12)
     assert reconstruct_path(geo, 0, 2) == [0, 1, 2]
@@ -76,9 +77,9 @@ def test_l_shape_two_hop_improvement():
 def test_l_shape_propagate_cross_blocks():
     z, adj = l_shape()
     geo = propagate(z, adj, n_hops=2)
-    assert np.allclose(geo.d_xy, [[0.4, 0.7]], atol=1e-12)
+    assert np.allclose(d_xy(geo), [[0.4, 0.7]], atol=1e-12)
     # nothing links back to z1, so the reverse block stays at the sentinel
-    assert np.array_equal(geo.d_yx, [[1.0], [1.0]])
+    assert np.array_equal(d_yx(geo), [[1.0], [1.0]])
     pred, gt = PointCloud(z.points[:1]), PointCloud(z.points[1:])
     rep = geocd(pred, gt, GeoCdConfig(k=1, n_hops=2))
     assert rep.diagnostics["sentinel_fraction"] == pytest.approx(0.5)
@@ -91,8 +92,8 @@ def test_propagate_single_hop_is_adjacency(rng):
     z = merge(pred, gt)
     adj = knn_adjacency(z, 3)
     geo = propagate(z, adj, n_hops=1)
-    assert np.array_equal(geo.d_xy, adj.dense()[:9, 9:])
-    assert np.array_equal(geo.d_yx, adj.dense()[9:, :9])
+    assert np.array_equal(d_xy(geo), dense(adj)[:9, 9:])
+    assert np.array_equal(d_yx(geo), dense(adj)[9:, :9])
 
 
 def test_straight_line_complete_graph_fixed_point():
@@ -101,7 +102,7 @@ def test_straight_line_complete_graph_fixed_point():
     z = merge(PointCloud(pts[:3]), PointCloud(pts[3:]))
     adj = knn_adjacency(z, k=5)
     geo = propagate(z, adj, n_hops=2)
-    assert np.allclose(geo.dense(1), geo.dense(0), atol=1e-12)
+    assert np.allclose(dense(geo.hops[1]), dense(geo.hops[0]), atol=1e-12)
     assert (intermediates(geo.hops[1], adj) == -1).all()
 
 
@@ -112,7 +113,7 @@ def test_isolated_pair_stays_sentinel():
     z = merge(pred, gt)
     adj = knn_adjacency(z, k=1)
     geo = propagate(z, adj, n_hops=4)
-    assert geo.dense()[0, 3] == 1.0  # no walk beats the sentinel
+    assert dense(geo.hops[-1])[0, 3] == 1.0  # no walk beats the sentinel
     assert reconstruct_path(geo, 0, 3) is None
 
 
@@ -123,8 +124,8 @@ def test_minplus_matches_naive_dense(rng):
         adj = knn_adjacency(z, 3)
         geo = propagate(z, adj, n_hops=4)
         for h in range(1, 4):
-            ref = naive_minplus(geo.dense(h - 1), adj.dense())
-            assert np.abs(geo.dense(h) - ref).max() < 1e-15
+            ref = naive_minplus(dense(geo.hops[h - 1]), dense(adj))
+            assert np.abs(dense(geo.hops[h]) - ref).max() < 1e-15
 
 
 def test_exact_ties_keep_previous_then_lowest_intermediate():
@@ -132,12 +133,12 @@ def test_exact_ties_keep_previous_then_lowest_intermediate():
     square = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0], [0.0, 0.25, 0.0], [0.25, 0.25, 0.0]])
     z = merge(PointCloud(square[:1]), PointCloud(square[1:]))
     geo = propagate(z, knn_adjacency(z, k=2), n_hops=2)
-    assert geo.dense()[0, 3] == 0.5  # via 1 and via 2 tie
+    assert dense(geo.hops[-1])[0, 3] == 0.5  # via 1 and via 2 tie
     assert reconstruct_path(geo, 0, 3) == [0, 1, 3]
     line = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0], [0.5, 0.0, 0.0]])
     z = merge(PointCloud(line[:1]), PointCloud(line[1:]))
     geo = propagate(z, knn_adjacency(z, k=2), n_hops=2)
-    assert geo.dense()[0, 2] == 0.5  # the direct edge ties the walk via 1
+    assert dense(geo.hops[-1])[0, 2] == 0.5  # the direct edge ties the walk via 1
     assert reconstruct_path(geo, 0, 2) == [0, 2]
 
 
@@ -192,8 +193,8 @@ def test_elementwise_monotonicity_and_sentinel_ceiling(rng):
         adj = knn_adjacency(z, 3)
         geo = propagate(z, adj, n_hops=4)
         for h in range(1, geo.hops_used):
-            assert (geo.dense(h) <= geo.dense(h - 1)).all()
-        assert (geo.dense() <= SENTINEL).all()
+            assert (dense(geo.hops[h]) <= dense(geo.hops[h - 1])).all()
+        assert (dense(geo.hops[-1]) <= SENTINEL).all()
 
 
 def test_pred_decomposition_invariant(rng):
@@ -210,8 +211,8 @@ def test_pred_decomposition_invariant(rng):
             continue
         ii, jj = np.divmod(hop.key[routed], z.size)
         kk = via[routed]
-        recomposed = geo.dense(h - 1)[ii, kk] + adj.dense()[kk, jj]
-        assert np.abs(geo.dense(h)[ii, jj] - recomposed).max() < 1e-12
+        recomposed = dense(geo.hops[h - 1])[ii, kk] + dense(adj)[kk, jj]
+        assert np.abs(dense(geo.hops[h])[ii, jj] - recomposed).max() < 1e-12
 
 
 def test_path_consistency(rng):
@@ -220,7 +221,7 @@ def test_path_consistency(rng):
     adj = knn_adjacency(z, 3)
     for hops, mask in ((3, MaskConfig()), (4, MaskConfig(enabled=True))):
         geo = propagate(z, adj, n_hops=hops, mask=mask)
-        final = geo.dense()
+        final = dense(geo.hops[-1])
         checked = 0
         for i in range(z.size):
             for j in range(z.size):
@@ -290,8 +291,8 @@ def test_mask_threshold_at_sentinel_freezes_all(rng):
     adj = knn_adjacency(z, 3)
     frozen = propagate(z, adj, n_hops=3, mask=MaskConfig(enabled=True, threshold=1.0))
     single = propagate(z, adj, n_hops=1)
-    assert np.array_equal(frozen.d_xy, single.d_xy)
-    assert np.array_equal(frozen.d_yx, single.d_yx)
+    assert np.array_equal(d_xy(frozen), d_xy(single))
+    assert np.array_equal(d_yx(frozen), d_yx(single))
     assert frozen.masked_per_hop == [1.0, 1.0]
 
 
@@ -309,8 +310,8 @@ def test_masked_vs_unmasked_soundness():
         adj = knn_adjacency(z, 5)
         masked = propagate(z, adj, n_hops=3, mask=MaskConfig(enabled=True, threshold=threshold))
         plain = propagate(z, adj, n_hops=3)
-        m = np.vstack([masked.d_xy, masked.d_yx.T])
-        p = np.vstack([plain.d_xy, plain.d_yx.T])
+        m = np.vstack([d_xy(masked), d_yx(masked).T])
+        p = np.vstack([d_xy(plain), d_yx(plain).T])
         assert (m >= p - 1e-15).all()
         small = p <= threshold
         assert small.any()
@@ -321,11 +322,11 @@ def test_mask_freezes_row_improvements():
     z, adj = l_shape()
     # row 0's cross minimum is 0.4 <= 0.45, so it freezes and loses the 2-hop walk
     geo = propagate(z, adj, n_hops=2, mask=MaskConfig(enabled=True, threshold=0.45))
-    assert geo.d_xy[0, 1] == 1.0
+    assert d_xy(geo)[0, 1] == 1.0
     assert geo.masked_per_hop[0] > 0
     # a tighter threshold leaves row 0 active and the walk is found
     geo2 = propagate(z, adj, n_hops=2, mask=MaskConfig(enabled=True, threshold=0.3))
-    assert geo2.d_xy[0, 1] == pytest.approx(0.7, abs=1e-12)
+    assert d_xy(geo2)[0, 1] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_masked_rows_still_serve_as_intermediates():
@@ -337,7 +338,7 @@ def test_masked_rows_still_serve_as_intermediates():
     adj = knn_adjacency(z, k=1)
     geo = propagate(z, adj, n_hops=2, mask=MaskConfig(enabled=True, threshold=0.1))
     assert geo.masked_per_hop[0] == 0.5
-    final, first = geo.dense(), geo.dense(0)
+    final, first = dense(geo.hops[-1]), dense(geo.hops[0])
     # frozen rows copied verbatim
     assert np.array_equal(final[1], first[1])
     assert np.array_equal(final[2], first[2])
@@ -561,7 +562,7 @@ def test_per_hop_counts(rng):
         assert all(s > 0.0 for s in geo.hop_seconds)
         for h, count in enumerate(geo.improved_per_hop):
             # a new entry holds less than the sentinel, so it counts as shorter too
-            assert count == int((geo.dense(h + 1) < geo.dense(h)).sum())
+            assert count == int((dense(geo.hops[h + 1]) < dense(geo.hops[h])).sum())
         assert geo.improved_per_hop[0] > 0
 
 

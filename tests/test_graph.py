@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geocd import KTooLargeError, PointCloud, ShapeSpec, knn_adjacency, merge
+from geocd import DimensionMismatchError, KTooLargeError, PointCloud, ShapeSpec
+from geocd import knn_adjacency, merge
 from geocd import noisy_copy, normalize_pair, sample_shape
 from geocd import graph
-from geocd.oracle import stable_sort_knn_mask
-from conftest import random_cloud
+from geocd.distances import nearest
+from geocd.oracle import dense, stable_sort_knn_mask
+from conftest import random_cloud, record_nearest
 
 
 def cloud(*pts):
@@ -42,9 +44,9 @@ def test_collinear_k1_fixture():
             [1.0, 0.35, 0.0],
         ]
     )
-    assert np.allclose(adj.dense(), expected, atol=1e-12)
+    assert np.allclose(dense(adj), expected, atol=1e-12)
     # directed: 1->2 is sentinel while 2->1 is a real edge
-    assert adj.dense()[1, 2] != adj.dense()[2, 1]
+    assert dense(adj)[1, 2] != dense(adj)[2, 1]
     assert np.c_[np.divmod(adj.key, adj.size)].tolist() == [[0, 1], [1, 0], [2, 1]]
 
 
@@ -54,7 +56,7 @@ def test_complete_graph_equals_distance_matrix(rng):
     adj = knn_adjacency(z, k=z.size - 1)
     diffs = z.points[:, None, :] - z.points[None, :, :]
     full = np.sqrt((diffs**2).sum(-1))
-    assert np.allclose(adj.dense(), full, atol=1e-12)
+    assert np.allclose(dense(adj), full, atol=1e-12)
     assert adj.key.size == z.size * (z.size - 1)
 
 
@@ -79,7 +81,7 @@ def test_row_sparsity_and_diagonal(rng):
         off_diag = np.bincount(src, minlength=z.size)
         assert (off_diag == k).all()
         assert (src != dst).all()
-        assert (adj.dense().diagonal() == 0).all()
+        assert (dense(adj).diagonal() == 0).all()
 
 
 def test_monotone_in_k(rng):
@@ -112,7 +114,7 @@ def test_symmetrize_flag(rng):
     adj = knn_adjacency(z, 2, symmetrize=True)
     src, dst = np.divmod(adj.key, z.size)
     assert np.array_equal(np.sort(dst * z.size + src), adj.key)
-    assert np.allclose(adj.dense(), adj.dense().T)
+    assert np.allclose(dense(adj), dense(adj).T)
 
 
 @pytest.mark.parametrize("n_pred,n_gt", [(20, 23), (30, 35), (70, 75)])  # merged 43, 65, 145
@@ -130,7 +132,7 @@ def test_boundary_ties_keep_lowest_indices(n_pred, n_gt):
             assert np.array_equal(np.c_[np.divmod(adj.key, z.size)], np.argwhere(ref))
             expected = np.where(ref, d, 1.0)
             np.fill_diagonal(expected, 0.0)
-            assert np.array_equal(adj.dense(), expected)
+            assert np.array_equal(dense(adj), expected)
 
 
 @pytest.mark.parametrize("n_pred,n_gt", [(20, 23), (30, 35), (70, 75)])  # merged 43, 65, 145
@@ -222,17 +224,17 @@ def test_grid_matches_dense_reference(name, monkeypatch):
             assert np.array_equal(np.c_[np.divmod(adj.key, z.size)], np.argwhere(ref))
             assert np.array_equal(adj.dist, d[ref])
     if name == "outlier":  # one dense call per build sizes the cells; the rest are fallbacks
-        assert sum(len(dense) for _, dense, _ in builds) > len(builds)
+        assert sum(len(full) for _, full, _ in builds) > len(builds)
     if name in ("volume", "chunks"):
         assert sum(len(grid) for _, _, grid in builds) > 2 * len(builds)
     if name == "sparse":
         # every grid row takes the first pass, so the excess took the second,
         # and no row but the sample's reached the dense pass
         sample = len(range(0, n, -(-n // (graph.BLOCK // 2))))
-        for k, dense, grid in builds:
+        for k, full, grid in builds:
             if k < n - 1:  # at k = n - 1 every block is too wide
                 assert sum(grid) > n - sample
-                assert dense == [sample]
+                assert full == [sample]
 
 
 def selection_case(name):
@@ -492,3 +494,102 @@ def test_graph_tracker_raises_what_knn_adjacency_raises_and_keeps_its_lists():
     pts = pts + 1e-6
     same_hop(track(merged(pts, 15), 4), knn_adjacency(merged(pts, 15), 4))
     assert track.rows_searched - state[1] < 30
+
+
+# ---------------------------------------------------------------- nearest from the graph
+
+
+def same_nearest(got, want):
+    """The same four arrays as ``nearest``'s, bit for bit and dtype for dtype."""
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+def read_pair(kind, rng, n, m):
+    if kind == "lattice":  # exact ties and repeated points
+        return rng.integers(0, 4, (n, 3)) * 0.125, rng.integers(0, 4, (m, 3)) * 0.125
+    if kind == "underflow":  # squared lengths below the smallest normal
+        return (rng.integers(0, 9, (s, 3)) / 8.0 * 1e-162 for s in (n, m))
+    if kind == "noisy copy":
+        q = rng.random((m, 3))
+        return q[rng.integers(0, m, n)] + rng.normal(scale=1e-3, size=(n, 3)), q
+    return rng.random((n, 3)), rng.random((m, 3))
+
+
+def graph_of(p, q, k, symmetrize=False):
+    return knn_adjacency(merge(PointCloud(p), PointCloud(q)), k, symmetrize)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(("uniform", "lattice", "underflow", "noisy copy")),
+    n=st.integers(1, 90),
+    m=st.integers(1, 90),
+    k=st.integers(1, 8),
+    symmetrize=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one-point clouds, and merged sets at and just above BLOCK
+@example(kind="uniform", n=1, m=1, k=1, symmetrize=False, seed=0)
+@example(kind="noisy copy", n=1, m=40, k=8, symmetrize=True, seed=1)
+@example(kind="lattice", n=32, m=32, k=8, symmetrize=True, seed=2)
+@example(kind="noisy copy", n=40, m=25, k=8, symmetrize=False, seed=3)
+def test_graph_nearest_returns_what_nearest_returns(kind, n, m, k, symmetrize, seed):
+    rng = np.random.default_rng(seed)
+    p, q = read_pair(kind, rng, n, m)
+    k = min(k, n + m - 1)
+    read = graph.GraphNearest(graph_of(p, q, k, symmetrize), k)
+    same_nearest(read(p, q), nearest(p, q))
+    assert 0 <= read.rows_searched <= read.rows_asked == n + m
+
+
+def test_graph_nearest_searches_a_row_whose_list_holds_no_cross_edge(monkeypatch):
+    # on a line: pred 0, 0.1, 0.11, 0.12 and target 0.01, 0.5. At k = 2 the
+    # pred points 1-3 list only each other; rows 0, 4 and 5 pick a cross
+    # edge strictly below their 2nd length
+    p = np.array([[0.0, 0, 0], [0.1, 0, 0], [0.11, 0, 0], [0.12, 0, 0]])
+    q = np.array([[0.01, 0, 0], [0.5, 0, 0]])
+    calls = record_nearest(monkeypatch)
+    read = graph.GraphNearest(graph_of(p, q, 2), 2)
+    got = read(p, q)
+    assert calls == [(3, 2)]  # rows 1-3 against the target
+    assert read.rows_searched == 3
+    monkeypatch.undo()
+    same_nearest(got, nearest(p, q))
+
+
+def test_graph_nearest_searches_a_pick_that_ties_the_kth_length(monkeypatch):
+    # pred 0's two nearest, pred 1 and target 0, lie at the same length: the
+    # pick does not lie strictly below it, so the row is searched. Every
+    # other point has a point of the other cloud 0.001 away
+    p = np.array([[0.0, 0, 0], [-0.1, 0, 0], [0.1, 0.001, 0]])
+    q = np.array([[0.1, 0, 0], [-0.1, 0.001, 0]])
+    adj = graph_of(p, q, 2)
+    assert list(adj.key[:2] % 5) == [1, 3] and adj.dist[0] == adj.dist[1]
+    calls = record_nearest(monkeypatch)
+    read = graph.GraphNearest(adj, 2)
+    got = read(p, q)
+    assert calls == [(1, 2)]  # row 0 against the target
+    assert read.rows_searched == 1
+    monkeypatch.undo()
+    same_nearest(got, nearest(p, q))
+
+
+def test_graph_nearest_searches_every_row_of_a_pair_that_is_not_finite():
+    rng = np.random.default_rng(5)
+    p, q = rng.random((20, 3)), rng.random((20, 3))
+    adj = graph_of(p, q, 4)
+    p[3, 1] = np.nan
+    read = graph.GraphNearest(adj, 4)
+    same_nearest(read(p, q), nearest(p, q))
+    assert read.rows_searched == read.rows_asked == 40
+
+
+def test_graph_nearest_rejects_a_graph_of_another_size():
+    rng = np.random.default_rng(6)
+    p, q = rng.random((20, 3)), rng.random((20, 3))
+    read = graph.GraphNearest(graph_of(p, q, 4), 4)
+    with pytest.raises(DimensionMismatchError, match="graph has 40 points, the pair has 39"):
+        read(p[1:], q)

@@ -26,6 +26,7 @@ from geocd import (
 from geocd.distances import nearest
 from geocd.geodesic import cross_width, unroll
 from geocd.loss import DEGENERATE_EDGE, _softmin_rows
+from geocd.oracle import d_xy, d_yx, dense
 from geocd.verify import propagation_signature
 from conftest import random_normalized_pair
 from golden.generate import intermediates
@@ -191,8 +192,8 @@ def test_geocd_value_matches_dense_softmin():
                 cfg = GeoCdConfig(k=3, n_hops=3, symmetrize=symmetrize, mask=MaskConfig(mask))
                 adj = knn_adjacency(z, cfg.k, symmetrize)
                 geo = propagate(z, adj, cfg.n_hops, cfg.mask)
-                expected = np.mean([softmin(r) for r in geo.d_xy]) + np.mean(
-                    [softmin(r) for r in geo.d_yx]
+                expected = np.mean([softmin(r) for r in d_xy(geo)]) + np.mean(
+                    [softmin(r) for r in d_yx(geo)]
                 )
                 assert abs(geocd(pred, gt, cfg).value - expected) <= 1e-12
 
@@ -209,7 +210,7 @@ def test_sentinel_mass_matches_dense_softmax_weights():
             geo = propagate(z, knn_adjacency(z, k), cfg.n_hops)
             real = np.zeros((z.size, z.size), dtype=bool)
             real.flat[geo.hops[-1].key] = True
-            d = geo.dense()
+            d = dense(geo.hops[-1])
             share = []
             for rows, cols in ((slice(None, n), slice(n, None)), (slice(n, None), slice(None, n))):
                 w = np.exp(-(d[rows, cols] - d[rows, cols].min(axis=1, keepdims=True)))
@@ -233,7 +234,7 @@ def test_real_weight_and_cross_entries_match_dense_softmax_weights():
             geo = propagate(z, knn_adjacency(z, k), cfg.n_hops)
             real = np.zeros((z.size, z.size), dtype=bool)
             real.flat[geo.hops[-1].key] = True
-            d = geo.dense()
+            d = dense(geo.hops[-1])
             weights, count = [0.0], 0
             for rows, cols in ((slice(None, n), slice(n, None)), (slice(n, None), slice(None, n))):
                 w = np.exp(-(d[rows, cols] - d[rows, cols].min(axis=1, keepdims=True)))

@@ -14,6 +14,7 @@ from geocd import (
     propagate,
 )
 from geocd.verify import check_gradients, check_propagation, run_verification
+from geocd.oracle import dense
 from conftest import fault_the_reference, random_normalized_pair
 
 
@@ -25,7 +26,7 @@ def test_single_hop_returns_adjacency(rng):
     pred, gt = random_normalized_pair(rng, 8, 8)
     z = merge(pred, gt)
     adj = knn_adjacency(z, 3)
-    assert np.array_equal(hop_bounded_shortest_paths(adj, 1), adj.dense())
+    assert np.array_equal(hop_bounded_shortest_paths(adj, 1), dense(adj))
 
 
 def test_l_shape_two_hops():
@@ -62,7 +63,7 @@ def test_oracle_matches_propagation(rng):
         z = merge(pred, gt)
         adj = knn_adjacency(z, int(rng.choice([2, 3, 5])))
         hops = int(rng.integers(1, 5))
-        got = propagate(z, adj, hops).dense()
+        got = dense(propagate(z, adj, hops).hops[-1])
         assert np.abs(got - hop_bounded_shortest_paths(adj, hops)).max() < 1e-9
 
 
@@ -119,7 +120,7 @@ def test_check_gradients_clean():
 
 def test_run_verification_roundtrip(monkeypatch):
     res = run_verification(trials=3, seed=2, grad_trials=1)
-    assert list(res) == ["passed", "oracle", "propagation", "gradients", "graph"]
+    assert list(res) == ["passed", "oracle", "propagation", "gradients", "graph", "metrics"]
     assert res["passed"]
     assert res["oracle"]["mismatch_count"] == 0
     fault_the_reference(monkeypatch)
