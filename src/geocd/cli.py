@@ -18,6 +18,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .cloud import PointCloud, normalize_pair
 from .errors import (
@@ -136,6 +138,11 @@ def cmd_compute(args) -> int:
     gt = read_cloud(args.gt, args.format)
     if args.no_normalize:
         # caller asserts the inputs already satisfy the <1 pairwise bound
+        if PointCloud(np.vstack([pred.points, gt.points])).bbox_diagonal() < 2.0**-511:
+            raise DegenerateCloudError(
+                "the pair's box diagonal is below 2**-511, so every squared length is "
+                "subnormal or zero and no neighbour is ranked; drop --no-normalize"
+            )
         pred_n, gt_n, transform = pred, gt, None
     else:
         pred_n, gt_n, transform = normalize_pair(pred, gt)

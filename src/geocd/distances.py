@@ -156,21 +156,21 @@ def _smallest(d: np.ndarray, k: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     return first & low, (first.max(axis=1) | low) < word[:, k]
 
 
-def _first_k(d: np.ndarray, cols: np.ndarray, k: int, out=None) -> np.ndarray:
-    """Columns of each row's k smallest entries, ascending.
+def _first_k(d: np.ndarray, cols: np.ndarray, k: int, out=None, cell=None) -> np.ndarray:
+    """Columns of each row's k smallest entries, in no set order.
 
-    ``cols`` (broadcast to ``d``) holds the point index of every entry, rising
-    along each row; ties at the k-th length keep the lowest point indices, as
-    in ``knn_adjacency``. ``out`` is int64 scratch for ``_smallest``.
+    Row i of ``d`` holds the lengths to the points ``cols[cell[i]]``, or to
+    ``cols`` broadcast to ``d`` without ``cell``, in any order. Ties at the
+    k-th length keep the lowest point indices, read only for the rows that
+    ``_smallest`` leaves uncertain. ``out`` is int64 scratch for ``_smallest``.
     """
     if k == d.shape[1]:
         return np.tile(np.arange(k), (len(d), 1))
     j, clear = _smallest(d, k, out)
-    j.sort(axis=1)
     tied = np.flatnonzero(~clear)
     if tied.size:
-        cols = np.broadcast_to(cols, d.shape)[tied].astype(np.intp, copy=False)
-        sel = _select(d[tied], cols, k)[0]
+        cols = np.broadcast_to(cols, d.shape)[tied] if cell is None else cols[cell[tied]]
+        sel = _select(d[tied], cols.astype(np.intp, copy=False), k)[0]
         j[tied] = np.nonzero(sel)[1].reshape(tied.size, k)
     return j
 
@@ -190,14 +190,14 @@ class CandidateLists:
     bipartite, the points from n on for the rows below n and the points
     below n for the others. Row ``a`` keeps ``cand[a]``: the first K targets
     in the order of their length from point ``a`` and then of their index,
-    sorted by index. ``far[a]`` is the K-th of those lengths, or ROOT_CEIL
-    where no target lies outside the list, and at most ROOT_CEIL: every
-    target outside the list lay at least that far. Lengths are squared, as
-    ``nearest`` ranks them, or rooted, as the kNN graph does (``root``). A
-    call recomputes every candidate's length with ``squared_lengths``, the
-    dense pass's value bit for bit, and a caller's ``pick`` chooses each
-    row's answer among them, ties to the lower column, that is to the lower
-    index.
+    sorted by index where ``search`` set it, in any order where a caller
+    seeded it through ``renew``. ``far[a]`` is the K-th of those lengths,
+    or ROOT_CEIL where no target lies outside the list, and at most
+    ROOT_CEIL: every target outside the list lay at least that far.
+    Lengths are squared, as ``nearest`` ranks them, or rooted, as the kNN
+    graph does (``root``). A call recomputes every candidate's length with
+    ``squared_lengths``, the dense pass's value bit for bit, and a caller's
+    ``pick`` chooses each row's answer among them, ties to the lower index.
 
     A row's k-th candidate stands for its k-th nearest target when it is
     proved nearer than every target outside the list. Point ``a`` has moved
@@ -278,6 +278,7 @@ class CandidateLists:
                 if self.root:
                     np.sqrt(d, out=d)
                 cand = _first_k(d, np.arange(width), size, words.view(np.int64))
+                cand.sort(axis=1)
                 o = out[done : done + r.size]
                 o[:] = d[np.arange(r.size)[:, None], cand]
                 self.renew(r, cand + lo, o.max(axis=1), zt, moved, width - (self.split is None))

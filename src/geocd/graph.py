@@ -20,8 +20,6 @@ from .distances import (
     CandidateLists,
     _first_k,
     _norms,
-    _select,
-    _smallest,
     list_size,
     nearest,
     pairwise_distances,
@@ -150,19 +148,29 @@ def _grid(pts: np.ndarray, h: float):
     return order, np.repeat(np.arange(ids.size), np.diff(bounds)), runs
 
 
-def _check_k(k: int, n: int) -> None:
+def _check(pts: np.ndarray, k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > n - 1:
-        raise KTooLargeError(f"k={k} exceeds the {n - 1} other points in the merged set")
+    if k > len(pts) - 1:
+        raise KTooLargeError(f"k={k} exceeds the {len(pts) - 1} other points in the merged set")
+    if not np.isfinite(pts).all():
+        raise ValueError("point coordinates must be finite")
 
 
 def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
     """Build the directed kNN adjacency of the merged set, as hop 1 of the walks.
 
+    The neighbour table of ``_table``, each row's k edges sorted by index.
     Ties at the k-th neighbour distance break toward the lower point index,
     making the graph deterministic across platforms. ``symmetrize`` adds the
-    reverse of every edge (off by default).
+    reverse of every edge (off by default). Coordinates must be finite.
+    """
+    _check(z.points, k)
+    return _edge_list(*_table(z.points, k), symmetrize)
+
+
+def _table(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's k nearest other points and their lengths, as two (n, k) arrays.
 
     A set of at most BLOCK points is searched as one dense block. Otherwise
     BLOCK // 2 evenly spaced rows are searched against all points, and their
@@ -173,7 +181,7 @@ def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
     block exceeds. Rows whose block holds over a quarter of all points, and
     the rows neither block certifies, are searched against all points.
     Either way a row gets the neighbours and lengths of its full distance
-    row.
+    row, and each row of the table is written once.
 
     A grid pass orders its rows by the width of their block, the rows of one
     cell together, and cuts them into chunks whose candidate matrix, as
@@ -183,42 +191,26 @@ def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
     centre run of its block. Rows with fewer than k other candidates go on
     to the next pass unsearched.
 
-    Every row, grid or dense, picks its k smallest lengths with one
-    partition of packed words, each the bits of a length with its low bits
-    replaced by its column (``_smallest``), which also tells where the
-    chosen lengths lie strictly below all others. The other rows (exact or
-    near ties at the k-th length, or subnormal lengths) go through
-    ``_select`` on their saved lengths, which keeps the lowest point
-    indices among the tied entries.
+    Every row, grid or dense, picks its k smallest lengths with
+    ``_first_k``, which keeps the lowest point indices among entries tied
+    at the k-th length; its neighbours come in no set order.
     """
-    n = z.size
-    _check_k(k, n)
-    pts = z.points
-    src, dst, length = [], [], []
+    n = len(pts)
+    nbr, length = np.empty((n, k), dtype=np.intp), np.empty((n, k))
 
     def keep(rows, d, cand, row_cell, reach):
-        """Record the edges of the rows whose k-th length is at most ``reach``.
+        """Write the table rows whose k-th length is at most ``reach``.
 
         Row i of ``d`` holds the lengths from point ``rows[i]`` to the
         points ``cand[row_cell[i]]``, +inf where a column is no candidate.
-        Returns which rows were recorded, and every row's k-th length.
+        Returns which rows were written, and every row's k-th length.
         """
-        j, clear = _smallest(d, k)
+        j = _first_k(d, cand, k, cell=row_cell)
         dj = np.take_along_axis(d, j, axis=1)
         kth = dj.max(axis=1)
-        tied = np.flatnonzero(~clear)
-        if tied.size:  # the tie rule, on the rows' saved lengths
-            sel, kth[tied] = _select(d[tied], cand[row_cell[tied]], k)
         done = kth <= reach
-        i = clear & done
-        src.append(np.repeat(rows[i], k))
-        dst.append(cand[row_cell[i, None], j[i]].ravel())
-        length.append(dj[i].ravel())
-        if tied.size:
-            t, c = np.nonzero(sel & done[tied, None])
-            src.append(rows[tied[t]])
-            dst.append(cand[row_cell[tied[t]], c])
-            length.append(d[tied[t], c])
+        nbr[rows[done]] = cand[row_cell[done, None], j[done]]
+        length[rows[done]] = dj[done]
         return done, kth
 
     def full_rows(rows: np.ndarray) -> np.ndarray:
@@ -228,7 +220,7 @@ def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
 
     if n <= BLOCK:  # one dense block, no grid
         full_rows(np.arange(n))
-        return _edge_list(src, dst, length, n, symmetrize)
+        return nbr, length
     sample = np.arange(0, n, -(-n // (BLOCK // 2)))
     h, reach = _cell_edge(pts, full_rows(sample))
     order, cell_of, runs = _grid(pts, h)
@@ -289,15 +281,17 @@ def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
     rest = np.concatenate(rest)
     for b0 in range(0, rest.size, BLOCK):
         full_rows(rest[b0 : b0 + BLOCK])
+    return nbr, length
 
-    return _edge_list(src, dst, length, n, symmetrize)
 
-
-def _edge_list(src, dst, length, n: int, symmetrize: bool) -> Hop:
-    """Sort the collected edge pieces into the hop-1 record; see ``knn_adjacency``."""
-    key = np.concatenate(src) * n + np.concatenate(dst)
-    by_key = np.argsort(key)
-    key, length = key[by_key], np.concatenate(length)[by_key]
+def _edge_list(nbr: np.ndarray, length: np.ndarray, symmetrize: bool) -> Hop:
+    """The hop-1 record of a neighbour table; see ``knn_adjacency``."""
+    n, k = nbr.shape
+    # each row's neighbours sorted by index, with their columns in the low part
+    w = np.asarray(nbr, np.intp) * k + np.arange(k)
+    w.sort(axis=1)
+    rows = np.arange(n)[:, None]
+    key, length = (rows * n + w // k).ravel(), length[rows, w % k].ravel()
     # normalize_pair scales the box diagonal to 1 only up to rounding. With
     # u = 2**-53, a normalized axis difference exceeds s times the box
     # extent by a relative 2u + u*u (shift, then scale), s exceeds one over
@@ -317,7 +311,7 @@ def _edge_list(src, dst, length, n: int, symmetrize: bool) -> Hop:
 
 
 def _neighbours(d: np.ndarray, cand: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's k nearest candidate columns, ascending, and its k-th length."""
+    """Each row's k nearest candidate columns and its k-th length."""
     c = _first_k(d, cand, k)
     return c, d[np.arange(len(d))[:, None], c].max(axis=1)
 
@@ -328,12 +322,12 @@ class GraphTracker:
     Every call returns what ``knn_adjacency`` returns, bit for bit, and
     raises what it raises. Each point keeps ``list_size(k)`` candidates
     among the others in ``CandidateLists``, ranked by rooted length and
-    seeded from one ``knn_adjacency`` build. Every call picks each row's k
-    neighbours from its candidates by the graph's own rule (``_smallest``,
-    then ``_select`` for ties) and searches in full only the rows whose
-    pick the lists cannot prove. Another size of the set, another k, a move
-    that overflows, or a coordinate that is not finite or so large that a
-    squared length may overflow, starts over.
+    seeded from one neighbour table (``_table``). Every call picks each
+    row's k neighbours from its candidates by the graph's own rule
+    (``_first_k``) and searches in full only the rows whose pick the lists
+    cannot prove. Another size of the set, another k, a move that
+    overflows, or a coordinate so large that a squared length may
+    overflow, starts over.
     """
 
     def __init__(self):
@@ -344,20 +338,15 @@ class GraphTracker:
 
     def _start(self, pts: np.ndarray, zt: np.ndarray, k: int) -> None:
         n, size = len(pts), min(list_size(k), len(pts) - 1)
-        seed = knn_adjacency(MergedSet(pts, n, 0), size)
+        cand, dist = _table(pts, size)
         self._lists = CandidateLists(zt, size, root=True)
-        # every row holds exactly size edges, sorted by key: its first size
-        # points, sorted by index; the longest may be stored shortened to
-        # the sentinel, which only lowers far
-        dist = seed.dist.reshape(n, size)
-        cand = (seed.key % n).reshape(n, size)
         self._lists.renew(slice(None), cand, dist.max(axis=1), zt, np.zeros(n), n - 1)
         self._k, self._prev = k, zt.copy()
 
     def __call__(self, z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
-        n = z.size
-        _check_k(k, n)
         pts = np.asarray(z.points, dtype=np.float64)
+        _check(pts, k)
+        n = len(pts)
         self.rows_asked += n
         # below 2**510 no squared length overflows, so a row's own point,
         # at +inf in its full search, is never its candidate
@@ -377,11 +366,10 @@ class GraphTracker:
             self._prev[:] = zt
         lists, before = self._lists, self._lists.searched
         d, c, _ = lists.track(zt, steps, partial(_neighbours, k=k))
-        # the seed build searched every row
+        # the seed table searched every row
         self.rows_searched += n if seeded else lists.searched - before
-        r = np.arange(n)[:, None]  # row by row, each row's neighbours by index
-        dst, length = lists.cand[r, c].ravel(), d[r, c].ravel()
-        return _edge_list([np.repeat(r, k)], [dst], [length], n, symmetrize)
+        r = np.arange(n)[:, None]
+        return _edge_list(lists.cand[r, c], d[r, c], symmetrize)
 
 
 class GraphNearest:

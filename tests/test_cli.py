@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geocd import PointCloud, knn_adjacency, merge, normalize_pair, read_cloud, write_cloud
-from geocd import geodesic, graph, propagate
+from geocd import distances, geodesic, graph, propagate
 from geocd import FitConfig, GeoCdConfig
 from geocd.cli import _fit_config, _geo_config, build_parser, main
 from geocd.fit import ShapeSpec, noisy_copy, sample_shape
@@ -200,6 +200,19 @@ def test_compute_no_normalize_preserves_l_shape(tmp_path, capsys):
         < one["geocd"]["diagnostics"]["mean_cross_distance"]
     )
     assert "normalization" not in two
+
+
+def test_compute_no_normalize_rejects_a_pair_whose_squares_underflow(tmp_path, capsys):
+    # at 1e-170 every squared length is subnormal or zero, so no nearest
+    # neighbour is ranked: an input error, not cd 0 and F1 1
+    rng = np.random.default_rng(1)
+    p, g = tmp_path / "p.xyz", tmp_path / "g.xyz"
+    write_cloud(PointCloud(rng.random((50, 3)) * 1e-170), p)
+    write_cloud(PointCloud(rng.random((50, 3)) * 1e-170), g)
+    assert main(["compute", str(p), str(g), "--no-normalize"]) == 2
+    err = capsys.readouterr().err
+    assert "below 2**-511" in err and "drop --no-normalize" in err
+    assert main(["compute", str(p), str(g)]) == 0
 
 
 def test_compute_no_normalize_rejects_raw_coordinates(tmp_path, capsys):
@@ -599,9 +612,11 @@ def test_verify_checks_the_grid_graph(capsys, schema):
 def test_verify_graph_fault_fails(capsys, monkeypatch, schema):
     # every row taken as certain: tied rows keep the lower columns, not the
     # lower point indices
-    smallest = graph._smallest
+    smallest = distances._smallest
     monkeypatch.setattr(
-        graph, "_smallest", lambda d, k: (smallest(d, k)[0], np.ones(len(d), dtype=bool))
+        distances,
+        "_smallest",
+        lambda d, k, out=None: (smallest(d, k, out)[0], np.ones(len(d), dtype=bool)),
     )
     code, report = run_json(capsys, ["verify", "--trials", "4", "--grad-trials", "0"])
     assert code == 1

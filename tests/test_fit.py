@@ -203,8 +203,8 @@ def test_fit_counts_the_rows_its_graph_tracker_searched():
 
 def test_fit_builds_one_graph_and_tracks_it(monkeypatch):
     built = []
-    real = graph.knn_adjacency
-    monkeypatch.setattr(graph, "knn_adjacency", lambda z, k: built.append(k) or real(z, k))
+    real = graph._table
+    monkeypatch.setattr(graph, "_table", lambda pts, k: built.append(k) or real(pts, k))
     init, gt = normalized_problem(n=48, seed=3)
     fit(init, gt, FitConfig(steps_cd=5, steps_geocd=6, geo=GeoCdConfig(k=3)))
     assert built == [list_size(3)]  # the tracker's seed, for 6 steps and the final report

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from geocd import DimensionMismatchError, KTooLargeError, PointCloud, ShapeSpec
 from geocd import knn_adjacency, merge
 from geocd import noisy_copy, normalize_pair, sample_shape
-from geocd import graph
-from geocd.distances import nearest
+from geocd import distances, graph
+from geocd.distances import list_size, nearest
 from geocd.oracle import dense, stable_sort_knn_mask
 from conftest import random_cloud, record_nearest
 
@@ -71,6 +71,23 @@ def test_k_must_be_positive(rng):
     z = merge(random_cloud(rng, 3), random_cloud(rng, 3))
     with pytest.raises(ValueError):
         knn_adjacency(z, k=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [30, 200])  # one dense block, and the grid
+def test_graph_rejects_coordinates_that_are_not_finite(bad, n):
+    # a hand-built set skips PointCloud's check: every row needs k edges,
+    # and no point may be its own neighbour
+    pts = np.random.default_rng(5).random((n, 3))
+    pts[7, 1] = bad
+    z = graph.MergedSet(pts, n // 2, n - n // 2)
+    with pytest.raises(KTooLargeError):  # the k checks come first
+        knn_adjacency(z, n)
+    track = graph.GraphTracker()
+    for build in (knn_adjacency, track):
+        with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+            build(z, 5)
+    assert track.rows_asked == track.rows_searched == 0
 
 
 def test_row_sparsity_and_diagonal(rng):
@@ -195,17 +212,17 @@ def test_grid_matches_dense_reference(name, monkeypatch):
     n = len(pts)
     z = merge(PointCloud(pts[: n // 2]), PointCloud(pts[n // 2 :]))
     dense_rows, grid_rows = [], []  # rows of every dense call and of every grid chunk
-    real, smallest = graph.pairwise_distances, graph._smallest
+    real, smallest = graph.pairwise_distances, distances._smallest
     monkeypatch.setattr(
         graph, "pairwise_distances", lambda a, b: dense_rows.append(len(a)) or real(a, b)
     )
 
-    def counted_smallest(d, k):
+    def counted_smallest(d, k, out=None):
         if d.shape[1] < n:  # a grid chunk; a dense row spans all n points
             grid_rows.append(len(d))
-        return smallest(d, k)
+        return smallest(d, k, out)
 
-    monkeypatch.setattr(graph, "_smallest", counted_smallest)
+    monkeypatch.setattr(distances, "_smallest", counted_smallest)
     if n <= graph.BLOCK:  # the dense sample is every row: no grid to build
 
         def no_grid(*_):
@@ -260,22 +277,22 @@ def test_packed_selection_matches_dense_reference(name, monkeypatch):
     assert n > graph.BLOCK  # the grid is built
     z = merge(PointCloud(pts[: n // 2]), PointCloud(pts[n // 2 :]))
     dense_rows, grid_widths, grid_tied, tied = [], [], [], []
-    real, smallest, select = graph.pairwise_distances, graph._smallest, graph._select
+    real, smallest, select = graph.pairwise_distances, distances._smallest, distances._select
     monkeypatch.setattr(
         graph, "pairwise_distances", lambda a, b: dense_rows.append(len(a)) or real(a, b)
     )
 
-    def counted_smallest(d, k):
+    def counted_smallest(d, k, out=None):
         if d.shape[1] < n:  # a grid chunk; a dense row spans all n points
             grid_widths.append(d.shape[1])
-        return smallest(d, k)
+        return smallest(d, k, out)
 
     def counted_select(d, cols, k):
         (grid_tied if d.shape[1] < n else tied).append(len(d))
         return select(d, cols, k)
 
-    monkeypatch.setattr(graph, "_smallest", counted_smallest)
-    monkeypatch.setattr(graph, "_select", counted_select)
+    monkeypatch.setattr(distances, "_smallest", counted_smallest)
+    monkeypatch.setattr(distances, "_select", counted_select)
     for k in ks:
         for symmetrize in (False, True):
             ref, d = stable_sort_knn_mask(z.points, k, symmetrize)
@@ -422,6 +439,29 @@ def test_graph_tracker_returns_what_knn_adjacency_returns(kind, n, k, symmetrize
     assert 0 < track.rows_searched <= track.rows_asked == (1 + len(moves)) * n
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("symmetrize", [False, True])
+def test_graph_tracker_seeds_from_lists_across_the_box(k, symmetrize):
+    # one corner of the unit box with three points near it, and eight
+    # copies of the opposite corner: the first corner's list reaches across
+    # the box, where the length rounds above the sentinel, and the copies
+    # left out of it lie at that same length
+    corner = np.array([0.1, 0.3, 0.3])
+    near = corner * np.array([0.0, 0.01, 0.02, 0.03])[:, None]
+    p, g, _ = normalize_pair(PointCloud(near), PointCloud(np.tile(corner, (8, 1))))
+    pts = np.vstack([p.points, g.points])
+    assert graph._table(pts, list_size(k))[1][0].max() > graph.SENTINEL
+    rng = np.random.default_rng(k)
+    track = graph.GraphTracker()
+    z = merged(pts, 4)
+    same_hop(track(z, k, symmetrize), knn_adjacency(z, k, symmetrize))
+    for kind in ("zero", "sub-gap", "adam", "zero"):
+        pts = tracked_move(kind, rng, pts)
+        z = merged(pts, 4)
+        same_hop(track(z, k, symmetrize), knn_adjacency(z, k, symmetrize))
+    assert track.rows_searched < track.rows_asked == 5 * 12
+
+
 def test_graph_tracker_sees_a_point_from_outside_the_lists():
     # row 0 keeps its nearest points on a ray; a point far outside its list
     # walks in, step by step, and ends nearer than all of them, while row 0
@@ -452,14 +492,16 @@ def test_graph_tracker_starts_over_on_another_k_size_or_a_nan():
         before = track.rows_searched
         same_hop(track(z, k), knn_adjacency(z, k))
         assert track.rows_searched - before == z.size
-    pts = pts[:70].copy()
-    pts[3, 2] = np.nan
-    before = track.rows_searched
-    want = knn_adjacency(merged(pts, 40), 6)
-    same_hop(track(merged(pts, 40), 6), want)
-    pts[3, 2] = 0.5
-    same_hop(track(merged(pts, 40), 6), knn_adjacency(merged(pts, 40), 6))
-    assert track.rows_searched - before == 2 * 70  # the nan call and the restart after it
+    bad = pts[:70].copy()
+    bad[3, 2] = np.nan
+    state = (track.rows_asked, track.rows_searched)
+    with pytest.raises(ValueError, match="point coordinates must be finite"):
+        track(merged(bad, 40), 6)
+    assert (track.rows_asked, track.rows_searched) == state
+    # the lists outlive the nan call: the next call is tracked, not started over
+    z = merged(pts[:70] + 1e-4, 40)
+    same_hop(track(z, 6), knn_adjacency(z, 6))
+    assert track.rows_searched - state[1] < 70
 
 
 def test_graph_tracker_leaves_coordinates_that_may_overflow_to_knn_adjacency():
