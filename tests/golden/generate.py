@@ -39,7 +39,9 @@ prediction a little against the same target. Fit 17 runs a long GeoCD phase
 on a symmetrized graph: a 400-point torus and its noisy copy, 50 Chamfer
 steps, then 60 GeoCD steps at k = 8 with ``symmetrize`` and the mask on, so
 that every step's graph differs from the last in a few rows and their
-reverse edges. A fit record holds sha256 digests of every ``FitStep`` field,
+reverse edges. Fit 18 is large enough for the trackers' full-row searches
+to take the grid: a 2048-point hemisphere and its noisy copy, 10 Chamfer
+steps and 4 GeoCD steps at the default settings. A fit record holds sha256 digests of every ``FitStep`` field,
 of the final points' bytes and of the ``final`` dict, and the aborted phase.
 A fit that takes a GeoCD step passes its gradients through ``np.exp`` into
 the points, so its digests also pin the CPU's ``exp`` and ``log``.
@@ -76,8 +78,10 @@ SEEDS = range(212)
 KINDS = ("random", "lattice", "duplicate", "raw")
 SURFACES = range(200, 212)
 OUTLIER_SEED, OFFSET_SEED = 210, 211
-FIT_SEEDS = range(18)
-FIT_LARGE, FIT_OVERFLOW, FIT_UNIT_BOX, FIT_NO_CD, FIT_DEFAULT, FIT_SYMMETRIC = range(12, 18)
+FIT_SEEDS = range(19)
+FIT_LARGE, FIT_OVERFLOW, FIT_UNIT_BOX, FIT_NO_CD, FIT_DEFAULT, FIT_SYMMETRIC, FIT_GRID = range(
+    12, 19
+)
 
 
 def _digest(*arrays) -> str:
@@ -214,12 +218,14 @@ def record(seed: int) -> dict:
     return out
 
 
-def _default_fit_instance(seed: int) -> tuple[dict, PointCloud, PointCloud, FitConfig]:
-    cfg = FitConfig()
+def _default_fit_instance(
+    seed: int, n: int = 512, cfg: FitConfig | None = None
+) -> tuple[dict, PointCloud, PointCloud, FitConfig]:
+    cfg = cfg or FitConfig()
     spec = {
         "shape": "hemisphere",
-        "n": 512,
-        "m": 512,
+        "n": n,
+        "m": n,
         "steps_cd": cfg.steps_cd,
         "steps_geocd": cfg.steps_geocd,
         "lr": cfg.lr,
@@ -228,7 +234,7 @@ def _default_fit_instance(seed: int) -> tuple[dict, PointCloud, PointCloud, FitC
         "mask": cfg.geo.mask.enabled,
         "tau": cfg.tau_fraction,
     }
-    gt = sample_shape(ShapeSpec("hemisphere", 512, seed=seed))
+    gt = sample_shape(ShapeSpec("hemisphere", n, seed=seed))
     init, gt, _ = normalize_pair(noisy_copy(gt, 0.05, seed + 1), gt)
     return spec, init, gt, cfg
 
@@ -259,6 +265,8 @@ def fit_instance(seed: int) -> tuple[dict, PointCloud, PointCloud, FitConfig]:
         return _default_fit_instance(seed)
     if seed == FIT_SYMMETRIC:
         return _symmetric_fit_instance(seed)
+    if seed == FIT_GRID:
+        return _default_fit_instance(seed, 2048, FitConfig(steps_cd=10, steps_geocd=4))
     rng = np.random.default_rng(10_000 + seed)
     shape = SHAPE_KINDS[seed % len(SHAPE_KINDS)]
     n, m = (int(2.0**v) for v in rng.uniform(4.0, 9.0, 2))  # log-uniform, 16-511

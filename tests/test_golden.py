@@ -2,7 +2,7 @@
 
 ``tests/golden/geocd_golden.json`` holds, for 212 fixed seeds, the digests
 of the graph, the hop records and the ``evaluate`` fields, every error text,
-and the loss and gradient values; and for 18 fixed fits, the digests of the
+and the loss and gradient values; and for 19 fixed fits, the digests of the
 trace, the final points and the ``final`` dict (see
 ``tests/golden/generate.py``). A change that moves none of them passes
 unchanged; one that means to move a value re-records the file and says
