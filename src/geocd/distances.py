@@ -1,11 +1,13 @@
-"""Euclidean lengths: one expression, the dense matrix and the nearest neighbours.
+"""Euclidean lengths: one expression, the dense matrix and every neighbour search.
 
 ``squared_lengths`` evaluates ``(dx*dx + dy*dy) + dz*dz`` per component,
 and every length the kNN graph, Chamfer, Hausdorff and F1 read comes from
 it. It matches a scalar double loop bit for bit, which the reference checks
 in the test suite rely on, and ``sqrt`` is correctly rounded, so all four
-measure the same length to the last bit. The dense matrix and the nearest
-neighbours fill a fixed (BLOCK, m) scratch block in place with it.
+measure the same length to the last bit. ``nearest`` fills a fixed
+(BLOCK, m) scratch block in place with it. ``_table``, the kNN graph's
+search and both trackers' full-row search, finds the k nearest targets of
+any rows of a set by dense passes or on a grid of cells.
 ``CandidateLists`` keeps each row's few nearest points from call to call
 and proves, row by row, that they still hold its nearest ones;
 ``NearestTracker`` returns what ``nearest`` returns for a cloud that moves
@@ -15,12 +17,13 @@ rows it cannot prove.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 BLOCK = 64  # rows per block: the scratch arrays stay small and are reused
-SCRATCH = 2**14  # entries per row block of CandidateLists.search
+# a grid chunk's candidate matrix holds at most CHUNK * w entries, for w targets
+CHUNK = BLOCK // 8
+RADII = (1, 2)  # block radius of each grid pass, in cells: 3x3x3, then 5x5x5
+CELLS = 2**20  # most cells along an axis, so that cell ids fit an intp
 # NearestTracker searches with every row it must search those that this many
 # more calls like the last would leave uncertified: over the 200 short
 # Chamfer steps of a fit, fewer, larger searches cost less
@@ -52,29 +55,12 @@ def squared_lengths(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _squared_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """Squared distances of ``a`` against all of ``b``, one row block at a time.
-
-    Every yielded block is a view of the same scratch array and is
-    overwritten by the next step.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n, m = a.shape[0], b.shape[0]
-    bc = [np.ascontiguousarray(b[:, c]) for c in range(3)]
-    scratch = np.empty((2, min(BLOCK, n), m))
-    for i0 in range(0, n, BLOCK):
-        rows = slice(i0, min(i0 + BLOCK, n))
-        sq, tmp = scratch[0, : rows.stop - i0], scratch[1, : rows.stop - i0]
-        yield rows, squared_lengths([a[rows, c, None] for c in range(3)], bc, sq, tmp)
-
-
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense (len(a), len(b)) matrix of Euclidean distances."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     out = np.empty((len(a), len(b)))
-    for rows, sq in _squared_blocks(a, b):
-        np.sqrt(sq, out=out[rows])
-    return out
+    squared_lengths([a[:, c, None] for c in range(3)], b.T, out, np.empty_like(out))
+    return np.sqrt(out, out=out)
 
 
 def nearest(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -85,10 +71,15 @@ def nearest(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     ``p`` nearest to ``q[b]`` at squared distance ``sq_q[b]``. Ties go to the
     lower index in both directions, as ``argmin`` does on the full matrix.
     """
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     n, m = len(p), len(q)
     j, sq_p = np.empty(n, dtype=np.intp), np.empty(n)
     i, sq_q = np.zeros(m, dtype=np.intp), np.full(m, np.inf)
-    for rows, sq in _squared_blocks(p, q):
+    qt, scratch = np.ascontiguousarray(q.T), np.empty((2, min(BLOCK, n), m))
+    for r0 in range(0, n, BLOCK):
+        rows = slice(r0, min(r0 + BLOCK, n))
+        sq, tmp = scratch[0, : rows.stop - r0], scratch[1, : rows.stop - r0]
+        squared_lengths([p[rows, c, None] for c in range(3)], qt, sq, tmp)
         j[rows] = sq.argmin(axis=1)
         sq_p[rows] = sq[np.arange(sq.shape[0]), j[rows]]
         # the column minima need no transposed copy; only the columns they
@@ -96,7 +87,7 @@ def nearest(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         # later block has a higher row index
         colmin = sq.min(axis=0)
         better = np.flatnonzero(colmin < sq_q)
-        i[better] = sq[:, better].argmin(axis=0) + rows.start
+        i[better] = sq[:, better].argmin(axis=0) + r0
         sq_q[better] = colmin[better]
     return j, sq_p, i, sq_q
 
@@ -136,17 +127,18 @@ def _select(d: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
 def _smallest(d: np.ndarray, k: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Columns of each row's k smallest entries, and the rows where they are certain.
 
-    ``d`` holds non-negative lengths or +inf, and needs more than k columns.
-    Each entry is packed into one int64 word, the bits of its length with
-    the low b bits replaced by its column, b = bits(W - 1) for W columns:
-    non-negative float64 values, +inf among them, order as their bit
-    patterns do, so one ``partition`` of the words puts each row's k
-    smallest words first. Where the largest of them lies below the next
-    word even with its low b bits set, every chosen length is strictly
-    below every other, and the chosen columns are exactly the row's k
-    smallest entries, with no tie to settle. Other rows (an exact tie, a
-    near tie, or lengths too small to keep any bits) are not certain. The
-    words go to ``out``, an int64 array of the shape of ``d``, if given.
+    ``d`` holds non-negative lengths, +inf or NaN, and needs more than k
+    columns. Each entry is packed into one int64 word, the bits of its
+    length with the low b bits replaced by its column, b = bits(W - 1) for
+    W columns: non-negative float64 values, +inf among them, order as their
+    bit patterns do, and NaN's lies above them all, so one ``partition`` of
+    the words puts each row's k smallest words first. Where the largest of
+    them lies below the next word even with its low b bits set, every
+    chosen length is strictly below every other, and the chosen columns
+    are exactly the row's k smallest entries, with no tie to settle. Other
+    rows (an exact tie, a near tie, or lengths too small to keep any bits)
+    are not certain. The words go to ``out``, an int64 array of the shape
+    of ``d``, if given.
     """
     low = (1 << int(d.shape[1] - 1).bit_length()) - 1
     word = np.bitwise_and(d.view(np.int64), ~low, out=out)
@@ -175,6 +167,216 @@ def _first_k(d: np.ndarray, cols: np.ndarray, k: int, out=None, cell=None) -> np
     return j
 
 
+def _cell_edge(pts: np.ndarray, kth: np.ndarray) -> tuple[float, list[float]]:
+    """Cell edge ``h`` from a sample's k-th lengths, and the reach of each grid pass.
+
+    For every radius r of ``RADII``, every point outside the (2r+1)^3 block
+    of cells around a point has a computed length above that pass's reach
+    from it.
+    """
+    # 1.4 times the sample's 90th percentile k-th length: surfaces and
+    # volumes alike get small blocks, few rows fall back to the dense pass,
+    # and far outliers up to a tenth of the points leave h unchanged
+    kth = np.sort(kth)
+    lo = pts.min(axis=0)
+    extent = float((pts.max(axis=0) - lo).max())
+    h = 1.4 * float(kth[9 * (kth.size - 1) // 10])
+    h = max(min(h, extent), extent / CELLS, 2 * np.sqrt(np.finfo(np.float64).tiny))
+    # With u = 2**-53, the quotient fl(fl(p - lo) / h) behind a cell is off
+    # by a relative 2u + u*u at most, and p - lo <= extent. So two points
+    # whose cells differ by r + 1 or more along an axis lie more than
+    # r*h - (4u + 2u*u) * extent apart along it. The square of that gap is a
+    # normal number, as h >= 2 * sqrt(tiny) and h >= extent / CELLS, so the
+    # roundings of the length's difference, squares, sums and square root
+    # shrink it by a relative 4u at most: it is above r*h - 5u * (extent + r*h).
+    # A margin of 4 * eps = 8u times (extent + r*h) covers that and the
+    # rounding of the reach itself. An infinite extent gives a NaN reach,
+    # which certifies no row.
+    eps = np.finfo(np.float64).eps
+    return h, [r * h - 4 * eps * (extent + r * h) for r in RADII]
+
+
+def _grid(pts: np.ndarray, h: float, lo: int = 0, hi: int | None = None):
+    """Sort the points ``lo:hi`` of ``pts`` (all by default) into cubic cells of edge ``h``.
+
+    Returns ``order`` (those points' indices sorted by cell), ``cid`` (the
+    cell id of every point of ``pts``) and ``runs(cells, r)``. For each given cell id, in rising order, ``runs`` returns where
+    the (2r+1)^2 z-runs of its (2r+1)^3 block of cells start and stop in
+    ``order``, as two (cells, (2r+1)^2) arrays: cells of one x and y are
+    adjacent in cell order, so each run is one range of positions.
+    """
+    # cell coordinates start at the largest radius, so that every block cell
+    # has coordinates >= 0 and one id, and a run never reaches into the next
+    # column. h >= extent / CELLS bounds them, and fmin also maps the NaN of
+    # an overflowing p - lo into range.
+    pad = RADII[-1]
+    cell = np.floor(np.fmin((pts - pts.min(axis=0)) / h, CELLS)).astype(np.intp) + pad
+    dims = cell.max(axis=0) + pad + 1
+    cid = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    order = np.argsort(cid[lo:hi], kind="stable") + lo
+    ids, first = np.unique(cid[order], return_index=True)
+    bounds = np.r_[first, order.size]  # where each cell starts in order, then the end
+
+    def runs(cells: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+        step = np.arange(-r, r + 1)
+        # searched one z-run offset at a time, along which the ids rise:
+        # searchsorted is several times faster on rising keys
+        column = ((step[:, None] * dims[1] + step) * dims[2]).ravel()[:, None] + cells
+        return (
+            bounds[np.searchsorted(ids, column - r)].T,
+            bounds[np.searchsorted(ids, column + r, side="right")].T,
+        )
+
+    return order, cid, runs
+
+
+def _dense(zt: np.ndarray, p: np.ndarray, targets: tuple[int, int] | None, k: int, root: bool):
+    """``_table`` for the points ``p``, read off all targets: ``zt`` holds the
+    coordinate rows of every point. Each block of BLOCK // 2 rows, the
+    sample's size, keeps its lengths and their packed words in one scratch."""
+    lo, hi = targets or (0, zt.shape[1])
+    w = hi - lo
+    nbr, length = np.empty((p.size, k), dtype=np.intp), np.empty((p.size, k))
+    step = BLOCK // 2
+    scratch, cols = np.empty((2, min(step, p.size) * w)), np.arange(w)
+    for r0 in range(0, p.size, step):
+        r = p[r0 : r0 + step]
+        d, words = (x[: r.size * w].reshape(r.size, w) for x in scratch)
+        squared_lengths([c[r, None] for c in zt], zt[:, lo:hi], d, words)
+        if root:
+            np.sqrt(d, out=d)
+        if targets is None:  # a point is never its own neighbour: NaN ranks after +inf
+            d[np.arange(r.size), r] = np.nan
+        j = _first_k(d, cols, k, words.view(np.int64))
+        j.sort(axis=1)
+        nbr[r0 : r0 + r.size] = j + lo
+        length[r0 : r0 + r.size] = d[np.arange(r.size)[:, None], j]
+    return nbr, length
+
+
+def _table(
+    pts: np.ndarray, k: int, rows=None, targets: tuple[int, int] | None = None, root: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k nearest targets and their lengths, as two (rows, k) arrays.
+
+    The rows are the points ``rows`` of ``pts`` (all by default), and their
+    targets the points ``targets = (lo, hi)``, ``pts[lo:hi]``, or by default
+    every other point. Lengths are rooted, or squared (``root=False``).
+
+    A search of at most BLOCK rows, or of a part of the set's rows whose
+    count r and w targets give r * r * w <= 2**25, is one dense pass
+    (``_dense``). Otherwise BLOCK // 2 evenly spaced rows are searched
+    against all targets, and their k-th lengths size a grid of cells over
+    the targets, anchored at the corner of the whole set. Every other row
+    searches the 3x3x3 block of cells around its point, and the rows that
+    block cannot certify then search the 5x5x5 block. The result stands
+    when the row's k-th length, rooted, is at most the block's reach,
+    which every point outside the block exceeds. Rows whose block holds
+    over a quarter of all targets, and the rows neither block certifies,
+    are searched against all targets. Either way a row gets the neighbours
+    and lengths of its full distance row, and each row of the table is
+    written once.
+
+    A grid pass orders its rows by the width of their block, the rows of one
+    cell together, and cuts them into chunks whose candidate matrix, as
+    wide as the chunk's last row needs, holds at most ``CHUNK * w`` entries
+    for w targets. The candidates' coordinates are gathered once per cell
+    and copied to each of its rows, and without ``targets`` a row's own
+    point is found by its position in the centre run of its block. Rows
+    with fewer than k other candidates go on to the next pass unsearched.
+
+    Every row, grid or dense, picks its k smallest lengths with
+    ``_first_k``, which keeps the lowest point indices among entries tied
+    at the k-th length; each row's neighbours come sorted by index.
+    """
+    n = len(pts)
+    rows = np.arange(n) if rows is None else rows
+    own, (lo, hi) = targets is None, targets or (0, n)
+    w, r = hi - lo, rows.size
+    zt = np.ascontiguousarray(pts.T)
+    # A part of the rows rarely shares a cell, so each grid row gathers its
+    # own block. Measured on 2 cores, the grid breaks even at about r*r*w =
+    # 2**25: 180 graph rows of 1024 points, 90 of 4096, 64 of 8192, and 450
+    # nearest rows against 512 targets. A whole set takes it past BLOCK.
+    if r <= BLOCK or (r < n and r * r * w <= 2**25):
+        return _dense(zt, rows, targets, k, root)
+    # coordinates, and a padding point n that measures +inf from every point
+    cols = [np.r_[c, np.inf] for c in zt]
+    nbr, length = np.empty((r, k), dtype=np.intp), np.empty((r, k))
+    sample = np.arange(0, r, -(-r // (BLOCK // 2)))
+    nbr[sample], length[sample] = _dense(zt, rows[sample], targets, k, root)
+    kth = length[sample].max(axis=1)
+    h, reach = _cell_edge(pts, kth if root else np.sqrt(kth))
+    order, cid, runs = _grid(pts, h, lo, hi)
+    if own:  # each point's position in order
+        place = np.empty(n, dtype=np.intp)
+        place[order] = np.arange(n)
+    left, rest = np.delete(np.arange(r), sample), []  # the rows left, as table rows
+    for radius, reach_r in zip(RADII, reach):
+        cells, local = np.unique(cid[rows[left]], return_inverse=True)
+        start, stop = runs(cells, radius)
+        size = stop - start
+        width = size.sum(axis=1)
+        # rows by block width, then by cell. A grid candidate costs several
+        # dense entries, so rows whose block holds over a quarter of all
+        # targets are searched against all of them; of the others, rows with
+        # fewer than k other candidates cannot be certified and go on.
+        by = np.argsort(width[local] * cells.size + local)
+        left, local = left[by], local[by]
+        row_width = width[local]
+        few, many = np.searchsorted(row_width, (min(k - 1 + own, w // 4), w // 4), side="right")
+        unsure = [left[:few]]
+        rest.append(left[many:])
+        left, local, row_width = left[few:many], local[few:many], row_width[few:many]
+        p = rows[left]
+        if own:  # self's column: its own cell lies in the centre run of its block
+            mid = size.shape[1] // 2
+            own_col = size[:, :mid].sum(axis=1)[local] + place[p] - start[local, mid]
+        # the pass's cells in row order, each row's place among them, and the
+        # point indices of each cell's block, run after run, cell after cell
+        new = np.diff(local, prepend=-1) != 0
+        seq, rank = local[new], np.cumsum(new) - 1
+        sz = size[seq].ravel()
+        pos = np.repeat(start[seq].ravel() - (np.cumsum(sz) - sz), sz) + np.arange(sz.sum())
+        block, bound = order[pos], np.r_[0, np.cumsum(width[seq])]
+        c0 = 0
+        while c0 < left.size:
+            # as many rows as keep the chunk's candidate matrix within CHUNK * w
+            # entries; widths rise, so the last row's is the chunk's
+            cost = row_width[c0:] * np.arange(1, left.size - c0 + 1)
+            c1 = c0 + max(1, int(np.searchsorted(cost, CHUNK * w, "right")))
+            g0, g1, cw = rank[c0], rank[c1 - 1] + 1, row_width[c1 - 1]
+            cand = np.full((g1 - g0, cw), n)  # the chunk's cells' blocks, padded with n
+            cand[np.arange(cw) < width[seq[g0:g1], None]] = block[bound[g0] : bound[g1]]
+            row_cell = rank[c0:c1] - g0
+            xyz = [c[cand] for c in cols]  # gathered once per cell, copied per row
+            d, words = np.empty((c1 - c0, cw)), np.empty((c1 - c0, cw), dtype=np.int64)
+            b = (c.take(row_cell, axis=0) for c in xyz)
+            squared_lengths([c[p[c0:c1], None] for c in cols], b, d, words.view(np.float64))
+            if root:
+                np.sqrt(d, out=d)
+            if own:  # self is never its own neighbour
+                d[np.arange(c1 - c0), own_col[c0:c1]] = np.nan
+            j = _first_k(d, cand, k, words, cell=row_cell)
+            dj = np.take_along_axis(d, j, axis=1)
+            kth = dj.max(axis=1)
+            done = (kth if root else np.sqrt(kth)) <= reach_r
+            at = left[c0:c1]
+            nbr[at[done]] = cand[row_cell[done, None], j[done]]
+            length[at[done]] = dj[done]
+            unsure.append(at[~done])
+            c0 = c1
+        left = np.concatenate(unsure)
+    rest.append(left)
+    rest = np.concatenate(rest)
+    if rest.size:
+        nbr[rest], length[rest] = _dense(zt, rows[rest], targets, k, root)
+    # each row's neighbours by index, with their columns in the low part
+    col = nbr * k + np.arange(k)
+    col.sort(axis=1)
+    return col // k, length[np.arange(r)[:, None], col % k]
+
+
 def _uncertified(kth: np.ndarray, far: np.ndarray) -> np.ndarray:
     """Rows whose k-th candidate, at length ``kth``, is not proved nearer
     than every point outside their list, all at least ``far`` away."""
@@ -190,10 +392,9 @@ class CandidateLists:
     bipartite, the points from n on for the rows below n and the points
     below n for the others. Row ``a`` keeps ``cand[a]``: the first K targets
     in the order of their length from point ``a`` and then of their index,
-    sorted by index where ``search`` set it, in any order where a caller
-    seeded it through ``renew``. ``far[a]`` is the K-th of those lengths,
-    or ROOT_CEIL where no target lies outside the list, and at most
-    ROOT_CEIL: every target outside the list lay at least that far.
+    sorted by index, as ``_table`` returns them. ``far[a]`` is the K-th of
+    those lengths, or ROOT_CEIL where no target lies outside the list, and
+    at most ROOT_CEIL: every target outside the list lay at least that far.
     Lengths are squared, as ``nearest`` ranks them, or rooted, as the kNN
     graph does (``root``). A call recomputes every candidate's length with
     ``squared_lengths``, the dense pass's value bit for bit, and a caller's
@@ -215,9 +416,9 @@ class CandidateLists:
     candidates. Zero, subnormal and overflowed k-th lengths are never
     certified; moves are counted as at least sqrt(FLOOR), which bounds the
     error of a move too short to square, and ``moved`` is summed rounding
-    up. Other rows are searched in full, which renews their lists; a list
-    that is the first K targets of its row holds the row's k nearest for
-    every k <= K, ties included.
+    up. Other rows are searched in full by ``_table``, which renews their
+    lists; a list that is the first K targets of its row holds the row's k
+    nearest for every k <= K, ties included.
     """
 
     def __init__(self, zt: np.ndarray, size: int, root: bool, split: int | None = None):
@@ -253,37 +454,23 @@ class CandidateLists:
         return np.sqrt(d, out=d) if self.root else d
 
     def search(self, rows: np.ndarray, zt: np.ndarray, moved: np.ndarray) -> np.ndarray:
-        """Search ``rows`` (ascending) in full, renew their lists and return
-        their candidates' lengths."""
+        """Search ``rows`` (ascending) in full with ``_table``, renew their
+        lists and return their candidates' lengths."""
         n, size = zt.shape[1], self.cand.shape[1]
         if self.split is None:
-            groups = [(rows, 0, n)]
+            groups = [(rows, None)]
         else:
             s = np.searchsorted(rows, self.split)
-            groups = [(rows[:s], self.split, n), (rows[s:], 0, self.split)]
-        out, done = np.empty((rows.size, size)), 0
-        # one scratch of SCRATCH entries, or one row, for every block: its
-        # lengths, then their packed words
-        widest = max(hi - lo for _, lo, hi in groups)
-        step = max(1, SCRATCH // widest)
-        scratch = np.empty((2, min(step, rows.size) * widest))
-        for group, lo, hi in groups:
-            width = hi - lo
-            for r0 in range(0, group.size, step):
-                r = group[r0 : r0 + step]
-                d, words = (x[: r.size * width].reshape(r.size, width) for x in scratch)
-                squared_lengths([x[r, None] for x in zt], zt[:, lo:hi], d, words)
-                if self.split is None:  # a point is never its own target
-                    d[np.arange(r.size), r] = np.inf
-                if self.root:
-                    np.sqrt(d, out=d)
-                cand = _first_k(d, np.arange(width), size, words.view(np.int64))
-                cand.sort(axis=1)
-                o = out[done : done + r.size]
-                o[:] = d[np.arange(r.size)[:, None], cand]
-                self.renew(r, cand + lo, o.max(axis=1), zt, moved, width - (self.split is None))
-                done += r.size
-        return out
+            groups = [(rows[:s], (self.split, n)), (rows[s:], (0, self.split))]
+        out = []
+        for group, targets in groups:
+            if not group.size:
+                continue
+            cand, d = _table(zt.T, size, group, targets, self.root)
+            others = n - 1 if targets is None else targets[1] - targets[0]
+            self.renew(group, cand, d.max(axis=1), zt, moved, others)
+            out.append(d)
+        return np.concatenate(out)
 
     def track(self, zt: np.ndarray, steps: np.ndarray, pick, ahead: int = 0):
         """Every row's candidates' lengths, ``pick``'s choice among them and

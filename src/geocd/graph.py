@@ -4,7 +4,8 @@ The graph is hop 1 of the walk propagation: one ``Hop`` record of its edges,
 sorted by ``key = src * n + dst``. Non-neighbour entries hold the finite
 ``SENTINEL`` instead of infinity; after unit-bounding-box normalization
 every true distance stays below it, so sentinel entries barely influence
-the softmin while keeping the arithmetic finite.
+the softmin while keeping the arithmetic finite. The neighbours, and the
+rows ``GraphTracker`` searches in full, come from ``distances._table``.
 """
 
 from __future__ import annotations
@@ -16,22 +17,19 @@ import numpy as np
 
 from .cloud import PointCloud
 from .distances import (
-    BLOCK,
     CandidateLists,
     _first_k,
     _norms,
+    _table,
     list_size,
     nearest,
-    pairwise_distances,
     squared_lengths,
 )
 from .errors import DimensionMismatchError, KTooLargeError
 
-# a grid chunk's candidate matrix holds at most CHUNK * n entries, a quarter
-# of the dense sample's, so the sample sets the peak memory
-CHUNK = BLOCK // 8
-RADII = (1, 2)  # block radius of each grid pass, in cells: 3x3x3, then 5x5x5
-CELLS = 2**20  # most cells along an axis, so that cell ids fit an intp
+# unused here; perfbench/spans.py traces this name through this module
+from .distances import pairwise_distances  # noqa: F401
+
 # Value of every non-neighbour entry: the bound on pairwise distances that
 # normalize_pair guarantees (the box diagonal is scaled to 1)
 SENTINEL = 1.0
@@ -84,70 +82,6 @@ def merge(pred: PointCloud, gt: PointCloud) -> MergedSet:
     return MergedSet(np.vstack([pred.points, gt.points]), pred.size, gt.size)
 
 
-def _cell_edge(pts: np.ndarray, kth: np.ndarray) -> tuple[float, list[float]]:
-    """Cell edge ``h`` from a sample's k-th lengths, and the reach of each grid pass.
-
-    For every radius r of ``RADII``, every point outside the (2r+1)^3 block
-    of cells around a point has a computed length above that pass's reach
-    from it.
-    """
-    # 1.4 times the sample's 90th percentile k-th length: surfaces and
-    # volumes alike get small blocks, few rows fall back to the dense pass,
-    # and far outliers up to a tenth of the points leave h unchanged
-    kth = np.sort(kth)
-    lo = pts.min(axis=0)
-    extent = float((pts.max(axis=0) - lo).max())
-    h = 1.4 * float(kth[9 * (kth.size - 1) // 10])
-    h = max(min(h, extent), extent / CELLS, 2 * np.sqrt(np.finfo(np.float64).tiny))
-    # With u = 2**-53, the quotient fl(fl(p - lo) / h) behind a cell is off
-    # by a relative 2u + u*u at most, and p - lo <= extent. So two points
-    # whose cells differ by r + 1 or more along an axis lie more than
-    # r*h - (4u + 2u*u) * extent apart along it. The square of that gap is a
-    # normal number, as h >= 2 * sqrt(tiny) and h >= extent / CELLS, so the
-    # roundings of the length's difference, squares, sums and square root
-    # shrink it by a relative 4u at most: it is above r*h - 5u * (extent + r*h).
-    # A margin of 4 * eps = 8u times (extent + r*h) covers that and the
-    # rounding of the reach itself. An infinite extent gives a NaN reach,
-    # which certifies no row.
-    eps = np.finfo(np.float64).eps
-    return h, [r * h - 4 * eps * (extent + r * h) for r in RADII]
-
-
-def _grid(pts: np.ndarray, h: float):
-    """Sort the points into cubic cells of edge ``h``.
-
-    Returns ``order`` (point indices sorted by cell), ``cell_of`` (the cell
-    of each position in ``order``, cells numbered in sorted order) and
-    ``runs(cells, r)``. For each given cell, ``runs`` returns where the
-    (2r+1)^2 z-runs of its (2r+1)^3 block of cells start and stop in
-    ``order``, as two (cells, (2r+1)^2) arrays: cells of one x and y are
-    adjacent in cell order, so each run is one range of positions.
-    """
-    # cell coordinates start at the largest radius, so that every block cell
-    # has coordinates >= 0 and one id, and a run never reaches into the next
-    # column. h >= extent / CELLS bounds them, and fmin also maps the NaN of
-    # an overflowing p - lo into range.
-    pad = RADII[-1]
-    cell = np.floor(np.fmin((pts - pts.min(axis=0)) / h, CELLS)).astype(np.intp) + pad
-    dims = cell.max(axis=0) + pad + 1
-    cid = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
-    order = np.argsort(cid, kind="stable")
-    ids, first = np.unique(cid[order], return_index=True)
-    bounds = np.r_[first, pts.shape[0]]  # where each cell starts in order, then the end
-
-    def runs(cells: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-        step = np.arange(-r, r + 1)
-        # searched one z-run offset at a time, along which the ids rise:
-        # searchsorted is several times faster on rising keys
-        column = ((step[:, None] * dims[1] + step) * dims[2]).ravel()[:, None] + ids[cells]
-        return (
-            bounds[np.searchsorted(ids, column - r)].T,
-            bounds[np.searchsorted(ids, column + r, side="right")].T,
-        )
-
-    return order, np.repeat(np.arange(ids.size), np.diff(bounds)), runs
-
-
 def _check(pts: np.ndarray, k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -169,129 +103,11 @@ def knn_adjacency(z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
     return _edge_list(*_table(z.points, k), symmetrize)
 
 
-def _table(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's k nearest other points and their lengths, as two (n, k) arrays.
-
-    A set of at most BLOCK points is searched as one dense block. Otherwise
-    BLOCK // 2 evenly spaced rows are searched against all points, and their
-    k-th lengths size a grid of cells. Every other row searches the 3x3x3
-    block of cells around its point, and the rows that block cannot certify
-    then search the 5x5x5 block. The result stands when the row's k-th
-    length is at most the block's reach, which every point outside the
-    block exceeds. Rows whose block holds over a quarter of all points, and
-    the rows neither block certifies, are searched against all points.
-    Either way a row gets the neighbours and lengths of its full distance
-    row, and each row of the table is written once.
-
-    A grid pass orders its rows by the width of their block, the rows of one
-    cell together, and cuts them into chunks whose candidate matrix, as
-    wide as the chunk's last row needs, holds at most ``CHUNK * n`` entries.
-    The candidates' coordinates are gathered once per cell and copied to
-    each of its rows, and a row's own point is found by its position in the
-    centre run of its block. Rows with fewer than k other candidates go on
-    to the next pass unsearched.
-
-    Every row, grid or dense, picks its k smallest lengths with
-    ``_first_k``, which keeps the lowest point indices among entries tied
-    at the k-th length; its neighbours come in no set order.
-    """
-    n = len(pts)
-    nbr, length = np.empty((n, k), dtype=np.intp), np.empty((n, k))
-
-    def keep(rows, d, cand, row_cell, reach):
-        """Write the table rows whose k-th length is at most ``reach``.
-
-        Row i of ``d`` holds the lengths from point ``rows[i]`` to the
-        points ``cand[row_cell[i]]``, +inf where a column is no candidate.
-        Returns which rows were written, and every row's k-th length.
-        """
-        j = _first_k(d, cand, k, cell=row_cell)
-        dj = np.take_along_axis(d, j, axis=1)
-        kth = dj.max(axis=1)
-        done = kth <= reach
-        nbr[rows[done]] = cand[row_cell[done, None], j[done]]
-        length[rows[done]] = dj[done]
-        return done, kth
-
-    def full_rows(rows: np.ndarray) -> np.ndarray:
-        d = pairwise_distances(pts[rows], pts)
-        d[np.arange(rows.size), rows] = np.inf  # self is never its own neighbour
-        return keep(rows, d, np.arange(n)[None], np.zeros(rows.size, np.intp), np.inf)[1]
-
-    if n <= BLOCK:  # one dense block, no grid
-        full_rows(np.arange(n))
-        return nbr, length
-    sample = np.arange(0, n, -(-n // (BLOCK // 2)))
-    h, reach = _cell_edge(pts, full_rows(sample))
-    order, cell_of, runs = _grid(pts, h)
-    # the positions in order of the rows left
-    at = np.flatnonzero(np.isin(order, sample, invert=True))
-    # coordinates, and a padding point n that measures +inf from every point
-    cols = [np.r_[pts[:, c], np.inf] for c in range(3)]
-    rest = []
-    for r, reach_r in zip(RADII, reach):
-        cells, local = np.unique(cell_of[at], return_inverse=True)
-        start, stop = runs(cells, r)
-        size = stop - start
-        width = size.sum(axis=1)
-        # rows by block width, then by cell. A grid candidate costs several
-        # dense entries, so rows whose block holds over a quarter of all
-        # points are searched against all points; of the others, rows with
-        # fewer than k other candidates cannot be certified and go on.
-        by = np.argsort(width[local] * cells.size + local)
-        at, local = at[by], local[by]
-        row_width = width[local]
-        few, many = np.searchsorted(row_width, (min(k, n // 4), n // 4), side="right")
-        unsure = [at[:few]]
-        rest.append(order[at[many:]])
-        at, local, row_width = at[few:many], local[few:many], row_width[few:many]
-        # self's column: its own cell lies in the centre run of its block
-        mid = size.shape[1] // 2
-        own_col = size[:, :mid].sum(axis=1)[local] + at - start[local, mid]
-        # the pass's cells in row order, each row's place among them, and the
-        # point indices of each cell's block, run after run, cell after cell
-        new = np.diff(local, prepend=-1) != 0
-        seq, rank = local[new], np.cumsum(new) - 1
-        sz = size[seq].ravel()
-        pos = np.repeat(start[seq].ravel() - (np.cumsum(sz) - sz), sz) + np.arange(sz.sum())
-        block, bound = order[pos], np.r_[0, np.cumsum(width[seq])]
-        c0 = 0
-        while c0 < at.size:
-            # as many rows as keep the chunk's candidate matrix within CHUNK * n
-            # entries; widths rise, so the last row's is the chunk's
-            cost = row_width[c0:] * np.arange(1, at.size - c0 + 1)
-            c1 = c0 + max(1, int(np.searchsorted(cost, CHUNK * n, "right")))
-            rows, w = order[at[c0:c1]], row_width[c1 - 1]
-            g0, g1 = rank[c0], rank[c1 - 1] + 1
-            cand = np.full((g1 - g0, w), n)  # the chunk's cells' blocks, padded with n
-            cand[np.arange(w) < width[seq[g0:g1], None]] = block[bound[g0] : bound[g1]]
-            row_cell = rank[c0:c1] - g0
-            xyz = [c[cand] for c in cols]  # gathered once per cell, copied per row
-            d, tmp = np.empty((rows.size, w)), np.empty((rows.size, w))
-            b = (c.take(row_cell, axis=0) for c in xyz)
-            squared_lengths([c[rows, None] for c in cols], b, d, tmp)
-            np.sqrt(d, out=d)
-            d[np.arange(rows.size), own_col[c0:c1]] = np.inf  # self is never its own neighbour
-            done, _ = keep(rows, d, cand, row_cell, reach_r)
-            unsure.append(at[c0:c1][~done])
-            c0 = c1
-        at = np.concatenate(unsure)
-    rest.append(order[at])
-
-    rest = np.concatenate(rest)
-    for b0 in range(0, rest.size, BLOCK):
-        full_rows(rest[b0 : b0 + BLOCK])
-    return nbr, length
-
-
 def _edge_list(nbr: np.ndarray, length: np.ndarray, symmetrize: bool) -> Hop:
-    """The hop-1 record of a neighbour table; see ``knn_adjacency``."""
-    n, k = nbr.shape
-    # each row's neighbours sorted by index, with their columns in the low part
-    w = np.asarray(nbr, np.intp) * k + np.arange(k)
-    w.sort(axis=1)
-    rows = np.arange(n)[:, None]
-    key, length = (rows * n + w // k).ravel(), length[rows, w % k].ravel()
+    """The hop-1 record of a neighbour table, each row sorted by index; see
+    ``knn_adjacency``."""
+    n = len(nbr)
+    key, length = (np.arange(n)[:, None] * n + nbr).ravel(), length.ravel()
     # normalize_pair scales the box diagonal to 1 only up to rounding. With
     # u = 2**-53, a normalized axis difference exceeds s times the box
     # extent by a relative 2u + u*u (shift, then scale), s exceeds one over
@@ -325,9 +141,8 @@ class GraphTracker:
     seeded from one neighbour table (``_table``). Every call picks each
     row's k neighbours from its candidates by the graph's own rule
     (``_first_k``) and searches in full only the rows whose pick the lists
-    cannot prove. Another size of the set, another k, a move that
-    overflows, or a coordinate so large that a squared length may
-    overflow, starts over.
+    cannot prove, with ``_table``. Another size of the set, another k, or
+    a move that overflows, starts over.
     """
 
     def __init__(self):
@@ -348,12 +163,6 @@ class GraphTracker:
         _check(pts, k)
         n = len(pts)
         self.rows_asked += n
-        # below 2**510 no squared length overflows, so a row's own point,
-        # at +inf in its full search, is never its candidate
-        if not np.abs(pts).max() < 2.0**510:
-            self._lists = None
-            self.rows_searched += n
-            return knn_adjacency(z, k, symmetrize)
         zt = np.ascontiguousarray(pts.T)
         steps = None
         if self._lists is not None and (zt.shape, k) == (self._prev.shape, self._k):
@@ -368,6 +177,7 @@ class GraphTracker:
         d, c, _ = lists.track(zt, steps, partial(_neighbours, k=k))
         # the seed table searched every row
         self.rows_searched += n if seeded else lists.searched - before
+        c.sort(axis=1)  # each list is sorted by index
         r = np.arange(n)[:, None]
         return _edge_list(lists.cand[r, c], d[r, c], symmetrize)
 

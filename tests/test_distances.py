@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geocd import distances
+from geocd import ShapeSpec, distances, sample_shape
 from geocd.distances import NearestTracker, nearest, pairwise_distances
+from geocd.oracle import stable_sort_knn_mask
 
 
 def dense_squared(p, q):
@@ -198,3 +199,111 @@ def test_tracker_leaves_non_finite_coordinates_to_nearest():
     p[70, 1] = 0.5
     assert_same(track(p, q), nearest(p, q))
     assert track.rows_searched == 3 * 130  # the nan call and the restart after it search every row
+
+
+# ---------------------------------------------------------------- one search
+
+
+def search_set(kind, rng, n):
+    """n points of a kind whose k nearest the one search must rank exactly."""
+    if kind == "lattice":  # a lattice in shuffled order: ties at every k
+        side = int(np.ceil(n ** (1 / 3)))
+        pts = np.stack(np.meshgrid(*[np.arange(side)] * 3), -1).reshape(-1, 3)[:n] / 16.0
+        return pts[rng.permutation(n)]
+    if kind == "duplicate":
+        p = rng.random((n, 3))
+        p[rng.integers(0, n, n // 3)] = p[0]
+        return p
+    if kind == "underflow":  # squared lengths below the smallest normal
+        return rng.integers(0, 9, (n, 3)) / 8.0 * 1e-162
+    if kind == "far":  # a dense patch and a sparse cluster far from it
+        return np.vstack([rng.random((n - 12, 3)) * 0.1, 5.0 + rng.random((12, 3))])
+    return rng.random((n, 3))
+
+
+def first_k(sq, k, cols):
+    """Each row's first k columns of a stable sort, sorted by index, and their entries."""
+    j = np.sort(np.argsort(sq, axis=1, kind="stable")[:, :k], axis=1)
+    return cols[j], sq[np.arange(len(sq))[:, None], j]
+
+
+def row_sets(r, w, rng):
+    """Parts of r rows: one, all, and sizes on both sides of the size rule."""
+    # a part of the rows, r of them against w targets, is dense up to
+    # r * r * w = 2**25
+    cut = int(np.sqrt(2**25 / w))
+    parts = [s for s in (1, distances.BLOCK, distances.BLOCK + 1, cut, cut + 1) if s < r]
+    return [np.sort(rng.choice(r, s, replace=False)) for s in parts] + [np.arange(r)]
+
+
+@pytest.fixture
+def grids(monkeypatch):
+    """One entry per grid that ``_table`` builds."""
+    built, real = [], distances._grid
+    monkeypatch.setattr(distances, "_grid", lambda *a: built.append(1) or real(*a))
+    return built
+
+
+@pytest.mark.parametrize("kind", ["random", "lattice", "duplicate", "underflow", "far"])
+def test_table_rows_of_a_set_match_the_dense_reference(kind, grids):
+    # the graph's mode: every other point, rooted lengths
+    rng = np.random.default_rng(21)
+    n, k = 800, 6
+    pts = search_set(kind, rng, n)
+    ref, d = stable_sort_knn_mask(pts, k, False)
+    for rows in row_sets(n, n, rng):
+        before = len(grids)
+        nbr, length = distances._table(pts, k, rows)
+        want = np.argwhere(ref[rows])[:, 1].reshape(rows.size, k)
+        assert np.array_equal(nbr, want)
+        assert length.tobytes() == d[rows[:, None], want].tobytes()
+        # a part of the rows takes the grid past the size rule, the whole set past BLOCK
+        assert (len(grids) > before) == (rows.size > int(np.sqrt(2**25 / n)))
+
+
+@pytest.mark.parametrize("kind", ["random", "lattice", "duplicate", "underflow", "far", "one"])
+def test_table_bipartite_rows_match_the_dense_reference(kind, grids):
+    # NearestTracker's mode: the other cloud only, squared lengths, ties by index
+    rng = np.random.default_rng(22)
+    n, m = 800, 1 if kind == "one" else 700
+    pts = np.vstack([search_set(kind, rng, n), search_set("random", rng, m)])
+    for targets in ((n, n + m), (0, n)):
+        lo, hi = targets
+        k = min(8, hi - lo)  # the one-point cloud: as many as its size
+        side = np.arange(n) if lo == n else np.arange(n, n + m)
+        for rows in [side[s] for s in row_sets(side.size, hi - lo, rng)]:
+            before = len(grids)
+            got = distances._table(pts, k, rows, targets, root=False)
+            want = first_k(dense_squared(pts[rows], pts[lo:hi]), k, np.arange(lo, hi))
+            assert np.array_equal(got[0], want[0])
+            assert got[1].tobytes() == want[1].tobytes()
+            assert (len(grids) > before) == (rows.size * rows.size * (hi - lo) > 2**25)
+
+
+def test_table_with_as_many_targets_as_k_takes_the_grid(grids):
+    # 1000 rows against 40 targets at k = 40: the grid runs, and every row
+    # goes on to the dense pass, its block holding fewer than k targets or
+    # over a quarter of them
+    rng = np.random.default_rng(23)
+    pts = rng.random((1040, 3))
+    rows = np.arange(1000)
+    nbr, length = distances._table(pts, 40, rows, (1000, 1040), root=False)
+    assert len(grids) == 1
+    assert np.array_equal(nbr, np.tile(np.arange(1000, 1040), (1000, 1)))
+    assert length.tobytes() == dense_squared(pts[:1000], pts[1000:]).tobytes()
+
+
+def test_tracker_searches_on_the_grid_and_returns_what_nearest_returns(grids):
+    # 1000 + 1000 points: moves of a few hundredths leave hundreds of rows
+    # uncertain, which a tracked search takes to the grid
+    rng = np.random.default_rng(24)
+    q = sample_shape(ShapeSpec("torus", 1000, 0.02, 5)).points
+    p = q + rng.normal(scale=0.05, size=q.shape)
+    track = NearestTracker()
+    assert_same(track(p, q), nearest(p, q))
+    first = len(grids)
+    for scale in (0.02, 5e-4, 0.01, 0.0, 0.03):
+        p = p + rng.normal(scale=scale, size=p.shape)
+        assert_same(track(p, q), nearest(p, q))
+    assert len(grids) > first
+    assert track.rows_searched < track.rows_asked

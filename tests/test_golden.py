@@ -14,7 +14,17 @@ import json
 import numpy as np
 import pytest
 
-from golden.generate import FIT_SEEDS, GOLDEN, SEEDS, fit_instance, fit_record, instance, record
+from geocd import distances
+from golden.generate import (
+    FIT_GRID,
+    FIT_SEEDS,
+    GOLDEN,
+    SEEDS,
+    fit_instance,
+    fit_record,
+    instance,
+    record,
+)
 
 REL_TOL = 1e-12  # loss and gradients pass through np.exp / np.log
 
@@ -66,3 +76,22 @@ def test_golden_fits_unchanged(golden):
             spec = fit_instance(want["seed"])[0]
             problems.append(f"fit {want['seed']} {spec}: " + "; ".join(moved))
     assert not problems, f"{len(problems)} golden fits moved:\n" + "\n".join(problems)
+
+
+def test_golden_fit_18_searches_tracked_rows_on_the_grid(monkeypatch):
+    # both trackers search a part of their rows on the grid in fit 18, so the
+    # gate above pins the grid's answers for tracked rows
+    grids, tracked = [], set()
+    real_grid, real_search = distances._grid, distances.CandidateLists.search
+
+    def search(lists, rows, zt, moved):
+        before = len(grids)
+        out = real_search(lists, rows, zt, moved)
+        if rows.size < zt.shape[1] and len(grids) > before:
+            tracked.add("graph" if lists.split is None else "nearest")
+        return out
+
+    monkeypatch.setattr(distances, "_grid", lambda *a: grids.append(1) or real_grid(*a))
+    monkeypatch.setattr(distances.CandidateLists, "search", search)
+    fit_record(FIT_GRID)
+    assert tracked == {"graph", "nearest"}

@@ -190,7 +190,7 @@ def grid_case(name):
     if name == "tiny":  # 1-point clouds
         return rng.random((2, 3))
     if name == "block":  # the sample holds every row
-        return rng.random((graph.BLOCK, 3))
+        return rng.random((distances.BLOCK, 3))
     if name == "volume":  # k-th lengths all over, some just below the reach
         return rng.random((700, 3))
     if name == "sparse":
@@ -212,9 +212,9 @@ def test_grid_matches_dense_reference(name, monkeypatch):
     n = len(pts)
     z = merge(PointCloud(pts[: n // 2]), PointCloud(pts[n // 2 :]))
     dense_rows, grid_rows = [], []  # rows of every dense call and of every grid chunk
-    real, smallest = graph.pairwise_distances, distances._smallest
+    real, smallest = distances._dense, distances._smallest
     monkeypatch.setattr(
-        graph, "pairwise_distances", lambda a, b: dense_rows.append(len(a)) or real(a, b)
+        distances, "_dense", lambda zt, p, *a: dense_rows.append(len(p)) or real(zt, p, *a)
     )
 
     def counted_smallest(d, k, out=None):
@@ -223,13 +223,13 @@ def test_grid_matches_dense_reference(name, monkeypatch):
         return smallest(d, k, out)
 
     monkeypatch.setattr(distances, "_smallest", counted_smallest)
-    if n <= graph.BLOCK:  # the dense sample is every row: no grid to build
+    if n <= distances.BLOCK:  # the dense sample is every row: no grid to build
 
         def no_grid(*_):
             raise AssertionError("grid built for a set the sample covers")
 
-        monkeypatch.setattr(graph, "_cell_edge", no_grid)
-        monkeypatch.setattr(graph, "_grid", no_grid)
+        monkeypatch.setattr(distances, "_cell_edge", no_grid)
+        monkeypatch.setattr(distances, "_grid", no_grid)
     builds = []  # k, and the rows of the build's dense calls and grid chunks
     for k in sorted({1, 3, 8, n - 1} & set(range(1, n))):  # n - 1: n < k + 2
         for symmetrize in (False, True):
@@ -247,7 +247,7 @@ def test_grid_matches_dense_reference(name, monkeypatch):
     if name == "sparse":
         # every grid row takes the first pass, so the excess took the second,
         # and no row but the sample's reached the dense pass
-        sample = len(range(0, n, -(-n // (graph.BLOCK // 2))))
+        sample = len(range(0, n, -(-n // (distances.BLOCK // 2))))
         for k, full, grid in builds:
             if k < n - 1:  # at k = n - 1 every block is too wide
                 assert sum(grid) > n - sample
@@ -274,12 +274,12 @@ def selection_case(name):
 def test_packed_selection_matches_dense_reference(name, monkeypatch):
     pts, ks = selection_case(name)
     n = len(pts)
-    assert n > graph.BLOCK  # the grid is built
+    assert n > distances.BLOCK  # the grid is built
     z = merge(PointCloud(pts[: n // 2]), PointCloud(pts[n // 2 :]))
     dense_rows, grid_widths, grid_tied, tied = [], [], [], []
-    real, smallest, select = graph.pairwise_distances, distances._smallest, distances._select
+    real, smallest, select = distances._dense, distances._smallest, distances._select
     monkeypatch.setattr(
-        graph, "pairwise_distances", lambda a, b: dense_rows.append(len(a)) or real(a, b)
+        distances, "_dense", lambda zt, p, *a: dense_rows.append(len(p)) or real(zt, p, *a)
     )
 
     def counted_smallest(d, k, out=None):
@@ -301,7 +301,7 @@ def test_packed_selection_matches_dense_reference(name, monkeypatch):
             assert np.array_equal(np.c_[np.divmod(adj.key, z.size)], np.argwhere(ref))
             assert np.array_equal(adj.dist, d[ref])
             if name == "ties":  # every tied grid row was settled on the grid
-                assert dense_rows == [len(range(0, n, -(-n // (graph.BLOCK // 2))))]
+                assert dense_rows == [len(range(0, n, -(-n // (distances.BLOCK // 2))))]
     if name != "underflow":
         assert grid_widths
     if name == "ties":
@@ -321,15 +321,16 @@ def test_grid_reach_bounds_every_point_outside_the_block(offset):
     _, d = stable_sort_knn_mask(pts, 1, False)
     np.fill_diagonal(d, 0.0)
     kth = np.sort(d, axis=1)[::7, 3]  # every 7th row's 3rd neighbour; column 0 is the row
-    h, reach = graph._cell_edge(pts, kth)
-    order, cell_of, runs = graph._grid(pts, h)
+    h, reach = distances._cell_edge(pts, kth)
+    order, cid, runs = distances._grid(pts, h)
     cell = np.floor((pts - pts.min(axis=0)) / h)
-    assert graph.RADII == (1, 2)
-    for r, reach_r in zip(graph.RADII, reach):
-        start, stop = runs(np.arange(cell_of[-1] + 1), r)
+    assert distances.RADII == (1, 2)
+    cells = np.unique(cid)
+    for r, reach_r in zip(distances.RADII, reach):
+        start, stop = runs(cells, r)
         closest = np.inf
-        for at, row in enumerate(order):
-            c = cell_of[at]
+        for row in order:
+            c = np.searchsorted(cells, cid[row])
             inside = np.zeros(len(pts), dtype=bool)
             for first, last in zip(start[c], stop[c]):
                 inside[order[first:last]] = True
@@ -450,7 +451,7 @@ def test_graph_tracker_seeds_from_lists_across_the_box(k, symmetrize):
     near = corner * np.array([0.0, 0.01, 0.02, 0.03])[:, None]
     p, g, _ = normalize_pair(PointCloud(near), PointCloud(np.tile(corner, (8, 1))))
     pts = np.vstack([p.points, g.points])
-    assert graph._table(pts, list_size(k))[1][0].max() > graph.SENTINEL
+    assert distances._table(pts, list_size(k))[1][0].max() > graph.SENTINEL
     rng = np.random.default_rng(k)
     track = graph.GraphTracker()
     z = merged(pts, 4)
@@ -506,8 +507,9 @@ def test_graph_tracker_starts_over_on_another_k_size_or_a_nan():
 
 def test_graph_tracker_leaves_coordinates_that_may_overflow_to_knn_adjacency():
     # four points near the origin and sixteen at 1e200: a near row's lengths
-    # to the far points overflow, so its own point ties with them at +inf in
-    # a full search and may enter its list; every call is knn_adjacency's own
+    # to the far points overflow to +inf, and the far points' moves leave no
+    # row certified, so every row is searched in full; its own point, at
+    # NaN in that search, never enters its list
     rng = np.random.default_rng(4)
     pts = np.vstack([rng.random((4, 3)), rng.random((16, 3)) * 1e200])
     track = graph.GraphTracker()
@@ -517,6 +519,43 @@ def test_graph_tracker_leaves_coordinates_that_may_overflow_to_knn_adjacency():
             same_hop(track(z, 2), knn_adjacency(z, 2))
             pts = pts * (1 + 1e-9)
     assert track.rows_searched == track.rows_asked == 3 * 20
+
+
+def test_knn_adjacency_lists_no_point_as_its_own_neighbour_when_lengths_overflow():
+    # the set above at k = 6: rows 0-5 reach the far points, whose lengths
+    # overflow to +inf; each row's own point ranks after them
+    rng = np.random.default_rng(4)
+    pts = np.vstack([rng.random((4, 3)), rng.random((16, 3)) * 1e200])
+    with np.errstate(over="ignore", invalid="ignore"):
+        adj = knn_adjacency(merged(pts, 10), 6)
+        _, d = stable_sort_knn_mask(pts, 6, False)
+    np.fill_diagonal(d, np.nan)  # the own point after every length, +inf among them
+    first = np.sort(np.argsort(d, axis=1, kind="stable")[:, :6], axis=1)
+    src, dst = np.divmod(adj.key, 20)
+    assert (src != dst).all()
+    assert np.array_equal(dst.reshape(20, 6), first)
+    assert np.array_equal(adj.dist, d[src, dst])
+
+
+def test_graph_tracker_searches_on_the_grid_and_returns_what_knn_adjacency_returns(monkeypatch):
+    # 1000 + 1000 points of a noisy surface pair: moves of a few hundredths
+    # leave hundreds of rows uncertain, which a tracked search takes to the grid
+    grids, real = [], distances._grid
+    monkeypatch.setattr(distances, "_grid", lambda *a: grids.append(1) or real(*a))
+    gt = sample_shape(ShapeSpec("hemisphere", 1000, seed=6))
+    pred, gt, _ = normalize_pair(noisy_copy(gt, 0.05, 7), gt)
+    pts, rng = np.vstack([pred.points, gt.points]), np.random.default_rng(8)
+    track = graph.GraphTracker()
+    for symmetrize in (False, True):
+        z = merged(pts, 1000)
+        same_hop(track(z, 5, symmetrize), knn_adjacency(z, 5, symmetrize))
+        seeded = len(grids)
+        for scale in (0.01, 5e-4, 0.0, 0.02):
+            pts = pts + rng.normal(scale=scale, size=pts.shape)
+            z = merged(pts, 1000)
+            same_hop(track(z, 5, symmetrize), knn_adjacency(z, 5, symmetrize))
+        assert len(grids) > seeded + 4  # besides the fresh builds
+    assert track.rows_searched < track.rows_asked
 
 
 def test_graph_tracker_raises_what_knn_adjacency_raises_and_keeps_its_lists():
