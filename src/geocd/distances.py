@@ -131,14 +131,14 @@ def _smallest(d: np.ndarray, k: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     columns. Each entry is packed into one int64 word, the bits of its
     length with the low b bits replaced by its column, b = bits(W - 1) for
     W columns: non-negative float64 values, +inf among them, order as their
-    bit patterns do, and NaN's lies above them all, so one ``partition`` of
-    the words puts each row's k smallest words first. Where the largest of
-    them lies below the next word even with its low b bits set, every
-    chosen length is strictly below every other, and the chosen columns
-    are exactly the row's k smallest entries, with no tie to settle. Other
-    rows (an exact tie, a near tie, or lengths too small to keep any bits)
-    are not certain. The words go to ``out``, an int64 array of the shape
-    of ``d``, if given.
+    bit patterns do, and NaN's pattern lies above them all, so one
+    ``partition`` of the words puts each row's k smallest words first.
+    Where the largest of them lies below the next word even with its low b
+    bits set, every chosen length is strictly below every other, and the
+    chosen columns are exactly the row's k smallest entries, with no tie
+    to settle. Other rows (an exact tie, a near tie, or lengths too small
+    to keep any bits) are not certain. The words go to ``out``, an int64
+    array of the shape of ``d``, if given.
     """
     low = (1 << int(d.shape[1] - 1).bit_length()) - 1
     word = np.bitwise_and(d.view(np.int64), ~low, out=out)
