@@ -31,19 +31,20 @@ The winners are picked by one value sort of packed int64 words,
 ``(key - r0 * n) << b | index``, where ``index`` is the entry's position
 in the concatenation of the previous entries and the candidates and
 ``b = bits(E - 1)`` for E entries. Ties on the key fall to the lower
-index, which is exactly the order of a stable sort by key. The rows are
-extended in ranges of whole rows [r0, r1) holding at most ``SPAN``
-entries and candidates, a larger row being a range of its own, so that
-transient memory is bounded by ``SPAN`` rather than by all candidates and
-a range's fields stay in cache; the ranges' records concatenate to the
-same sorted record.
+index, which is exactly the order of a stable sort by key. The active
+rows are extended in ranges of whole rows [r0, r1) holding at most
+``SPAN`` entries and candidates, a larger row being a range of its own, so
+that transient memory is bounded by ``SPAN`` rather than by all candidates
+and a range's fields stay in cache; the ranges' records concatenate to the
+same sorted record. Frozen rows never enter a range: their slices are
+spliced back unchanged.
 
 The word fits an int64. Its index is below 2**b <= max(1, 2 * (E - 1)).
 A range of several rows has E <= SPAN and local keys below n * n, so its
 words stay below 2 * n**2 * SPAN. A single row holds at most n - 1
 entries, each extended by at most n - 1 edges, so E < n**2, and its local
 keys stay below n, so its words stay below 2 * n**3. With n <= MAX_POINTS
-= 2**20 and SPAN = 2**16, the bounds are 2**57 and 2**61.
+= 2**20 and SPAN = 2**13, the bounds are 2**54 and 2**61.
 """
 
 from __future__ import annotations
@@ -56,7 +57,13 @@ import numpy as np
 from .errors import DimensionMismatchError, NormalizationError
 from .graph import SENTINEL, Hop, MergedSet
 
-SPAN = 1 << 16  # most entries and candidates that one extension range sorts at once
+# Most entries and candidates that one extension range sorts at once: the
+# smallest size no slower than 2**16 in a sweep of 2**12 to 2**16 at 512 to
+# 8192 points per cloud (propagate at k=8 and 3 hops, 0.83-1.00x the time of
+# 2**16; 2**12 took 1.02-1.24x). It cut the traced peak at 1024 points per
+# cloud from 9.96 to 6.75 MiB. With the mask on (k=5, 2 hops), few rows
+# stay active and every size took 0.97-1.09x, within run-to-run noise.
+SPAN = 1 << 13
 MAX_POINTS = 1 << 20  # largest merged set that multi-hop propagation takes
 
 
@@ -132,12 +139,48 @@ def _extend(
     of its entries that this hop added or made strictly shorter, which is
     the next hop's ``fresh``.
 
+    Frozen rows are spliced, not sorted: when the mask has frozen a row,
+    only the active rows' entries go through ``_extend_rows``, and the
+    frozen rows' slices of ``prev`` are put back in key order by position.
+    Rows keep their keys apart (``key // n`` is the row), so each new entry
+    lands after the frozen entries of lower keys and the record is the one
+    a sort of all rows would give.
+    """
+    n = active.size
+    if active.all():
+        return _extend_rows(prev, fresh, ptr, dst, length)
+    frozen = ~active[prev.key // n]
+    rest = ~frozen
+    new, improved = _extend_rows(
+        Hop(prev.key[rest], prev.dist[rest], prev.edge[rest], n), fresh[rest], ptr, dst, length
+    )
+    kept = prev.key[frozen]
+    # each new entry's position: the frozen entries of lower keys, then its rank
+    at = np.searchsorted(kept, new.key) + np.arange(new.key.size)
+    spliced = np.ones(kept.size + at.size, dtype=bool)  # the frozen entries' positions
+    spliced[at] = False
+    e = spliced.size
+    key, dist, edge = np.empty(e, np.int64), np.empty(e), np.empty(e, np.int64)
+    for out, a, b in (
+        (key, kept, new.key),
+        (dist, prev.dist[frozen], new.dist),
+        (edge, prev.edge[frozen], new.edge),
+    ):
+        out[spliced], out[at] = a, b
+    changed = np.zeros(e, dtype=bool)
+    changed[at] = improved
+    return Hop(key, dist, edge, n), changed
+
+
+def _extend_rows(prev: Hop, fresh: np.ndarray, ptr, dst, length) -> tuple[Hop, np.ndarray]:
+    """``_extend`` with every row of ``prev`` active.
+
     Only real walks are extended, by real edges: a candidate routed through
     a sentinel entry costs at least the sentinel, and every entry is bounded
     by the sentinel, so it can never strictly improve. Nor can one extended
     from a stale entry (``fresh`` False), which the previous hop already
     tried (see the module docstring). The result is identical to the dense
-    formula above.
+    formula of ``_extend``.
 
     Walks that return to their start or reach the sentinel are sorted with
     the rest and dropped after the winners are picked, which leaves the
@@ -153,20 +196,21 @@ def _extend(
     derives why that word fits an int64. Each range builds its word, dist
     and last edge in one buffer each, the previous entries' slice first.
     """
-    n = active.size
+    n = prev.size
     i, k = np.divmod(prev.key, n)
-    live = np.flatnonzero(fresh & active[i])
+    live = np.flatnonzero(fresh)
     start = ptr[k[live]]  # out-edges of k sit at ptr[k] .. ptr[k+1] in the edge arrays
     deg = ptr[k[live] + 1] - start
     cum = np.r_[0, np.cumsum(deg)]  # candidates of the live entries before each one
     row = np.searchsorted(prev.key, np.arange(n + 1) * n)  # each row's first entry
-    load = row + cum[np.searchsorted(live, row)]  # entries and candidates before each row
+    lrow = np.searchsorted(live, row)  # each row's first live entry
+    load = row + cum[lrow]  # entries and candidates before each row
     parts = []
     r0 = 0
     while r0 < n:
         r1 = max(r0 + 1, int(np.searchsorted(load, load[r0] + SPAN, side="right")) - 1)
         a, b = row[r0], row[r1]
-        la, lb = np.searchsorted(live, (a, b))
+        la, lb = lrow[r0], lrow[r1]
         ext, rep = live[la:lb], deg[la:lb]
         m = b - a
         e = int(m + cum[lb] - cum[la])

@@ -177,9 +177,15 @@ class GraphTracker:
         d, c, _ = lists.track(zt, steps, partial(_neighbours, k=k))
         # the seed table searched every row
         self.rows_searched += n if seeded else lists.searched - before
-        c.sort(axis=1)  # each list is sorted by index
-        r = np.arange(n)[:, None]
-        return _edge_list(lists.cand[r, c], d[r, c], symmetrize)
+        # each list is sorted by index, so the picked entries of a mask over
+        # all lists come out row by row, each row's in index order
+        size = lists.cand.shape[1]
+        picked = np.zeros(n * size, dtype=bool)
+        picked[(c + np.arange(0, n * size, size)[:, None]).ravel()] = True
+        at = np.flatnonzero(picked)
+        return _edge_list(
+            lists.cand.ravel()[at].reshape(n, k), d.ravel()[at].reshape(n, k), symmetrize
+        )
 
 
 class GraphNearest:

@@ -43,13 +43,15 @@ def stable_sort_knn_mask(
     """Dense kNN reference: the first k entries of a stable sort of each distance row.
 
     Returns the (n, n) edge mask, with its transpose added when
-    ``symmetrize``, and the distance matrix with +inf on the diagonal. Each
-    length is ``sqrt((dx*dx + dy*dy) + dz*dz)``, the graph's expression.
+    ``symmetrize``, and the distance matrix with NaN on the diagonal, which
+    ranks each row's own point after every length, +inf among them, as the
+    graph does where squared lengths overflow. Each length is
+    ``sqrt((dx*dx + dy*dy) + dz*dz)``, the graph's expression.
     """
     diff = points[:, None, :] - points[None, :, :]
     dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
     d = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    np.fill_diagonal(d, np.inf)
+    np.fill_diagonal(d, np.nan)
     mask = np.zeros(d.shape, dtype=bool)
     order = np.argsort(d, axis=1, kind="stable")[:, :k]
     mask[np.arange(len(d))[:, None], order] = True

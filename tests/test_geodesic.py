@@ -329,13 +329,18 @@ def test_mask_freezes_row_improvements():
     assert d_xy(geo2)[0, 1] == pytest.approx(0.7, abs=1e-12)
 
 
-def test_masked_rows_still_serve_as_intermediates():
-    # k=1 edges: z1->g1 (0.4), p2<->g1 (0.05), g2->g1 (0.3); g1 and p2 freeze
-    # at threshold 0.1 while z1 stays active and routes through frozen g1
+def l_shape_with_twin():
+    """The L shape plus a predicted twin p2 of g1. k=1 edges: z1->g1 (0.4),
+    p2<->g1 (0.05), g2->g1 (0.3); at threshold 0.1 g1 and p2 freeze while
+    z1 stays active and routes through frozen g1."""
     pred = PointCloud(np.array([[0.0, 0.0, 0.0], [0.45, 0.0, 0.0]]))
     gt = PointCloud(np.array([[0.4, 0.0, 0.0], [0.4, 0.3, 0.0]]))
     z = merge(pred, gt)
-    adj = knn_adjacency(z, k=1)
+    return z, knn_adjacency(z, k=1)
+
+
+def test_masked_rows_still_serve_as_intermediates():
+    z, adj = l_shape_with_twin()
     geo = propagate(z, adj, n_hops=2, mask=MaskConfig(enabled=True, threshold=0.1))
     assert geo.masked_per_hop[0] == 0.5
     final, first = dense(geo.hops[-1]), dense(geo.hops[0])
@@ -520,22 +525,74 @@ def hemisphere_graph(n, k):
     return z, knn_adjacency(z, k)
 
 
-@pytest.mark.parametrize("span", [1, 7, 64, 1 << 20])
-def test_row_ranges_give_the_same_records(span, monkeypatch):
-    rng = np.random.default_rng(span)
+def improved_counts(hops):
+    """Entries that each hop after the first added or made strictly shorter."""
+    out = []
+    for prev, hop in zip(hops, hops[1:]):
+        pos, found = prev.find(hop.key)
+        out.append(int((~found | (hop.dist < prev.dist[pos])).sum()))
+    return out
+
+
+def one_active_row(z, adj):
+    """A mask that leaves exactly one row active at the first extension:
+    its threshold lies between the two largest row minima."""
+    _, rows, d = propagate(z, adj, 1).cross()
+    mins = row_min(rows, d, cross_width(z))
+    threshold = float(np.unique(mins)[-2:].mean())
+    assert (mins > threshold).sum() == 1
+    return MaskConfig(enabled=True, threshold=threshold)
+
+
+@pytest.fixture(scope="module")
+def range_cases():
+    """Instances of every range layout and frozen share, with their
+    ``full_sort_records`` reference and the frozen share they must reach."""
     z, adj = hemisphere_graph(1024, 8)  # many ranges at the default SPAN
-    cases = [(z, adj, 3, MaskConfig(), propagate(z, adj, 3))]
+    cases = [(z, adj, 3, MaskConfig(), 0.0)]
+    cases.append((z, adj, 3, one_active_row(z, adj), 1.0 - 1.0 / z.size))
+    # train-step's setting: nearly every row frozen at the first extension
+    z, adj = hemisphere_graph(1024, 5)
+    cases.append((z, adj, 2, MaskConfig(enabled=True), 0.95))
+    cases.append((z, knn_adjacency(z, 5, symmetrize=True), 4, MaskConfig(enabled=True), 0.95))
+    cases.append((z, adj, 3, MaskConfig(enabled=True, threshold=SENTINEL), 1.0))  # all frozen
+    # frozen rows as the intermediates of an active row's walk
+    z, adj = l_shape_with_twin()
+    cases.append((z, adj, 2, MaskConfig(enabled=True, threshold=0.1), 0.5))
+    return [case + full_sort_records(*case[:4]) for case in cases]
+
+
+@pytest.mark.parametrize("span", [1, 7, 64, 1 << 20])
+def test_row_ranges_give_the_same_records(span, range_cases, monkeypatch):
+    rng = np.random.default_rng(span)
+    cases = list(range_cases)
     for trial in range(12):
         pred, gt = deep_pair(("random", "lattice", "duplicate")[trial % 3], rng)
         z = merge(pred, gt)
         adj = knn_adjacency(z, int(rng.integers(1, 7)), symmetrize=bool(trial % 2))
         mask = MaskConfig(enabled=bool(trial // 2 % 2))
-        cases.append((z, adj, 3 + trial % 3, mask, propagate(z, adj, 3 + trial % 3, mask)))
+        case = (z, adj, 3 + trial % 3, mask, 0.0)
+        cases.append(case + full_sort_records(*case[:4]))
+    # frozen rows are spliced around the ranges: none of their entries reaches them
+    masks, extend, extend_rows = [], geodesic._extend, geodesic._extend_rows
+
+    def spy_extend(prev, fresh, active, *rest):
+        masks.append(active)
+        return extend(prev, fresh, active, *rest)
+
+    def spy_extend_rows(prev, *rest):
+        assert masks[-1][prev.key // prev.size].all()
+        return extend_rows(prev, *rest)
+
+    monkeypatch.setattr(geodesic, "_extend", spy_extend)
+    monkeypatch.setattr(geodesic, "_extend_rows", spy_extend_rows)
     monkeypatch.setattr(geodesic, "SPAN", span)
-    for z, adj, hops, mask, want in cases:
+    for z, adj, hops, mask, frozen, want, masked in cases:
         got = propagate(z, adj, hops, mask)
-        assert_same_records(got.hops, want.hops)
-        assert got.improved_per_hop == want.improved_per_hop
+        assert_same_records(got.hops, want)
+        assert got.masked_per_hop == masked
+        assert max(masked, default=0.0) >= frozen
+        assert got.improved_per_hop == improved_counts(want)
 
 
 def test_extension_memory_stays_near_the_records_it_adds():
@@ -548,7 +605,7 @@ def test_extension_memory_stays_near_the_records_it_adds():
         tracemalloc.stop()
     added = sum(a.nbytes for hop in geo.hops[1:] for a in (hop.key, hop.dist, hop.edge))
     # a range's transient fields are bounded by SPAN, not by all candidates
-    assert peak < 5 * added
+    assert peak < 2.75 * added
 
 
 def test_per_hop_counts(rng):

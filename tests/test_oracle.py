@@ -14,12 +14,30 @@ from geocd import (
     propagate,
 )
 from geocd.verify import check_gradients, check_propagation, run_verification
-from geocd.oracle import dense
+from geocd.oracle import dense, stable_sort_knn_mask
 from conftest import fault_the_reference, random_normalized_pair
 
 
 def cloud(*pts):
     return PointCloud(np.array(pts, dtype=np.float64))
+
+
+def test_knn_reference_lists_no_point_as_its_own_neighbour_when_lengths_overflow():
+    # four points in the unit cube and sixteen scaled by 1e200: every length
+    # to or between the far points overflows to +inf, and each row's own
+    # point still ranks after those
+    rng = np.random.default_rng(4)
+    pts = np.vstack([rng.random((4, 3)), rng.random((16, 3)) * 1e200])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mask, d = stable_sort_knn_mask(pts, 6, False)
+    assert np.isnan(d.diagonal()).all()
+    want = np.zeros((20, 20), dtype=bool)
+    for r in range(20):
+        # the near points first, then the far ones by index, ties to the lower
+        near = [c for c in range(4) if c != r] if r < 4 else []
+        far = [c for c in range(20) if c != r and c not in near and (r >= 4 or c >= 4)]
+        want[r, (near + far)[:6]] = True
+    assert np.array_equal(mask, want)
 
 
 def test_single_hop_returns_adjacency(rng):
