@@ -4,10 +4,10 @@
 and every length the kNN graph, Chamfer, Hausdorff and F1 read comes from
 it. It matches a scalar double loop bit for bit, which the reference checks
 in the test suite rely on, and ``sqrt`` is correctly rounded, so all four
-measure the same length to the last bit. ``nearest`` fills a fixed
-(BLOCK, m) scratch block in place with it. ``_table``, the kNN graph's
-search and both trackers' full-row search, finds the k nearest targets of
-any rows of a set by dense passes or on a grid of cells.
+measure the same length to the last bit. ``_table`` finds the k nearest
+targets of any rows of a set by dense passes or on a grid of cells: it is
+the kNN graph's search, both trackers' full-row search and, through
+``_across``, ``nearest``'s, each cloud's points against the other cloud.
 ``CandidateLists`` keeps each row's few nearest points from call to call
 and proves, row by row, that they still hold its nearest ones;
 ``NearestTracker`` returns what ``nearest`` returns for a cloud that moves
@@ -63,33 +63,39 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _pair(p, q) -> np.ndarray:
+    """The coordinate rows of ``p`` then ``q``, a (3, n + m) float64 array; a
+    coordinate that is not finite raises ValueError, as ``_table`` cannot rank NaN."""
+    zt = np.concatenate([np.asarray(c, dtype=np.float64).T for c in (p, q)], axis=1)
+    if not np.isfinite(zt).all():
+        raise ValueError("point coordinates must be finite")
+    return zt
+
+
 def nearest(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest neighbours in both directions from one blocked pass.
+    """Nearest neighbours in both directions, from one search of each cloud.
 
     Returns ``(j, sq_p, i, sq_q)``: ``q[j[a]]`` is the point of ``q`` nearest
     to ``p[a]`` at squared distance ``sq_p[a]``, and ``p[i[b]]`` the point of
     ``p`` nearest to ``q[b]`` at squared distance ``sq_q[b]``. Ties go to the
-    lower index in both directions, as ``argmin`` does on the full matrix.
+    lower index in both directions, as ``argmin`` does on the full matrix
+    (``oracle.nearest``). Coordinates must be finite.
     """
-    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-    n, m = len(p), len(q)
-    j, sq_p = np.empty(n, dtype=np.intp), np.empty(n)
-    i, sq_q = np.zeros(m, dtype=np.intp), np.full(m, np.inf)
-    qt, scratch = np.ascontiguousarray(q.T), np.empty((2, min(BLOCK, n), m))
-    for r0 in range(0, n, BLOCK):
-        rows = slice(r0, min(r0 + BLOCK, n))
-        sq, tmp = scratch[0, : rows.stop - r0], scratch[1, : rows.stop - r0]
-        squared_lengths([p[rows, c, None] for c in range(3)], qt, sq, tmp)
-        j[rows] = sq.argmin(axis=1)
-        sq_p[rows] = sq[np.arange(sq.shape[0]), j[rows]]
-        # the column minima need no transposed copy; only the columns they
-        # improve are searched for their row. Strict: an equal minimum in a
-        # later block has a higher row index
-        colmin = sq.min(axis=0)
-        better = np.flatnonzero(colmin < sq_q)
-        i[better] = sq[:, better].argmin(axis=0) + r0
-        sq_q[better] = colmin[better]
-    return j, sq_p, i, sq_q
+    zt = _pair(p, q)
+    n = len(p)
+    nbr, sq = _across(zt.T, 1, np.arange(zt.shape[1]), n, root=False)
+    nbr[:n] -= n
+    return nbr[:n, 0], sq[:n, 0], nbr[n:, 0], sq[n:, 0]
+
+
+def _across(pts: np.ndarray, k: int, rows: np.ndarray, split: int, root: bool):
+    """``_table`` for ascending ``rows`` of a pair merged at ``split``: each
+    row's k nearest points of the other cloud, ``pts[split:]`` for the rows
+    below ``split`` and ``pts[:split]`` for the others, by merged index."""
+    s = np.searchsorted(rows, split)
+    below = _table(pts, k, rows[:s], (split, len(pts)), root)
+    above = _table(pts, k, rows[s:], (0, split), root)
+    return tuple(np.concatenate(x) for x in zip(below, above))
 
 
 def _norms(at: np.ndarray, bt: np.ndarray) -> np.ndarray:
@@ -435,12 +441,11 @@ class CandidateLists:
         self.moved = np.zeros(self.starts.size)
         self.searched = 0  # rows searched in full
 
-    def renew(self, rows, cand, kth, zt: np.ndarray, moved, others: int) -> None:
+    def renew(self, rows, cand, kth, zt: np.ndarray, moved, others) -> None:
         """Set the lists of ``rows`` from a full search of ``others`` targets each."""
         self.cand[rows] = cand
-        far = kth if self.root else np.sqrt(kth)
-        if self.cand.shape[1] == others:  # no target outside the list
-            far = np.inf
+        # where every target is on the list, none lies outside it
+        far = np.where(self.cand.shape[1] == others, np.inf, kth if self.root else np.sqrt(kth))
         self.far[rows] = np.minimum(far, ROOT_CEIL)
         self.anchor[:, rows], self.moved_at[rows] = zt[:, rows], moved[rows]
         self.searched += len(cand)
@@ -456,21 +461,15 @@ class CandidateLists:
     def search(self, rows: np.ndarray, zt: np.ndarray, moved: np.ndarray) -> np.ndarray:
         """Search ``rows`` (ascending) in full with ``_table``, renew their
         lists and return their candidates' lengths."""
-        n, size = zt.shape[1], self.cand.shape[1]
-        if self.split is None:
-            groups = [(rows, None)]
+        n, size, split = zt.shape[1], self.cand.shape[1], self.split
+        if split is None:
+            cand, d = _table(zt.T, size, rows, None, self.root)
+            others = n - 1
         else:
-            s = np.searchsorted(rows, self.split)
-            groups = [(rows[:s], (self.split, n)), (rows[s:], (0, self.split))]
-        out = []
-        for group, targets in groups:
-            if not group.size:
-                continue
-            cand, d = _table(zt.T, size, group, targets, self.root)
-            others = n - 1 if targets is None else targets[1] - targets[0]
-            self.renew(group, cand, d.max(axis=1), zt, moved, others)
-            out.append(d)
-        return np.concatenate(out)
+            cand, d = _across(zt.T, size, rows, split, self.root)
+            others = np.where(rows < split, n - split, split)
+        self.renew(rows, cand, d.max(axis=1), zt, moved, others)
+        return d
 
     def track(self, zt: np.ndarray, steps: np.ndarray, pick, ahead: int = 0):
         """Every row's candidates' lengths, ``pick``'s choice among them and
@@ -516,7 +515,9 @@ class NearestTracker:
     ranked by squared length, each point with ``list_size(1)`` candidates
     in the other cloud. ``q`` must be the same array, unchanged, on every
     call; another array, another size of ``p``, or a move that overflows,
-    starts over with a full search of every row.
+    starts over with a full search of every row. Coordinates must be
+    finite: a call with one that is not raises ValueError and leaves the
+    lists and counters as they were.
     """
 
     def __init__(self):
@@ -528,16 +529,9 @@ class NearestTracker:
     def __call__(
         self, p: np.ndarray, q: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        p = np.asarray(p, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
+        zt = _pair(p, q)
         n, m = len(p), len(q)
         self.rows_asked += n + m
-        if not (np.isfinite(p).all() and np.isfinite(q).all()):
-            # nearest's blocked pass settles nan lengths its own way
-            self._q = None
-            self.rows_searched += n + m
-            return nearest(p, q)
-        zt = np.concatenate([p.T, q.T], axis=1)
         steps = None
         if q is self._q and zt.shape == self._prev.shape and n == self._n:
             steps = _norms(zt, self._prev)

@@ -18,11 +18,12 @@ import numpy as np
 from .cloud import PointCloud
 from .distances import (
     CandidateLists,
+    _across,
     _first_k,
     _norms,
+    _pair,
     _table,
     list_size,
-    nearest,
     squared_lengths,
 )
 from .errors import DimensionMismatchError, KTooLargeError
@@ -193,17 +194,18 @@ class GraphNearest:
 
     Every call returns what ``nearest(p, q)`` returns, bit for bit and
     dtype for dtype. A point's candidates are its cross-cloud edges: their
-    squared lengths are recomputed with ``squared_lengths`` in ``nearest``'s
-    operand order (predicted minus target), and the smallest, ties to the
-    lower index, is the point's pick. The graph lists every point whose
-    length from the row's point lies below the row's k-th stored length:
-    the largest of its k edges, or the k-th smallest where ``symmetrize``
-    added reverse edges, none of which is shorter. A length stored
-    shortened to the sentinel only lowers it. So where the pick's root lies
-    strictly below it, every point outside the list has a larger root, and
-    hence a larger squared length, and the pick is ``nearest``'s answer.
-    Rows with no cross edge, or whose pick does not stand, and every row of
-    a pair with a coordinate that is not finite, go through ``nearest``.
+    squared lengths are recomputed with ``squared_lengths`` (``(p - q)**2``
+    is ``(q - p)**2`` bit for bit, so they are ``nearest``'s both ways), and
+    the smallest, ties to the lower index, is the point's pick. The graph
+    lists every point whose length from the row's point lies below the
+    row's k-th stored length: the largest of its k edges, or the k-th
+    smallest where ``symmetrize`` added reverse edges, none of which is
+    shorter. A length stored shortened to the sentinel only lowers it. So
+    where the pick's root lies strictly below it, every point outside the
+    list has a larger root, and hence a larger squared length, and the pick
+    is ``nearest``'s answer.
+    Rows with no cross edge, or whose pick does not stand, search the other
+    cloud with ``_table``, as ``nearest`` does. Coordinates must be finite.
     """
 
     def __init__(self, adj: Hop, k: int):
@@ -215,30 +217,24 @@ class GraphNearest:
     def __call__(
         self, p: np.ndarray, q: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        p = np.asarray(p, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
         n, m = len(p), len(q)
         adj, size = self.adj, n + m
         if adj.size != size:
             raise DimensionMismatchError(f"graph has {adj.size} points, the pair has {size}")
+        zt = _pair(p, q)
         self.rows_asked += size
         src, dst = np.divmod(adj.key, size)
         cross = np.flatnonzero((src < n) != (dst < n))
-        if not (cross.size and np.isfinite(p).all() and np.isfinite(q).all()):
-            # no cross edge to read, or nan lengths, which nearest's blocked
-            # pass settles its own way
-            self.rows_searched += size
-            return nearest(p, q)
         row, col = src[cross], dst[cross]
-        a, b = np.where(row < n, row, col), np.where(row < n, col, row) - n
+        a, b = np.where(row < n, row, col), np.where(row < n, col, row)
         sq = squared_lengths(
-            (c.take(a) for c in p.T), (c.take(b) for c in q.T), np.empty(a.size), np.empty(a.size)
+            (c.take(a) for c in zt), (c.take(b) for c in zt), np.empty(a.size), np.empty(a.size)
         )
         # each row's first smallest: its cross edges run by rising index
-        first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        first = np.flatnonzero(row != np.r_[-1, row[:-1]])
         low = np.minimum.reduceat(sq, first)
         hit = np.flatnonzero(sq == np.repeat(low, np.diff(np.r_[first, row.size])))
-        pick = hit[np.r_[True, row[hit[1:]] != row[hit[:-1]]]]
+        pick = hit[row[hit] != np.r_[-1, row[hit[:-1]]]]
         if adj.key.size == size * self.k:  # every row holds its own k edges only
             kth = adj.dist.reshape(size, self.k).max(axis=1)
         else:  # with reverse edges: each row's k-th smallest
@@ -246,18 +242,13 @@ class GraphNearest:
             kth = adj.dist[by[np.searchsorted(src, np.arange(size)) + self.k - 1]]
         rows, best = row[pick], sq[pick]
         idx, out = np.empty(size, dtype=np.intp), np.empty(size)
-        idx[rows] = np.where(rows < n, b[pick], a[pick])
+        idx[rows] = np.where(rows < n, b[pick] - n, a[pick])
         out[rows] = best
         left = np.ones(size, dtype=bool)
         left[rows[np.sqrt(best) < kth[rows]]] = False
-        rows_p, rows_q = np.flatnonzero(left[:n]), np.flatnonzero(left[n:])
-        self.rows_searched += rows_p.size + rows_q.size
-        if rows_p.size == n and rows_q.size == m:
-            return nearest(p, q)
-        if rows_p.size:
-            idx[rows_p], out[rows_p] = nearest(p[rows_p], q)[:2]
-        if rows_q.size:
-            # (q - p)**2 is (p - q)**2 bit for bit, and a row's argmin keeps
-            # the lowest index, as nearest's column minima do
-            idx[n + rows_q], out[n + rows_q] = nearest(q[rows_q], p)[:2]
+        left = np.flatnonzero(left)
+        self.rows_searched += left.size
+        nbr, length = _across(zt.T, 1, left, n, root=False)
+        idx[left] = nbr[:, 0] - np.where(left < n, n, 0)
+        out[left] = length[:, 0]
         return idx[:n], out[:n], idx[n:], out[n:]

@@ -2,7 +2,8 @@
 
 Deliberately independent of the production code: the kNN graph comes from a
 stable sort of every dense distance row, shortest walks are recomputed per
-source with plain relaxation rounds over the dense edge set, and gradients
+source with plain relaxation rounds over the dense edge set, nearest
+neighbours are the argmin of the full squared-length matrix, and gradients
 come from central finite differences. ``dense``, ``d_xy`` and ``d_yx``
 expand a walk record into full matrices; no other module builds one.
 """
@@ -56,6 +57,15 @@ def stable_sort_knn_mask(
     order = np.argsort(d, axis=1, kind="stable")[:, :k]
     mask[np.arange(len(d))[:, None], order] = True
     return (mask | mask.T) if symmetrize else mask, d
+
+
+def nearest(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``distances.nearest`` from the full matrix of ``(dx*dx + dy*dy) + dz*dz``:
+    its argmin and minimum along each axis, ties to the lower index."""
+    diff = p[:, None, :] - q[None, :, :]
+    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+    sq = (dx * dx + dy * dy) + dz * dz
+    return sq.argmin(axis=1), sq.min(axis=1), sq.argmin(axis=0), sq.min(axis=0)
 
 
 def hop_bounded_shortest_paths(adj: Hop, n_hops: int) -> np.ndarray:

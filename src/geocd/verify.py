@@ -5,7 +5,7 @@ Four check families:
 * propagation: fast multi-hop propagation vs hop-bounded relaxation walks,
 * gradients: analytic softmin-path gradients vs central finite differences,
 * graph: the grid-built kNN graph vs a stable sort of every dense row,
-* metrics: nearest neighbours read from the kNN graph vs ``nearest``.
+* metrics: the graph's nearest-neighbour read and ``nearest`` vs ``oracle.nearest``.
 
 All draw instances from a seeded generator so failures are reproducible.
 """
@@ -20,6 +20,7 @@ from .geodesic import propagate
 from .graph import GraphNearest, knn_adjacency, merge
 from .loss import GeoCdConfig, geocd
 from .oracle import dense, finite_diff_grad, hop_bounded_shortest_paths, stable_sort_knn_mask
+from .oracle import nearest as dense_nearest
 
 PROPAGATION_TOL = 1e-9
 GRADIENT_REL_TOL = 1e-4
@@ -132,12 +133,11 @@ def check_graph(trials: int, seed: int) -> dict:
 
 
 def check_metrics(trials: int, seed: int) -> dict:
-    """Compare the nearest neighbours read from the kNN graph with ``nearest``.
+    """Compare the graph's nearest-neighbour read, and ``nearest``, with ``oracle.nearest``.
 
     The merged sizes run from 2 to 600, so both the dense block and the
     grid passes build the graph (see ``_graph_instance``). A mismatch is an
-    index or a squared length, in either direction, that differs from
-    ``nearest``'s.
+    index or a squared length of either, in either direction, that differs.
     """
     rng = np.random.default_rng(seed)
     mismatches = 0
@@ -147,8 +147,8 @@ def check_metrics(trials: int, seed: int) -> dict:
         size = len(pts)
         p, q = pts[:n], pts[n:]
         adj = knn_adjacency(merge(PointCloud(p), PointCloud(q)), k, symmetrize)
-        got, want = GraphNearest(adj, k)(p, q), nearest(p, q)
-        bad = sum(int((g != w).sum()) for g, w in zip(got, want))
+        got, want = GraphNearest(adj, k)(p, q) + nearest(p, q), dense_nearest(p, q)
+        bad = sum(int((g != w).sum()) for g, w in zip(got, want + want))
         mismatches += bad
         if bad:
             offenders.append(

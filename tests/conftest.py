@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geocd import PointCloud, graph, normalize_pair, verify
-from geocd.distances import nearest
+from geocd.distances import _across
 
 
 @pytest.fixture
@@ -34,12 +34,15 @@ def fault_the_reference(monkeypatch):
 
 
 def record_nearest(monkeypatch):
-    """The (rows, targets) of every ``nearest`` call that the graph read makes."""
+    """The (rows, targets) that the graph read hands to the one search, per
+    cloud whose rows it searches: the first cloud's, then the second's."""
     calls = []
 
-    def recorded(p, q):
-        calls.append((len(p), len(q)))
-        return nearest(p, q)
+    def recorded(pts, k, rows, split, root):
+        below = int(np.count_nonzero(rows < split))
+        sides = ((below, len(pts) - split), (rows.size - below, split))
+        calls.extend(side for side in sides if side[0])
+        return _across(pts, k, rows, split, root)
 
-    monkeypatch.setattr(graph, "nearest", recorded)
+    monkeypatch.setattr(graph, "_across", recorded)
     return calls

@@ -252,14 +252,14 @@ def overlapping(rng):
     return noisy_copy(gt, 0.005, 1).points, gt.points
 
 
-@pytest.mark.parametrize("make, rows", [(overlapping, []), (far_apart, [(60, 60)])])
+@pytest.mark.parametrize("make, rows", [(overlapping, []), (far_apart, [(60, 60), (60, 60)])])
 def test_compute_reads_the_metrics_from_the_loss_graph(
     tmp_path, capsys, monkeypatch, schema, make, rows
 ):
     # k = 8: on a well-overlapping pair every point's list holds a point of
     # the other cloud strictly below its 8th length, and no row is searched;
-    # on clouds far apart no list holds one, and every row is searched in
-    # one pass. The metrics are evaluate's own either way
+    # on clouds far apart no list holds one, and every row of each cloud is
+    # searched against the other. The metrics are evaluate's own either way
     p, q = make(np.random.default_rng(7))
     a, b = tmp_path / "p.xyz", tmp_path / "q.xyz"
     write_cloud(PointCloud(p), a)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from geocd import ShapeSpec, distances, sample_shape
+from geocd import ShapeSpec, distances, oracle, sample_shape
 from geocd.distances import NearestTracker, nearest, pairwise_distances
 from geocd.oracle import stable_sort_knn_mask
 
@@ -12,41 +12,6 @@ def dense_squared(p, q):
     diff = p[:, None, :] - q[None, :, :]
     dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
     return (dx * dx + dy * dy) + dz * dz
-
-
-SHAPES = [(1, 1), (1, 70), (70, 1), (10, 63), (63, 10), (65, 65), (65, 130), (130, 40), (200, 7)]
-
-
-@pytest.mark.parametrize("n,m", SHAPES)
-@pytest.mark.parametrize("lattice", [False, True])
-def test_nearest_matches_dense_argmin(n, m, lattice):
-    rng = np.random.default_rng(n * 1000 + m)
-    if lattice:  # repeated points and equal distances: ties in both directions
-        p, q = rng.integers(0, 3, (n, 3)) * 0.5, rng.integers(0, 3, (m, 3)) * 0.5
-    else:
-        p, q = rng.random((n, 3)), rng.random((m, 3))
-    sq = dense_squared(p, q)
-    j, sq_p, i, sq_q = nearest(p, q)
-    assert np.array_equal(j, sq.argmin(axis=1))
-    assert np.array_equal(i, sq.argmin(axis=0))
-    assert np.array_equal(sq_p, sq.min(axis=1))
-    assert np.array_equal(sq_q, sq.min(axis=0))
-    assert np.array_equal(pairwise_distances(p, q), np.sqrt(sq))
-
-
-def test_nearest_ties_go_to_lower_index_across_row_blocks():
-    rng = np.random.default_rng(7)
-    p, q = rng.random((130, 3)), rng.random((90, 3))
-    p[[70, 129]] = p[5]  # copies of p[5] in the second and third row block
-    q[0] = p[5]
-    q[[40, 89]] = q[7]
-    p[3] = q[7]
-    j, sq_p, i, sq_q = nearest(p, q)
-    assert (i[0], sq_q[0]) == (5, 0.0)
-    assert (j[3], sq_p[3]) == (7, 0.0)
-
-
-# ---------------------------------------------------------------- tracker
 
 
 def tracker_cloud(kind, rng, n):
@@ -58,6 +23,8 @@ def tracker_cloud(kind, rng, n):
         return p
     if kind == "one":
         return rng.random((1, 3))
+    if kind == "graded":  # dense in one corner, sparse in the other
+        return rng.random((n, 3)) ** 3
     return rng.random((n, 3))
 
 
@@ -83,7 +50,80 @@ def assert_same(got, want):
         assert g.tobytes() == w.tobytes()
 
 
-CLOUDS = ("random", "lattice", "duplicate", "one")
+SHAPES = [(1, 1), (1, 70), (70, 1), (10, 63), (63, 10), (65, 65), (65, 130), (130, 40), (200, 7)]
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
+@pytest.mark.parametrize("lattice", [False, True])
+def test_nearest_matches_dense_argmin(n, m, lattice):
+    rng = np.random.default_rng(n * 1000 + m)
+    if lattice:  # repeated points and equal distances: ties in both directions
+        p, q = rng.integers(0, 3, (n, 3)) * 0.5, rng.integers(0, 3, (m, 3)) * 0.5
+    else:
+        p, q = rng.random((n, 3)), rng.random((m, 3))
+    assert_same(nearest(p, q), oracle.nearest(p, q))
+    assert np.array_equal(pairwise_distances(p, q), np.sqrt(dense_squared(p, q)))
+
+
+CLOUDS = ("random", "lattice", "duplicate", "one", "graded")
+SCALES = (1.0, 1e-170, 1e-162, 1e154, 1e200)
+
+
+# the grids fixture is read as a count before and after each example
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    kinds=st.tuples(st.sampled_from(CLOUDS), st.sampled_from(CLOUDS)),
+    n=st.integers(1, 400),
+    m=st.integers(1, 400),
+    scale=st.sampled_from(SCALES),
+    seed=st.integers(0, 2**32 - 1),
+)
+# both clouds past the size rule at every scale: each cloud's search takes the grid
+@example(kinds=("random", "random"), n=400, m=360, scale=1.0, seed=0)
+@example(kinds=("lattice", "duplicate"), n=360, m=400, scale=1e-170, seed=1)
+@example(kinds=("duplicate", "lattice"), n=400, m=400, scale=1e-162, seed=2)
+@example(kinds=("random", "lattice"), n=380, m=400, scale=1e154, seed=3)
+@example(kinds=("lattice", "random"), n=400, m=340, scale=1e200, seed=4)
+@example(kinds=("one", "random"), n=1, m=400, scale=1.0, seed=5)
+# the rows of q find some of their nearest points of p just outside the 3x3x3
+# block: a reach that certified too much would pick the wrong one
+@example(kinds=("graded", "random"), n=400, m=380, scale=1.0, seed=8)
+def test_nearest_returns_what_the_oracle_returns(kinds, n, m, scale, seed, grids):
+    rng = np.random.default_rng(seed)
+    p, q = tracker_cloud(kinds[0], rng, n) * scale, tracker_cloud(kinds[1], rng, m) * scale
+    n, m = len(p), len(q)
+    before = len(grids)
+    with np.errstate(over="ignore"):  # squared lengths overflow from about 1e154
+        assert_same(nearest(p, q), oracle.nearest(p, q))
+    # each cloud's rows are a part of the merged set, so a search takes the
+    # grid where rows * rows * targets exceeds 2**25 (here only past BLOCK rows)
+    assert (len(grids) > before) == (max(n * n * m, m * m * n) > 2**25)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cloud", [0, 1])
+def test_nearest_rejects_coordinates_that_are_not_finite(bad, cloud):
+    rng = np.random.default_rng(3)
+    pair = [rng.random((20, 3)), rng.random((30, 3))]
+    pair[cloud][4, 2] = bad
+    with pytest.raises(ValueError, match="point coordinates must be finite"):
+        nearest(*pair)
+
+
+def test_nearest_ties_go_to_lower_index_across_row_blocks():
+    rng = np.random.default_rng(7)
+    p, q = rng.random((130, 3)), rng.random((90, 3))
+    p[[70, 129]] = p[5]  # copies of p[5] in the second and third row block
+    q[0] = p[5]
+    q[[40, 89]] = q[7]
+    p[3] = q[7]
+    j, sq_p, i, sq_q = nearest(p, q)
+    assert (i[0], sq_q[0]) == (5, 0.0)
+    assert (j[3], sq_p[3]) == (7, 0.0)
+
+
 MOVES = ("zero", "sub-gap", "jump", "one point", "lattice")
 
 
@@ -187,18 +227,23 @@ def test_tracker_searches_every_row_at_extreme_scales(scale):
     assert track.rows_searched == track.rows_asked
 
 
-def test_tracker_leaves_non_finite_coordinates_to_nearest():
-    # a nan length decides nearest's column minima block by block, which
-    # no row search reproduces: such a call is nearest's own
+def test_tracker_rejects_coordinates_that_are_not_finite_and_keeps_its_lists():
+    # _table cannot rank NaN: such a call raises before it touches the
+    # tracker, whose counters and lists carry on as if it had not been made
     rng = np.random.default_rng(2)
     p, q = rng.random((100, 3)), rng.random((30, 3))
     track = NearestTracker()
     track(p, q)
-    p[70, 1] = np.nan
-    assert_same(track(p, q), nearest(p, q))
-    p[70, 1] = 0.5
-    assert_same(track(p, q), nearest(p, q))
-    assert track.rows_searched == 3 * 130  # the nan call and the restart after it search every row
+    state = (track.rows_asked, track.rows_searched)
+    for bad in (np.nan, np.inf):
+        moved = p.copy()
+        moved[70, 1] = bad
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            track(moved, q)
+        assert (track.rows_asked, track.rows_searched) == state
+    # the lists survive: p unchanged against the same q searches no row
+    assert_same(track(p.copy(), q), nearest(p, q))
+    assert (track.rows_asked, track.rows_searched) == (2 * 130, state[1])
 
 
 # ---------------------------------------------------------------- one search

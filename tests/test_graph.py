@@ -656,14 +656,16 @@ def test_graph_nearest_searches_a_pick_that_ties_the_kth_length(monkeypatch):
     same_nearest(got, nearest(p, q))
 
 
-def test_graph_nearest_searches_every_row_of_a_pair_that_is_not_finite():
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_graph_nearest_rejects_a_pair_that_is_not_finite(bad):
     rng = np.random.default_rng(5)
     p, q = rng.random((20, 3)), rng.random((20, 3))
     adj = graph_of(p, q, 4)
-    p[3, 1] = np.nan
     read = graph.GraphNearest(adj, 4)
-    same_nearest(read(p, q), nearest(p, q))
-    assert read.rows_searched == read.rows_asked == 40
+    p[3, 1] = bad
+    with pytest.raises(ValueError, match="point coordinates must be finite"):
+        read(p, q)
+    assert read.rows_searched == read.rows_asked == 0
 
 
 def test_graph_nearest_rejects_a_graph_of_another_size():
