@@ -250,7 +250,7 @@ def cmd_fit(args) -> int:
 
     config = {
         "target": args.target if not args.target_file else str(args.target_file),
-        "n_points": args.n_points,
+        "n_points": None if args.target_file else args.n_points,
         "noise": None if args.init_file else args.noise,
         "steps_cd": args.steps_cd,
         "steps_geocd": args.steps_geocd,

@@ -9,10 +9,12 @@ targets of any rows of a set by dense passes or on a grid of cells: it is
 the kNN graph's search, both trackers' full-row search and, through
 ``_across``, ``nearest``'s, each cloud's points against the other cloud.
 ``CandidateLists`` keeps each row's few nearest points from call to call
-and proves, row by row, that they still hold its nearest ones;
-``NearestTracker`` returns what ``nearest`` returns for a cloud that moves
-a little between calls against one target, and searches in full only the
-rows it cannot prove.
+and proves, row by row, that they still hold its nearest ones; it starts
+its lists over on another key or an overflowing move, searches in full only
+the rows it cannot prove, and counts them. Its two subclasses, the trackers,
+add a key, a pick rule and an output: ``NearestTracker`` returns what
+``nearest`` returns for a cloud that moves a little between calls against
+one target, and ``graph.GraphTracker`` what ``knn_adjacency`` returns.
 """
 
 from __future__ import annotations
@@ -393,8 +395,9 @@ def _uncertified(kth: np.ndarray, far: np.ndarray) -> np.ndarray:
 class CandidateLists:
     """Each row's K nearest points at its last full search, kept across calls.
 
-    The rows are the points of a set, passed as coordinate rows, a (3, N)
-    array; each row's targets are all other points, or with ``split`` = n,
+    A tracker subclasses it and hands each call's points to ``track``: the
+    rows are the points of a set, passed as coordinate rows, a (3, N) array;
+    each row's targets are all other points, or with ``split`` = n,
     bipartite, the points from n on for the rows below n and the points
     below n for the others. Row ``a`` keeps ``cand[a]``: the first K targets
     in the order of their length from point ``a`` and then of their index,
@@ -403,10 +406,16 @@ class CandidateLists:
     at most ROOT_CEIL: every target outside the list lay at least that far.
     Lengths are squared, as ``nearest`` ranks them, or rooted, as the kNN
     graph does (``root``). A call recomputes every candidate's length with
-    ``squared_lengths``, the dense pass's value bit for bit, and a caller's
-    ``pick`` chooses each row's answer among them, ties to the lower index.
+    ``squared_lengths``, the dense pass's value bit for bit, and the
+    tracker's ``pick`` chooses each row's answer among them, ties to the
+    lower index.
 
-    A row's k-th candidate stands for its k-th nearest target when it is
+    The lists start over on the first call, on a call with another key (the
+    tracker's name for what the lists serve, the set's size among it), and
+    on a call where a point's move since the last overflows: every row is
+    then searched once and picked from its new list, which the last
+    sentence of this paragraph proves right. On the other calls, a
+    row's k-th candidate stands for its k-th nearest target when it is
     proved nearer than every target outside the list. Point ``a`` has moved
     ``|a - anchor[a]|`` since its last full search, and each of its targets
     at most ``moved[g] - moved_at[a]``, where ``moved[g]`` sums each call's
@@ -425,30 +434,21 @@ class CandidateLists:
     up. Other rows are searched in full by ``_table``, which renews their
     lists; a list that is the first K targets of its row holds the row's k
     nearest for every k <= K, ties included.
+
+    ``search`` writes every list row, and a search of every row, as on a
+    start, makes the lists anew. ``rows_asked`` counts the rows of every
+    call and ``rows_searched`` those ``search`` took, a start's every row
+    once; a caller may reset both.
     """
 
-    def __init__(self, zt: np.ndarray, size: int, root: bool, split: int | None = None):
-        n = zt.shape[1]
-        self.root, self.split = root, split
-        self.cand = np.zeros((n, size), dtype=np.int32)
-        self.far = np.full(n, -np.inf)  # certifies no row before its first search
-        self.anchor, self.moved_at = zt.copy(), np.zeros(n)
-        # where each group of points starts, and the group of each row's targets
-        self.starts = np.array([0] if split is None else [0, split])
-        self.targets = np.zeros(n, dtype=np.intp)
-        if split is not None:
-            self.targets[:split] = 1
-        self.moved = np.zeros(self.starts.size)
-        self.searched = 0  # rows searched in full
+    root: bool  # rank by rooted lengths, not squared ones
+    # with every search, also search the rows that this many more calls like
+    # the last would leave uncertified
+    ahead = 0
 
-    def renew(self, rows, cand, kth, zt: np.ndarray, moved, others) -> None:
-        """Set the lists of ``rows`` from a full search of ``others`` targets each."""
-        self.cand[rows] = cand
-        # where every target is on the list, none lies outside it
-        far = np.where(self.cand.shape[1] == others, np.inf, kth if self.root else np.sqrt(kth))
-        self.far[rows] = np.minimum(far, ROOT_CEIL)
-        self.anchor[:, rows], self.moved_at[rows] = zt[:, rows], moved[rows]
-        self.searched += len(cand)
+    def __init__(self):
+        self.rows_asked = self.rows_searched = 0
+        self._key = None  # no lists yet
 
     def lengths(self, zt: np.ndarray) -> np.ndarray:
         """(N, K) lengths from each point to its candidates."""
@@ -459,31 +459,58 @@ class CandidateLists:
         return np.sqrt(d, out=d) if self.root else d
 
     def search(self, rows: np.ndarray, zt: np.ndarray, moved: np.ndarray) -> np.ndarray:
-        """Search ``rows`` (ascending) in full with ``_table``, renew their
-        lists and return their candidates' lengths."""
-        n, size, split = zt.shape[1], self.cand.shape[1], self.split
+        """Search ``rows`` (ascending) in full with ``_table``, renew and
+        count their lists and return their candidates' lengths."""
+        n, size, split = zt.shape[1], self.size, self.split
         if split is None:
             cand, d = _table(zt.T, size, rows, None, self.root)
             others = n - 1
         else:
             cand, d = _across(zt.T, size, rows, split, self.root)
             others = np.where(rows < split, n - split, split)
-        self.renew(rows, cand, d.max(axis=1), zt, moved, others)
+        if rows.size == n:  # new lists, made after the search rather than held through it
+            self.cand = np.empty((n, size), dtype=np.int32)
+            self.far, self.anchor, self.moved_at = np.empty(n), np.empty_like(zt), np.empty(n)
+        self.cand[rows] = cand
+        kth = d.max(axis=1)
+        # where every target is on the list, none lies outside it
+        far = np.where(size == others, np.inf, kth if self.root else np.sqrt(kth))
+        self.far[rows] = np.minimum(far, ROOT_CEIL)
+        self.anchor[:, rows], self.moved_at[rows] = zt[:, rows], moved[rows]
+        self.rows_searched += rows.size
         return d
 
-    def track(self, zt: np.ndarray, steps: np.ndarray, pick, ahead: int = 0):
+    def track(self, zt: np.ndarray, key, size: int, pick, split: int | None = None):
         """Every row's candidates' lengths, ``pick``'s choice among them and
         the chosen k-th lengths.
 
-        ``steps`` holds each point's move since the last call, counted as
-        at least sqrt(FLOOR) (see ``_norms``); on a row's first call, zeros.
         ``pick(d, cand)`` returns a choice per row of ``d`` and each row's
-        k-th length. The rows it cannot be proved right for are searched in
-        full and picked again from their new lists, and with them, where
-        there are any, the rows that ``ahead`` more calls would leave
-        unproved if each lowered their bound as much as this one, so that
-        searches come in fewer, larger batches.
+        k-th length. A start (see above) makes lists of ``size`` candidates,
+        bipartite at ``split`` if given. Otherwise the rows that ``pick``
+        cannot be proved right for are searched in full and picked again
+        from their new lists, and with them, where there are any, the rows
+        that ``ahead`` more calls would leave unproved if each lowered their
+        bound as much as this one, so that searches come in fewer, larger
+        batches.
         """
+        n = zt.shape[1]
+        self.rows_asked += n
+        # each point's move since the last call, at least sqrt(FLOOR)
+        steps = _norms(zt, self._prev) if key == self._key else None
+        if steps is None or not np.isfinite(steps.max()):
+            self._key, self.size, self.split = key, size, split
+            # where each group of points starts, and the group of each row's targets
+            self.starts = np.array([0] if split is None else [0, split])
+            self.targets = np.zeros(n, dtype=np.intp)
+            if split is not None:
+                self.targets[:split] = 1
+            # the move sums after a call that moves no point, rounded up as on every call
+            self.moved = np.nextafter(np.zeros(self.starts.size), np.inf)
+            # fresh lists need no certificate
+            d = self.search(np.arange(n), zt, self.moved[self.targets])
+            self._prev = zt.copy()
+            return (d, *pick(d, self.cand))
+        self._prev[:] = zt
         largest = np.maximum.reduceat(steps, self.starts)
         self.moved = np.nextafter(self.moved + largest, np.inf)
         moved = self.moved[self.targets]
@@ -495,11 +522,10 @@ class CandidateLists:
         bound = self.far - move * (1 + SLACK)
         rows = _uncertified(kth_r, bound)
         if rows.size:
-            rows = _uncertified(kth_r, bound - ahead * (steps + largest[self.targets]))
+            rows = _uncertified(kth_r, bound - self.ahead * (steps + largest[self.targets]))
             d[rows] = self.search(rows, zt, moved)
             chosen[rows], kth[rows] = pick(d[rows], self.cand[rows])
         return d, chosen, kth
-
 
 def _nearest_of(d: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's nearest candidate column (the lower on a tie) and its length."""
@@ -507,41 +533,28 @@ def _nearest_of(d: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return c, d[np.arange(len(d)), c]
 
 
-class NearestTracker:
+class NearestTracker(CandidateLists):
     """``nearest(p, q)`` against one fixed ``q``, for a ``p`` that moves a little between calls.
 
     Every call returns what ``nearest(p, q)`` returns, bit for bit. The
-    points of ``p`` and ``q`` together keep ``CandidateLists``, bipartite,
+    points of ``p`` and ``q`` together keep the candidate lists, bipartite,
     ranked by squared length, each point with ``list_size(1)`` candidates
-    in the other cloud. ``q`` must be the same array, unchanged, on every
-    call; another array, another size of ``p``, or a move that overflows,
-    starts over with a full search of every row. Coordinates must be
-    finite: a call with one that is not raises ValueError and leaves the
-    lists and counters as they were.
+    in the other cloud. The lists' key is the sizes of ``p`` and ``q`` and
+    the identity of ``q``: another array, another size, or a move that
+    overflows, starts over with a full search of every row. The lists
+    measure every move of ``q``'s points too, so a new array that takes a
+    freed one's identity is tracked as a move. Coordinates must be finite:
+    a call with one that is not raises ValueError and leaves the lists and
+    counters as they were.
     """
 
-    def __init__(self):
-        # rows of p and q asked for, and of those the rows searched in full;
-        # counters that a caller may reset
-        self.rows_asked = self.rows_searched = 0
-        self._q = None
+    root, ahead = False, AHEAD
 
     def __call__(
         self, p: np.ndarray, q: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         zt = _pair(p, q)
         n, m = len(p), len(q)
-        self.rows_asked += n + m
-        steps = None
-        if q is self._q and zt.shape == self._prev.shape and n == self._n:
-            steps = _norms(zt, self._prev)
-        if steps is not None and np.isfinite(steps.max()):
-            self._prev[:] = zt
-        else:
-            self._q, self._n, self._prev, steps = q, n, zt.copy(), np.zeros(n + m)
-            self._lists = CandidateLists(zt, min(list_size(1), n, m), root=False, split=n)
-        lists, before = self._lists, self._lists.searched
-        _, c, sq = lists.track(zt, steps, _nearest_of, AHEAD)
-        self.rows_searched += lists.searched - before
-        j = lists.cand[np.arange(n + m), c].astype(np.intp)
+        _, c, sq = self.track(zt, (n, m, id(q)), min(list_size(1), n, m), _nearest_of, n)
+        j = self.cand[np.arange(n + m), c].astype(np.intp)
         return j[:n] - n, sq[:n], j[n:], sq[n:]

@@ -4,8 +4,9 @@ The graph is hop 1 of the walk propagation: one ``Hop`` record of its edges,
 sorted by ``key = src * n + dst``. Non-neighbour entries hold the finite
 ``SENTINEL`` instead of infinity; after unit-bounding-box normalization
 every true distance stays below it, so sentinel entries barely influence
-the softmin while keeping the arithmetic finite. The neighbours, and the
-rows ``GraphTracker`` searches in full, come from ``distances._table``.
+the softmin while keeping the arithmetic finite. The neighbours come from
+``distances._table``; ``GraphTracker`` keeps them across calls in
+``distances.CandidateLists``.
 """
 
 from __future__ import annotations
@@ -16,16 +17,7 @@ from functools import partial
 import numpy as np
 
 from .cloud import PointCloud
-from .distances import (
-    CandidateLists,
-    _across,
-    _first_k,
-    _norms,
-    _pair,
-    _table,
-    list_size,
-    squared_lengths,
-)
+from .distances import CandidateLists, _across, _first_k, _pair, _table, list_size, squared_lengths
 from .errors import DimensionMismatchError, KTooLargeError
 
 # unused here; perfbench/spans.py traces this name through this module
@@ -133,59 +125,34 @@ def _neighbours(d: np.ndarray, cand: np.ndarray, k: int) -> tuple[np.ndarray, np
     return c, d[np.arange(len(d))[:, None], c].max(axis=1)
 
 
-class GraphTracker:
+class GraphTracker(CandidateLists):
     """``knn_adjacency(z, k, symmetrize)`` for a merged set whose points move a little.
 
     Every call returns what ``knn_adjacency`` returns, bit for bit, and
-    raises what it raises. Each point keeps ``list_size(k)`` candidates
-    among the others in ``CandidateLists``, ranked by rooted length and
-    seeded from one neighbour table (``_table``). Every call picks each
-    row's k neighbours from its candidates by the graph's own rule
-    (``_first_k``) and searches in full only the rows whose pick the lists
-    cannot prove, with ``_table``. Another size of the set, another k, or
-    a move that overflows, starts over.
+    raises what it raises, before it touches the lists or counters. Each
+    point keeps ``list_size(k)`` candidates among the others in the
+    candidate lists, ranked by rooted length, and every call picks each
+    row's k neighbours from them by the graph's own rule (``_first_k``).
+    The lists' key is the size of the set and k: another size, another k,
+    or a move that overflows, starts over with a full search of every row.
     """
 
-    def __init__(self):
-        # rows asked for, and of those the rows searched in full; counters
-        # that a caller may reset
-        self.rows_asked = self.rows_searched = 0
-        self._lists = None
-
-    def _start(self, pts: np.ndarray, zt: np.ndarray, k: int) -> None:
-        n, size = len(pts), min(list_size(k), len(pts) - 1)
-        cand, dist = _table(pts, size)
-        self._lists = CandidateLists(zt, size, root=True)
-        self._lists.renew(slice(None), cand, dist.max(axis=1), zt, np.zeros(n), n - 1)
-        self._k, self._prev = k, zt.copy()
+    root = True
 
     def __call__(self, z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
         pts = np.asarray(z.points, dtype=np.float64)
         _check(pts, k)
         n = len(pts)
-        self.rows_asked += n
         zt = np.ascontiguousarray(pts.T)
-        steps = None
-        if self._lists is not None and (zt.shape, k) == (self._prev.shape, self._k):
-            steps = _norms(zt, self._prev)
-        seeded = steps is None or not np.isfinite(steps.max())
-        if seeded:
-            self._start(pts, zt, k)
-            steps = np.zeros(n)
-        else:
-            self._prev[:] = zt
-        lists, before = self._lists, self._lists.searched
-        d, c, _ = lists.track(zt, steps, partial(_neighbours, k=k))
-        # the seed table searched every row
-        self.rows_searched += n if seeded else lists.searched - before
+        d, c, _ = self.track(zt, (n, k), min(list_size(k), n - 1), partial(_neighbours, k=k))
         # each list is sorted by index, so the picked entries of a mask over
         # all lists come out row by row, each row's in index order
-        size = lists.cand.shape[1]
+        size = self.size
         picked = np.zeros(n * size, dtype=bool)
         picked[(c + np.arange(0, n * size, size)[:, None]).ravel()] = True
         at = np.flatnonzero(picked)
         return _edge_list(
-            lists.cand.ravel()[at].reshape(n, k), d.ravel()[at].reshape(n, k), symmetrize
+            self.cand.ravel()[at].reshape(n, k), d.ravel()[at].reshape(n, k), symmetrize
         )
 
 

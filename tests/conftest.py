@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geocd import PointCloud, graph, normalize_pair, verify
+from geocd import PointCloud, distances, graph, normalize_pair, verify
 from geocd.distances import _across
 
 
@@ -45,4 +45,18 @@ def record_nearest(monkeypatch):
         return _across(pts, k, rows, split, root)
 
     monkeypatch.setattr(graph, "_across", recorded)
+    return calls
+
+
+def record_search(monkeypatch):
+    """The rows that each tracker hands to ``CandidateLists.search``, one
+    ``(kind, rows)`` per search in call order, kind "nearest" or "graph"."""
+    calls = []
+    search = distances.CandidateLists.search
+
+    def recorded(lists, rows, zt, moved):
+        calls.append(("graph" if lists.split is None else "nearest", rows.copy()))
+        return search(lists, rows, zt, moved)
+
+    monkeypatch.setattr(distances.CandidateLists, "search", recorded)
     return calls

@@ -490,9 +490,9 @@ def test_fit_manifest_graph_search_share(tmp_path, schema, steps_cd, steps_geocd
     share = manifest["graph_search_share"]
     assert set(share) == keys
     assert all(0.0 <= v <= 1.0 for v in share.values())
-    if keys == {"final"}:  # the fit's only graph is its tracker's seed build: every row
+    if keys == {"final"}:  # the fit's only graph is its tracker's start: every row
         assert share["final"] == 1.0
-    else:  # the GeoCD steps' graphs after the seed search fewer rows
+    else:  # the GeoCD steps' graphs after the start search fewer rows
         assert share["geocd"] < 1.0
     manifest.pop("graph_search_share")
     with pytest.raises(jsonschema.ValidationError):
@@ -553,6 +553,17 @@ def test_fit_with_an_init_file_echoes_no_noise(tmp_path):
     argv += ["--steps-cd", "1", "--steps-geocd", "0", "--out-dir", str(out), "--quiet"]
     assert main(argv) == 0
     assert strict_json((out / "manifest.json").read_text())["manifest"]["config"]["noise"] is None
+
+
+def test_fit_with_a_target_file_echoes_no_n_points(tmp_path):
+    target = tmp_path / "target.xyz"
+    write_cloud(sample_shape(ShapeSpec("sphere", 16, seed=0)), target)
+    out = tmp_path / "run"
+    argv = ["fit", "--target-file", str(target), "--k", "3"]
+    argv += ["--steps-cd", "1", "--steps-geocd", "0", "--out-dir", str(out), "--quiet"]
+    assert main(argv) == 0
+    config = strict_json((out / "manifest.json").read_text())["manifest"]["config"]
+    assert config["target"] == str(target) and config["n_points"] is None
 
 
 @pytest.mark.parametrize("flag", ["--steps-cd", "--steps-geocd"])

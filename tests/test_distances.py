@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from geocd import ShapeSpec, distances, oracle, sample_shape
 from geocd.distances import NearestTracker, nearest, pairwise_distances
 from geocd.oracle import stable_sort_knn_mask
+from conftest import record_search
 
 
 def dense_squared(p, q):
@@ -170,14 +171,7 @@ def test_tracker_follows_moves_of_a_few_ulps_across_a_tie(seed):
 def test_tracker_searches_only_the_rows_that_may_have_changed(monkeypatch):
     rng = np.random.default_rng(5)
     p, q = rng.random((50, 3)), rng.random((70, 3))
-    searched = []
-
-    def recording(lists, rows, zt, moved):
-        searched.append(zt[:, rows[rows < len(p)]].T)  # the rows of p among them
-        return search(lists, rows, zt, moved)
-
-    search = distances.CandidateLists.search
-    monkeypatch.setattr(distances.CandidateLists, "search", recording)
+    calls = record_search(monkeypatch)
     track = NearestTracker()
     track(p, q)
     assert (track.rows_searched, track.rows_asked) == (120, 120)
@@ -188,10 +182,11 @@ def test_tracker_searches_only_the_rows_that_may_have_changed(monkeypatch):
     # searched, and its nearest point changes
     j = nearest(p, q)[0]
     p[7] = q[(j[7] + 1) % 70]
-    searched.clear()
+    calls.clear()
     got = track(p, q)
     assert_same(got, nearest(p, q))
-    assert np.array_equal(searched[0], p[[7]])
+    rows = calls[0][1]
+    assert np.array_equal(p[rows[rows < len(p)]], p[[7]])  # the rows of p among them
     assert got[0][7] == (j[7] + 1) % 70
     # another target array starts over
     before = track.rows_searched

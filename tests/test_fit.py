@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from geocd import GeoCdConfig, chamfer, distances, graph, normalize_pair
-from geocd.distances import list_size
 from geocd.fit import (
     Adam,
     FitConfig,
@@ -17,6 +16,7 @@ from geocd.fit import (
     noisy_copy,
     sample_shape,
 )
+from conftest import record_search
 
 
 def normalized_problem(kind="hemisphere", n=64, sigma=0.05, seed=3):
@@ -191,23 +191,37 @@ def test_fit_counts_the_rows_its_graph_tracker_searched():
     assert set(trace.graph_rows) == {"geocd", "final"}
     assert trace.graph_rows["geocd"][1] == 10 * rows
     assert trace.graph_rows["final"][1] == rows
-    # the seed build covers every row; most later rows keep their neighbours,
+    # the start searches every row; most later rows keep their neighbours,
     # the final report's graph among them
     searched, asked = trace.graph_rows["geocd"]
     assert rows <= searched < asked / 2
     assert trace.graph_rows["final"][0] < rows
-    # without GeoCD steps, the final report's graph is the seed build
+    # without GeoCD steps, the final report's graph is the tracker's start
     trace = fit(init, gt, FitConfig(steps_cd=3, steps_geocd=0, geo=GeoCdConfig(k=3)))
     assert trace.graph_rows == {"final": (rows, rows)}
 
 
 def test_fit_builds_one_graph_and_tracks_it(monkeypatch):
-    built = []
-    real = graph._table
-    monkeypatch.setattr(graph, "_table", lambda pts, k: built.append(k) or real(pts, k))
+    calls, began = record_search(monkeypatch), []
+
+    class Counting(graph.GraphTracker):
+        def __call__(self, *args, **kwargs):
+            began.append(len(calls))  # the searches made so far
+            return super().__call__(*args, **kwargs)
+
+    monkeypatch.setattr(importlib.import_module("geocd.fit"), "GraphTracker", Counting)
     init, gt = normalized_problem(n=48, seed=3)
     fit(init, gt, FitConfig(steps_cd=5, steps_geocd=6, geo=GeoCdConfig(k=3)))
-    assert built == [list_size(3)]  # the tracker's seed, for 6 steps and the final report
+    assert len(began) == 6 + 1  # 6 steps and the final report
+    # one graph call per search of all 96 rows: only the tracker's start, in the first step
+    spans = zip(began, began[1:] + [len(calls)])
+    whole = [
+        i
+        for i, (lo, hi) in enumerate(spans)
+        for kind, rows in calls[lo:hi]
+        if kind == "graph" and rows.size == 96
+    ]
+    assert whole == [0]
 
 
 def test_fit_determinism():

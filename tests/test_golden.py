@@ -25,6 +25,7 @@ from golden.generate import (
     instance,
     record,
 )
+from conftest import record_search
 
 REL_TOL = 1e-12  # loss and gradients pass through np.exp / np.log
 
@@ -80,18 +81,11 @@ def test_golden_fits_unchanged(golden):
 
 def test_golden_fit_18_searches_tracked_rows_on_the_grid(monkeypatch):
     # both trackers search a part of their rows on the grid in fit 18, so the
-    # gate above pins the grid's answers for tracked rows
-    grids, tracked = [], set()
-    real_grid, real_search = distances._grid, distances.CandidateLists.search
-
-    def search(lists, rows, zt, moved):
-        before = len(grids)
-        out = real_search(lists, rows, zt, moved)
-        if rows.size < zt.shape[1] and len(grids) > before:
-            tracked.add("graph" if lists.split is None else "nearest")
-        return out
-
-    monkeypatch.setattr(distances, "_grid", lambda *a: grids.append(1) or real_grid(*a))
-    monkeypatch.setattr(distances.CandidateLists, "search", search)
+    # gate above pins the grid's answers for tracked rows. Every search of a
+    # fit is a tracker's, so each grid belongs to the last search begun.
+    calls, grids, real_grid = record_search(monkeypatch), [], distances._grid
+    monkeypatch.setattr(distances, "_grid", lambda *a: grids.append(calls[-1]) or real_grid(*a))
     fit_record(FIT_GRID)
-    assert tracked == {"graph", "nearest"}
+    # a start searches the whole set, the first search of each kind
+    whole = {kind: rows.size for kind, rows in reversed(calls)}
+    assert {kind for kind, rows in grids if rows.size < whole[kind]} == {"graph", "nearest"}

@@ -11,7 +11,7 @@ from geocd import noisy_copy, normalize_pair, sample_shape
 from geocd import distances, graph
 from geocd.distances import list_size, nearest
 from geocd.oracle import dense, stable_sort_knn_mask
-from conftest import random_cloud, record_nearest
+from conftest import random_cloud, record_nearest, record_search
 
 
 def cloud(*pts):
@@ -425,8 +425,8 @@ def merged(pts, n_pred):
 # an exact tie among a row's candidates, settled by point index
 @example(kind="lattice", n=4, k=1, symmetrize=False, seed=1, moves=[])
 def test_graph_tracker_returns_what_knn_adjacency_returns(kind, n, k, symmetrize, seed, moves):
-    # n runs from below the list size plus one to past BLOCK, where the seed
-    # build and knn_adjacency take the grid
+    # n runs from below the list size plus one to past BLOCK, where the start's
+    # search and knn_adjacency take the grid
     k = min(k, n - 1)
     rng = np.random.default_rng(seed)
     pts = tracked_cloud(kind, rng, n)
@@ -463,6 +463,32 @@ def test_graph_tracker_seeds_from_lists_across_the_box(k, symmetrize):
     assert track.rows_searched < track.rows_asked == 5 * 12
 
 
+@pytest.mark.parametrize("kind", ["random", "lattice"])
+@pytest.mark.parametrize("tracker", ["nearest", "graph"])
+def test_trackers_count_each_row_they_search_once(monkeypatch, tracker, kind):
+    # 150 + 150 points, five moves and a start-over (another k, or another
+    # target array): the counter adds up the rows handed to the one search,
+    # and a start hands it every row exactly once, on the lattice's ties too
+    rng = np.random.default_rng(12)
+    pts = tracked_cloud(kind, rng, 300)
+    q, k = pts[150:].copy(), 5
+    track = graph.GraphTracker() if tracker == "graph" else distances.NearestTracker()
+    calls = record_search(monkeypatch)
+    for step, move in enumerate(("start", "zero", "adam", "lattice", "start", "adam", "sub-gap")):
+        if move == "start" and step:
+            q, k = q.copy(), k + 1
+        pts = tracked_move(move, rng, pts)
+        before = track.rows_searched
+        calls.clear()
+        track(merged(pts, 150), k) if tracker == "graph" else track(pts[:150], q)
+        assert {who for who, _ in calls} <= {tracker}
+        rows = np.concatenate([np.empty(0, dtype=np.intp)] + [r for _, r in calls])
+        assert rows.size == track.rows_searched - before
+        if move == "start":
+            assert np.array_equal(np.sort(rows), np.arange(300))
+    assert track.rows_asked == 7 * 300
+
+
 def test_graph_tracker_sees_a_point_from_outside_the_lists():
     # row 0 keeps its nearest points on a ray; a point far outside its list
     # walks in, step by step, and ends nearer than all of them, while row 0
@@ -485,7 +511,7 @@ def test_graph_tracker_starts_over_on_another_k_size_or_a_nan():
     pts = rng.random((80, 3))
     track = graph.GraphTracker()
     track(merged(pts, 40), 5)
-    assert track.rows_searched == 80  # the seed build: every row
+    assert track.rows_searched == 80  # the start: every row, once
     pts = pts + 1e-4
     same_hop(track(merged(pts, 40), 5), knn_adjacency(merged(pts, 40), 5))
     assert track.rows_searched < 2 * 80
