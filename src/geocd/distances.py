@@ -255,8 +255,11 @@ def _dense(zt: np.ndarray, p: np.ndarray, targets: tuple[int, int] | None, k: in
             np.sqrt(d, out=d)
         if targets is None:  # a point is never its own neighbour: NaN ranks after +inf
             d[np.arange(r.size), r] = np.nan
-        j = _first_k(d, cols, k, words.view(np.int64))
-        j.sort(axis=1)
+        if targets is not None and k == 1:  # no NaN column; argmin keeps a tie's lowest index
+            j = d.argmin(axis=1)[:, None]
+        else:
+            j = _first_k(d, cols, k, words.view(np.int64))
+            j.sort(axis=1)
         nbr[r0 : r0 + r.size] = j + lo
         length[r0 : r0 + r.size] = d[np.arange(r.size)[:, None], j]
     return nbr, length
@@ -295,7 +298,9 @@ def _table(
 
     Every row, grid or dense, picks its k smallest lengths with
     ``_first_k``, which keeps the lowest point indices among entries tied
-    at the k-th length; each row's neighbours come sorted by index.
+    at the k-th length; each row's neighbours come sorted by index. A dense
+    pass with ``targets`` and k=1 takes each row's ``argmin`` instead,
+    which keeps the lowest index too.
     """
     n = len(pts)
     rows = np.arange(n) if rows is None else rows

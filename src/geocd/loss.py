@@ -121,7 +121,7 @@ def geocd(
     z = merge(pred, gt)
     adj = (graph or knn_adjacency)(z, cfg.k, cfg.symmetrize)
     t1 = time.perf_counter()
-    geo = propagate(z, adj, cfg.n_hops, cfg.mask)
+    geo = propagate(z, adj, cfg.n_hops, cfg.mask, cross_only=True)
     t2 = time.perf_counter()
 
     pos, src, d = geo.cross()

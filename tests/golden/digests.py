@@ -1,0 +1,145 @@
+"""Print one sha256 digest per fixed-seed instance, to compare two trees' outputs.
+
+Run from the repository root on each tree, then ``diff`` the two files:
+
+    PYTHONPATH=src:tests python -m golden.digests > digests.txt
+
+Each line reads ``family seed digest``, the digest taken over the outputs'
+raw bytes, or over an error's text. The families:
+
+* ``records``: every hop record (keys, lengths, last edges), the masked
+  shares and the per-hop counts of a full ``propagate`` on the pair of
+  ``golden.generate.instance(seed)``;
+* ``records-span``: the same with ``geodesic.SPAN`` forced to 7, so that
+  nearly every row is a range of its own;
+* ``loss``: ``geocd``'s value, both gradients and every diagnostic but the
+  timings and the per-hop counts, on the same pair;
+* ``counts``: ``geocd``'s ``hop_entries`` and ``improved_per_hop``, which
+  count the last hop's cross walks only;
+* ``fit``: a default ``fit`` run from the CLI at ``--seed seed``, its
+  ``trace.csv`` and final points.
+
+Every instance is drawn from its seed alone, so two trees that compute the
+same outputs print the same lines.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from geocd import GeoCdConfig, GeoCdError, MaskConfig, geocd, geodesic, knn_adjacency, merge
+from geocd import propagate
+from geocd.cli import main as cli_main
+from golden.generate import SEEDS, instance
+
+FIT_SEEDS = range(8)
+COUNTS = ("hop_entries", "improved_per_hop")
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            part = np.ascontiguousarray(part)
+            h.update(f"{part.dtype.str}{part.shape}".encode())
+            part = part.tobytes()
+        elif isinstance(part, str):
+            part = part.encode()
+        h.update(part)
+    return h.hexdigest()
+
+
+def _config(spec: dict) -> GeoCdConfig:
+    mask = MaskConfig(enabled=spec["mask"], threshold=spec["threshold"])
+    return GeoCdConfig(k=spec["k"], n_hops=spec["hops"], symmetrize=spec["symmetrize"], mask=mask)
+
+
+def _guarded(fn):
+    """``fn``'s digest, or the digest of the error it raises."""
+    try:
+        return fn()
+    except (GeoCdError, ValueError) as exc:
+        return _digest(f"{type(exc).__name__}: {exc}")
+
+
+def records(seed: int) -> str:
+    spec, pred, gt = instance(seed)
+    cfg = _config(spec)
+
+    def run():
+        z = merge(pred, gt)
+        geo = propagate(z, knn_adjacency(z, cfg.k, cfg.symmetrize), cfg.n_hops, cfg.mask)
+        counts = json.dumps([geo.masked_per_hop, geo.hop_entries, geo.improved_per_hop])
+        return _digest(*(a for hop in geo.hops for a in (hop.key, hop.dist, hop.edge)), counts)
+
+    return _guarded(run)
+
+
+def records_span(seed: int) -> str:
+    span = geodesic.SPAN
+    geodesic.SPAN = 7
+    try:
+        return records(seed)
+    finally:
+        geodesic.SPAN = span
+
+
+def _loss(seed: int):
+    spec, pred, gt = instance(seed)
+    return geocd(pred, gt, _config(spec), with_grad=True, with_gt_grad=True)
+
+
+def loss(seed: int) -> str:
+    def run():
+        rep = _loss(seed)
+        rest = {k: v for k, v in rep.diagnostics.items() if k not in ("timings", *COUNTS)}
+        value = np.array([rep.value])
+        return _digest(value, rep.grad_pred, rep.grad_gt, json.dumps(rest, sort_keys=True))
+
+    return _guarded(run)
+
+
+def counts(seed: int) -> str:
+    return _guarded(lambda: _digest(json.dumps([_loss(seed).diagnostics[k] for k in COUNTS])))
+
+
+def fit(seed: int) -> str:
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["fit", "--seed", str(seed), "--out-dir", out, "--quiet"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(argv)
+        files = [Path(out, name) for name in ("trace.csv", "final_pred.xyz")]
+        return _digest(str(code), *(f.read_bytes() for f in files if f.exists()))
+
+
+FAMILIES = {
+    "records": (records, SEEDS),
+    "records-span": (records_span, SEEDS),
+    "loss": (loss, SEEDS),
+    "counts": (counts, SEEDS),
+    "fit": (fit, FIT_SEEDS),
+}
+
+
+def lines(family: str, seeds) -> list[str]:
+    fn = FAMILIES[family][0]
+    return [f"{family} {seed} {fn(seed)}" for seed in seeds]
+
+
+def main() -> int:
+    for family, (_, seeds) in FAMILIES.items():
+        for line in lines(family, seeds):
+            print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

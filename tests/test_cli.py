@@ -332,13 +332,17 @@ def test_compute_reports_per_hop_counts(small_pair, capsys, schema):
     a, b = small_pair
     pred, gt, _ = normalize_pair(read_cloud(a), read_cloud(b))
     z = merge(pred, gt)
-    geo = propagate(z, knn_adjacency(z, 3), n_hops=4)
+    adj = knn_adjacency(z, 3)
+    geo, full = propagate(z, adj, n_hops=4, cross_only=True), propagate(z, adj, n_hops=4)
     code, report = run_json(capsys, ["compute", str(a), str(b), "--k", "3", "--hops", "4"])
     assert code == 0
     validate(report, schema, "compute_report")
     diagnostics = report["geocd"]["diagnostics"]
     assert diagnostics["hop_entries"] == [hop.key.size for hop in geo.hops]
     assert diagnostics["improved_per_hop"] == geo.improved_per_hop
+    # the last hop's counts are of its cross walks, the earlier hops' of all
+    assert diagnostics["hop_entries"] == full.hop_entries[:-1] + [full.cross()[0].size]
+    assert diagnostics["improved_per_hop"][:-1] == full.improved_per_hop[:-1]
 
 
 def test_compute_reports_the_weight_and_frozen_row_diagnostics(small_pair, capsys, schema):

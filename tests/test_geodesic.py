@@ -14,7 +14,7 @@ from geocd import (
     propagate,
     reconstruct_path,
 )
-from geocd import geodesic
+from geocd import geodesic, loss
 from geocd.geodesic import Hop, MaskConfig, cross_width, row_min, unroll
 from geocd.graph import SENTINEL, MergedSet
 from geocd.oracle import d_xy, d_yx, dense
@@ -593,6 +593,164 @@ def test_row_ranges_give_the_same_records(span, range_cases, monkeypatch):
         assert got.masked_per_hop == masked
         assert max(masked, default=0.0) >= frozen
         assert got.improved_per_hop == improved_counts(want)
+
+
+def test_cross_only_last_hop_holds_the_full_records_cross_entries(monkeypatch):
+    rng = np.random.default_rng(43)
+    for trial in range(48):
+        pred, gt = deep_pair(("random", "lattice", "duplicate")[trial % 3], rng)
+        z = merge(pred, gt)
+        cfg = GeoCdConfig(
+            k=int(rng.integers(1, 7)),
+            n_hops=1 + trial % 4,
+            symmetrize=bool(trial // 3 % 2),
+            mask=MaskConfig(enabled=bool(trial // 6 % 2)),
+        )
+        adj = knn_adjacency(z, cfg.k, cfg.symmetrize)
+        full = propagate(z, adj, cfg.n_hops, cfg.mask)
+        geo = propagate(z, adj, cfg.n_hops, cfg.mask, cross_only=True)
+        pos, src, dist = full.cross()
+        got = geo.cross()
+        assert not full.cross_only
+        if cfg.n_hops == 1:  # hop 1 is the graph, whole
+            assert not geo.cross_only
+            assert_same_records(geo.hops, full.hops)
+            continue
+        assert geo.cross_only
+        last = full.hops[-1]
+        cross = Hop(last.key[pos], last.dist[pos], last.edge[pos], z.size)
+        assert_same_records(geo.hops, full.hops[:-1] + [cross])
+        assert geo.masked_per_hop == full.masked_per_hop
+        # the last hop's counts are of its cross walks
+        assert geo.improved_per_hop == (
+            full.improved_per_hop[:-1] + improved_counts([full.hops[-2], cross])
+        )
+        assert np.array_equal(got[0], np.arange(pos.size))
+        assert np.array_equal(got[1], src) and np.array_equal(got[2], dist)
+
+        # the loss reads the same walks as from the full record, bit for bit
+        rep = geocd(pred, gt, cfg, with_grad=True, with_gt_grad=True)
+        with monkeypatch.context() as m:
+            m.setattr(loss, "propagate", lambda *args, cross_only: propagate(*args))
+            want = geocd(pred, gt, cfg, with_grad=True, with_gt_grad=True)
+        assert rep.value == want.value
+        assert np.array_equal(rep.grad_pred, want.grad_pred)
+        assert np.array_equal(rep.grad_gt, want.grad_gt)
+        counts = ("timings", "hop_entries", "improved_per_hop")
+        assert {key: v for key, v in rep.diagnostics.items() if key not in counts} == {
+            key: v for key, v in want.diagnostics.items() if key not in counts
+        }
+        assert rep.diagnostics["hop_entries"] == geo.hop_entries
+        assert rep.diagnostics["improved_per_hop"] == geo.improved_per_hop
+
+
+def test_reconstruct_path_refuses_a_pair_of_one_cloud_on_a_cross_only_record(rng):
+    pred, gt = random_normalized_pair(rng, 10, 12)
+    z = merge(pred, gt)
+    adj = knn_adjacency(z, 3)
+    geo, full = propagate(z, adj, 3, cross_only=True), propagate(z, adj, 3)
+    for i, j in ((0, 1), (12, 21)):
+        with pytest.raises(ValueError, match=rf"\({i}, {j}\) is a pair of one cloud"):
+            reconstruct_path(geo, i, j)
+    assert reconstruct_path(geo, 4, 4) == [4]
+    cross = [(i, j) for i in range(22) for j in range(22) if (i < 10) != (j < 10)]
+    paths = [reconstruct_path(geo, i, j) for i, j in cross]
+    assert paths == [reconstruct_path(full, i, j) for i, j in cross]
+    assert any(path and len(path) > 2 for path in paths)
+
+
+def full_sort_winners(key, dist):
+    """Reference: each distinct key and its first entry at its minimum length,
+    from one sort by key, then length, then index."""
+    order = np.lexsort((np.arange(key.size), dist, key))
+    first = order[np.r_[True, key[order][1:] != key[order][:-1]][: key.size]]
+    return key[first], first
+
+
+def exact_tie_groups(word, dist, span):
+    """The groups of a ``_pick`` call whose two lowest entries tie on the
+    truncated length, which it settles on exact lengths."""
+    e = dist.size
+    top = dist.view(np.int64) >> ((span - 1).bit_length() + (e - 1).bit_length())
+    key = word[:e]
+    order = np.lexsort((top, key))
+    key, top = key[order], top[order]
+    head = np.r_[True, key[1:] != key[:-1]]
+    return int((head[:-1] & ~head[1:] & (top[1:] == top[:-1])).sum())
+
+
+def spy_on_exact_ties(monkeypatch):
+    """Per ``_pick`` call, the groups it settles on exact lengths."""
+    settled, pick = [], geodesic._pick
+
+    def spy(word, dist, span):
+        settled.append(exact_tie_groups(word, dist, span))
+        return pick(word, dist, span)
+
+    monkeypatch.setattr(geodesic, "_pick", spy)
+    return settled
+
+
+@pytest.mark.parametrize("key_bits", [1, 8, 30, 52])
+def test_pick_matches_the_full_sort_reference(key_bits):
+    # at 52 key bits and up to 2**9 entries, two bits of each length remain
+    rng = np.random.default_rng(key_bits)
+    span, ties = 1 << key_bits, 0
+    for trial in range(60):
+        e = int(rng.integers(0, 400))
+        key = rng.integers(0, min(span, e // 4 + 1), e)
+        dist = (
+            rng.integers(0, 6, e) / 8.0,  # a lattice: exact ties
+            0.5 + rng.integers(0, 4, e) * 2.0**-40,  # near ties only exact lengths split
+            rng.random(e),
+        )[trial % 3]
+        word = np.empty(e + 1, dtype=np.int64)
+        word[:e] = key
+        ties += exact_tie_groups(word, dist, span)
+        got = geodesic._pick(word, dist, span)
+        for a, b in zip(got, full_sort_winners(key, dist)):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+    assert ties > 0
+
+
+@pytest.mark.parametrize("span", [7, 64])
+def test_ranges_settle_exact_ties_as_one_sort_does(span, monkeypatch):
+    # a tie-heavy lattice of 4 values per axis, 0.125 apart
+    rng = np.random.default_rng(span)
+    cases = []
+    for trial in range(6):
+        pred, gt = (PointCloud(rng.integers(0, 4, (s, 3)) / 8.0) for s in rng.integers(30, 60, 2))
+        z = merge(pred, gt)
+        adj = knn_adjacency(z, int(rng.integers(2, 7)), symmetrize=bool(trial % 2))
+        mask = MaskConfig(enabled=bool(trial // 2 % 2))
+        cases.append((z, adj, 2 + trial % 3, mask))
+    settled = spy_on_exact_ties(monkeypatch)
+    monkeypatch.setattr(geodesic, "SPAN", span)
+    for z, adj, hops, mask in cases:
+        want, masked = full_sort_records(z, adj, hops, mask)
+        assert_same_records(propagate(z, adj, hops, mask).hops, want)
+    assert sum(settled) > 0
+
+
+def test_few_length_bits_fall_back_on_exact_lengths(monkeypatch):
+    # 2**18 points, of which the graph joins eight, all in one range: local
+    # keys take 36 bits and leave some 20 for the lengths, too few to split
+    # walks that differ by 2**-30
+    n = 1 << 18
+    z = MergedSet(np.broadcast_to(np.zeros(3), (n, 3)), n // 2, n - n // 2)
+    nodes = np.array([0, 5, 1000, 4096, n // 2 + 3, n // 2 + 77, n // 2 + 5000, n - 1])
+    rng = np.random.default_rng(7)
+    out = [a * n + rng.choice(nodes[nodes != a], 3, replace=False) for a in nodes]
+    key = np.sort(np.concatenate(out))
+    dist = 0.25 + rng.integers(0, 8, key.size) * 2.0**-30
+    adj = Hop(key, dist, np.arange(key.size), n)
+    settled = spy_on_exact_ties(monkeypatch)
+    for hops, mask in ((3, MaskConfig()), (2, MaskConfig(enabled=True, threshold=0.3))):
+        want, masked = full_sort_records(z, adj, hops, mask)
+        geo = propagate(z, adj, hops, mask)
+        assert_same_records(geo.hops, want)
+        assert geo.masked_per_hop == masked
+    assert sum(settled) > 0
 
 
 def test_extension_memory_stays_near_the_records_it_adds():

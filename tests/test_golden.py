@@ -10,11 +10,13 @@ which digests moved and why.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from geocd import distances
+from geocd import distances, geodesic
+from golden import digests
 from golden.generate import (
     FIT_GRID,
     FIT_SEEDS,
@@ -89,3 +91,19 @@ def test_golden_fit_18_searches_tracked_rows_on_the_grid(monkeypatch):
     # a start searches the whole set, the first search of each kind
     whole = {kind: rows.size for kind, rows in reversed(calls)}
     assert {kind for kind, rows in grids if rows.size < whole[kind]} == {"graph", "nearest"}
+
+
+def test_digests_smoke():
+    # a few seeds of every family; the full run compares two trees (see digests.py)
+    seeds, span, got = {"fit": [0]}, geodesic.SPAN, {}
+    for family in digests.FAMILIES:
+        picked = seeds.get(family, [0, 1, 2, 3, 200])  # each pair kind, and a surface
+        got[family] = digests.lines(family, picked)
+        assert [line.split()[:2] for line in got[family]] == [[family, str(s)] for s in picked]
+        assert all(re.fullmatch("[0-9a-f]{64}", line.split()[2]) for line in got[family])
+    assert geodesic.SPAN == span  # restored
+    # ranges of one row each give the same records
+    assert [line.split()[2] for line in got["records-span"]] == [
+        line.split()[2] for line in got["records"]
+    ]
+    assert digests.lines("fit", [0]) == got["fit"]
