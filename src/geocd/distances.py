@@ -8,6 +8,8 @@ measure the same length to the last bit. ``_table`` finds the k nearest
 targets of any rows of a set by dense passes or on a grid of cells: it is
 the kNN graph's search, both trackers' full-row search and, through
 ``_across``, ``nearest``'s, each cloud's points against the other cloud.
+The search mode fixes the rank: a set's own search ranks rooted lengths,
+as the kNN graph does, and a bipartite one squared lengths, as ``nearest``.
 ``CandidateLists`` keeps each row's few nearest points from call to call
 and proves, row by row, that they still hold its nearest ones; it starts
 its lists over on another key or an overflowing move, searches in full only
@@ -85,18 +87,18 @@ def nearest(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """
     zt = _pair(p, q)
     n = len(p)
-    nbr, sq = _across(zt.T, 1, np.arange(zt.shape[1]), n, root=False)
+    nbr, sq = _across(zt.T, 1, np.arange(zt.shape[1]), n)
     nbr[:n] -= n
     return nbr[:n, 0], sq[:n, 0], nbr[n:, 0], sq[n:, 0]
 
 
-def _across(pts: np.ndarray, k: int, rows: np.ndarray, split: int, root: bool):
+def _across(pts: np.ndarray, k: int, rows: np.ndarray, split: int):
     """``_table`` for ascending ``rows`` of a pair merged at ``split``: each
     row's k nearest points of the other cloud, ``pts[split:]`` for the rows
     below ``split`` and ``pts[:split]`` for the others, by merged index."""
     s = np.searchsorted(rows, split)
-    below = _table(pts, k, rows[:s], (split, len(pts)), root)
-    above = _table(pts, k, rows[s:], (0, split), root)
+    below = _table(pts, k, rows[:s], (split, len(pts)))
+    above = _table(pts, k, rows[s:], (0, split))
     return tuple(np.concatenate(x) for x in zip(below, above))
 
 
@@ -238,7 +240,7 @@ def _grid(pts: np.ndarray, h: float, lo: int = 0, hi: int | None = None):
     return order, cid, runs
 
 
-def _dense(zt: np.ndarray, p: np.ndarray, targets: tuple[int, int] | None, k: int, root: bool):
+def _dense(zt: np.ndarray, p: np.ndarray, targets: tuple[int, int] | None, k: int):
     """``_table`` for the points ``p``, read off all targets: ``zt`` holds the
     coordinate rows of every point. Each block of BLOCK // 2 rows, the
     sample's size, keeps its lengths and their packed words in one scratch."""
@@ -251,9 +253,8 @@ def _dense(zt: np.ndarray, p: np.ndarray, targets: tuple[int, int] | None, k: in
         r = p[r0 : r0 + step]
         d, words = (x[: r.size * w].reshape(r.size, w) for x in scratch)
         squared_lengths([c[r, None] for c in zt], zt[:, lo:hi], d, words)
-        if root:
+        if targets is None:  # rooted; a point is never its own neighbour: NaN ranks after +inf
             np.sqrt(d, out=d)
-        if targets is None:  # a point is never its own neighbour: NaN ranks after +inf
             d[np.arange(r.size), r] = np.nan
         if targets is not None and k == 1:  # no NaN column; argmin keeps a tie's lowest index
             j = d.argmin(axis=1)[:, None]
@@ -266,13 +267,13 @@ def _dense(zt: np.ndarray, p: np.ndarray, targets: tuple[int, int] | None, k: in
 
 
 def _table(
-    pts: np.ndarray, k: int, rows=None, targets: tuple[int, int] | None = None, root: bool = True
+    pts: np.ndarray, k: int, rows=None, targets: tuple[int, int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k nearest targets and their lengths, as two (rows, k) arrays.
 
     The rows are the points ``rows`` of ``pts`` (all by default), and their
     targets the points ``targets = (lo, hi)``, ``pts[lo:hi]``, or by default
-    every other point. Lengths are rooted, or squared (``root=False``).
+    every other point. Lengths are rooted, or squared with ``targets``.
 
     A search of at most BLOCK rows, or of a part of the set's rows whose
     count r and w targets give r * r * w <= 2**25, is one dense pass
@@ -312,14 +313,14 @@ def _table(
     # 2**25: 180 graph rows of 1024 points, 90 of 4096, 64 of 8192, and 450
     # nearest rows against 512 targets. A whole set takes it past BLOCK.
     if r <= BLOCK or (r < n and r * r * w <= 2**25):
-        return _dense(zt, rows, targets, k, root)
+        return _dense(zt, rows, targets, k)
     # coordinates, and a padding point n that measures +inf from every point
     cols = [np.r_[c, np.inf] for c in zt]
     nbr, length = np.empty((r, k), dtype=np.intp), np.empty((r, k))
     sample = np.arange(0, r, -(-r // (BLOCK // 2)))
-    nbr[sample], length[sample] = _dense(zt, rows[sample], targets, k, root)
+    nbr[sample], length[sample] = _dense(zt, rows[sample], targets, k)
     kth = length[sample].max(axis=1)
-    h, reach = _cell_edge(pts, kth if root else np.sqrt(kth))
+    h, reach = _cell_edge(pts, kth if own else np.sqrt(kth))
     order, cid, runs = _grid(pts, h, lo, hi)
     if own:  # each point's position in order
         place = np.empty(n, dtype=np.intp)
@@ -366,14 +367,13 @@ def _table(
             d, words = np.empty((c1 - c0, cw)), np.empty((c1 - c0, cw), dtype=np.int64)
             b = (c.take(row_cell, axis=0) for c in xyz)
             squared_lengths([c[p[c0:c1], None] for c in cols], b, d, words.view(np.float64))
-            if root:
+            if own:  # rooted, and self is never its own neighbour
                 np.sqrt(d, out=d)
-            if own:  # self is never its own neighbour
                 d[np.arange(c1 - c0), own_col[c0:c1]] = np.nan
             j = _first_k(d, cand, k, words, cell=row_cell)
             dj = np.take_along_axis(d, j, axis=1)
             kth = dj.max(axis=1)
-            done = (kth if root else np.sqrt(kth)) <= reach_r
+            done = (kth if own else np.sqrt(kth)) <= reach_r
             at = left[c0:c1]
             nbr[at[done]] = cand[row_cell[done, None], j[done]]
             length[at[done]] = dj[done]
@@ -383,7 +383,7 @@ def _table(
     rest.append(left)
     rest = np.concatenate(rest)
     if rest.size:
-        nbr[rest], length[rest] = _dense(zt, rows[rest], targets, k, root)
+        nbr[rest], length[rest] = _dense(zt, rows[rest], targets, k)
     # each row's neighbours by index, with their columns in the low part
     col = nbr * k + np.arange(k)
     col.sort(axis=1)
@@ -409,11 +409,11 @@ class CandidateLists:
     sorted by index, as ``_table`` returns them. ``far[a]`` is the K-th of
     those lengths, or ROOT_CEIL where no target lies outside the list, and
     at most ROOT_CEIL: every target outside the list lay at least that far.
-    Lengths are squared, as ``nearest`` ranks them, or rooted, as the kNN
-    graph does (``root``). A call recomputes every candidate's length with
-    ``squared_lengths``, the dense pass's value bit for bit, and the
-    tracker's ``pick`` chooses each row's answer among them, ties to the
-    lower index.
+    Lengths are rooted, as the kNN graph ranks them, or squared with
+    ``split``, as ``nearest`` does. A call recomputes every candidate's
+    length with ``squared_lengths``, the dense pass's value bit for bit,
+    and the tracker's ``pick`` chooses each row's answer among them, ties
+    to the lower index.
 
     The lists start over on the first call, on a call with another key (the
     tracker's name for what the lists serve, the set's size among it), and
@@ -446,7 +446,6 @@ class CandidateLists:
     once; a caller may reset both.
     """
 
-    root: bool  # rank by rooted lengths, not squared ones
     # with every search, also search the rows that this many more calls like
     # the last would leave uncertified
     ahead = 0
@@ -461,25 +460,24 @@ class CandidateLists:
         d = squared_lengths(
             [x[:, None] for x in zt], (x.take(c) for x in zt), np.empty(c.shape), np.empty(c.shape)
         )
-        return np.sqrt(d, out=d) if self.root else d
+        return np.sqrt(d, out=d) if self.split is None else d
 
     def search(self, rows: np.ndarray, zt: np.ndarray, moved: np.ndarray) -> np.ndarray:
         """Search ``rows`` (ascending) in full with ``_table``, renew and
         count their lists and return their candidates' lengths."""
         n, size, split = zt.shape[1], self.size, self.split
         if split is None:
-            cand, d = _table(zt.T, size, rows, None, self.root)
-            others = n - 1
+            cand, d = _table(zt.T, size, rows)
+            others, kth = n - 1, d.max(axis=1)
         else:
-            cand, d = _across(zt.T, size, rows, split, self.root)
-            others = np.where(rows < split, n - split, split)
+            cand, d = _across(zt.T, size, rows, split)
+            others, kth = np.where(rows < split, n - split, split), np.sqrt(d.max(axis=1))
         if rows.size == n:  # new lists, made after the search rather than held through it
             self.cand = np.empty((n, size), dtype=np.int32)
             self.far, self.anchor, self.moved_at = np.empty(n), np.empty_like(zt), np.empty(n)
         self.cand[rows] = cand
-        kth = d.max(axis=1)
         # where every target is on the list, none lies outside it
-        far = np.where(size == others, np.inf, kth if self.root else np.sqrt(kth))
+        far = np.where(size == others, np.inf, kth)
         self.far[rows] = np.minimum(far, ROOT_CEIL)
         self.anchor[:, rows], self.moved_at[rows] = zt[:, rows], moved[rows]
         self.rows_searched += rows.size
@@ -523,7 +521,7 @@ class CandidateLists:
         chosen, kth = pick(d, self.cand)
         move = _norms(zt, self.anchor)
         move += moved - self.moved_at
-        kth_r = kth if self.root else np.sqrt(kth)
+        kth_r = kth if self.split is None else np.sqrt(kth)
         bound = self.far - move * (1 + SLACK)
         rows = _uncertified(kth_r, bound)
         if rows.size:
@@ -553,7 +551,7 @@ class NearestTracker(CandidateLists):
     counters as they were.
     """
 
-    root, ahead = False, AHEAD
+    ahead = AHEAD
 
     def __call__(
         self, p: np.ndarray, q: np.ndarray

@@ -442,7 +442,7 @@ def unroll(geo: GeoDistances, pos: np.ndarray) -> tuple[np.ndarray, ...]:
     walk longer than g edges, in rising walk order.
     """
     n = geo.merged.size
-    starts, ends = np.divmod(geo.hops[-1].key[pos], n)
+    starts = geo.hops[-1].key[pos] // n
     idx = np.arange(pos.size)
     parts = []
     for h in range(len(geo.hops) - 1, -1, -1):

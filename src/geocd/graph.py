@@ -17,7 +17,8 @@ from functools import partial
 import numpy as np
 
 from .cloud import PointCloud
-from .distances import CandidateLists, _across, _first_k, _pair, _table, list_size, squared_lengths
+from .distances import CandidateLists, _across, _first_k, _nearest_of, _pair, _table, list_size
+from .distances import squared_lengths
 from .errors import DimensionMismatchError, KTooLargeError
 
 # unused here; perfbench/spans.py traces this name through this module
@@ -113,8 +114,8 @@ def _edge_list(nbr: np.ndarray, length: np.ndarray, symmetrize: bool) -> Hop:
     length[(length > SENTINEL) & (length <= limit)] = SENTINEL
     if symmetrize:
         # the reverse edge has the same length: (a-b)^2 equals (b-a)^2 exactly
-        src, dst = np.divmod(key, n)
-        key, first = np.unique(np.r_[key, dst * n + src], return_index=True)
+        src = key // n  # scalar floor division is several times faster than divmod
+        key, first = np.unique(np.r_[key, (key - src * n) * n + src], return_index=True)
         length = np.r_[length, length][first]
     return Hop(key, length, np.arange(key.size), n)
 
@@ -137,8 +138,6 @@ class GraphTracker(CandidateLists):
     or a move that overflows, starts over with a full search of every row.
     """
 
-    root = True
-
     def __call__(self, z: MergedSet, k: int, symmetrize: bool = False) -> Hop:
         pts = np.asarray(z.points, dtype=np.float64)
         _check(pts, k)
@@ -160,19 +159,22 @@ class GraphNearest:
     """``nearest(p, q)`` read from ``adj``, the kNN graph of ``merge(p, q)`` built with ``k``.
 
     Every call returns what ``nearest(p, q)`` returns, bit for bit and
-    dtype for dtype. A point's candidates are its cross-cloud edges: their
-    squared lengths are recomputed with ``squared_lengths`` (``(p - q)**2``
-    is ``(q - p)**2`` bit for bit, so they are ``nearest``'s both ways), and
-    the smallest, ties to the lower index, is the point's pick. The graph
-    lists every point whose length from the row's point lies below the
-    row's k-th stored length: the largest of its k edges, or the k-th
-    smallest where ``symmetrize`` added reverse edges, none of which is
-    shorter. A length stored shortened to the sentinel only lowers it. So
-    where the pick's root lies strictly below it, every point outside the
-    list has a larger root, and hence a larger squared length, and the pick
-    is ``nearest``'s answer.
-    Rows with no cross edge, or whose pick does not stand, search the other
-    cloud with ``_table``, as ``nearest`` does. Coordinates must be finite.
+    dtype for dtype. A point's candidates are its own k neighbours: its k
+    edges, or where ``symmetrize`` added reverse edges its k shortest, ties
+    to the lower index, in index order. Their squared lengths are
+    recomputed with ``squared_lengths`` (``(p - q)**2`` is ``(q - p)**2``
+    bit for bit, so they are ``nearest``'s both ways), candidates in the
+    point's own cloud count as +inf, and ``_nearest_of`` picks among them,
+    ties to the lower index, as ``NearestTracker`` does. Every point off
+    the list lies at least the row's k-th stored length away: a reverse
+    edge off it is no shorter, any other point no nearer than the row's own
+    k-th neighbour, and a length stored shortened to the sentinel only
+    lowers the bound. So where the pick's root lies strictly below it,
+    every point outside the list has a larger root, and hence a larger
+    squared length, and the pick is ``nearest``'s answer. Rows whose pick
+    does not stand, among them the rows with no cross candidate, search the
+    other cloud with ``_table``, as ``nearest`` does. Coordinates must be
+    finite.
     """
 
     def __init__(self, adj: Hop, k: int):
@@ -185,37 +187,27 @@ class GraphNearest:
         self, p: np.ndarray, q: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n, m = len(p), len(q)
-        adj, size = self.adj, n + m
+        adj, size, k = self.adj, n + m, self.k
         if adj.size != size:
             raise DimensionMismatchError(f"graph has {adj.size} points, the pair has {size}")
         zt = _pair(p, q)
         self.rows_asked += size
-        src, dst = np.divmod(adj.key, size)
-        cross = np.flatnonzero((src < n) != (dst < n))
-        row, col = src[cross], dst[cross]
-        a, b = np.where(row < n, row, col), np.where(row < n, col, row)
-        sq = squared_lengths(
-            (c.take(a) for c in zt), (c.take(b) for c in zt), np.empty(a.size), np.empty(a.size)
-        )
-        # each row's first smallest: its cross edges run by rising index
-        first = np.flatnonzero(row != np.r_[-1, row[:-1]])
-        low = np.minimum.reduceat(sq, first)
-        hit = np.flatnonzero(sq == np.repeat(low, np.diff(np.r_[first, row.size])))
-        pick = hit[row[hit] != np.r_[-1, row[hit[:-1]]]]
-        if adj.key.size == size * self.k:  # every row holds its own k edges only
-            kth = adj.dist.reshape(size, self.k).max(axis=1)
-        else:  # with reverse edges: each row's k-th smallest
-            by = np.lexsort((adj.dist, src))
-            kth = adj.dist[by[np.searchsorted(src, np.arange(size)) + self.k - 1]]
-        rows, best = row[pick], sq[pick]
-        idx, out = np.empty(size, dtype=np.intp), np.empty(size)
-        idx[rows] = np.where(rows < n, b[pick] - n, a[pick])
-        out[rows] = best
-        left = np.ones(size, dtype=bool)
-        left[rows[np.sqrt(best) < kth[rows]]] = False
-        left = np.flatnonzero(left)
+        if adj.key.size == size * k:  # every row holds its own k edges only
+            at = np.arange(size * k).reshape(size, k)
+        else:  # with reverse edges: each row's k shortest, ties to the lower index
+            by = np.lexsort((adj.dist, adj.key // size))
+            first = np.searchsorted(adj.key, np.arange(0, size * size, size))
+            at = np.sort(by[first[:, None] + np.arange(k)], axis=1)
+        row = np.arange(size)[:, None]
+        nbr = adj.key[at] - row * size
+        d = np.empty(nbr.shape)
+        squared_lengths([c[:, None] for c in zt], (c.take(nbr) for c in zt), d, np.empty_like(d))
+        d[(nbr < n) == (row < n)] = np.inf  # a point of the row's own cloud is no candidate
+        pick, sq = _nearest_of(d, nbr)
+        j = nbr[np.arange(size), pick]
+        left = np.flatnonzero(~(np.sqrt(sq) < adj.dist[at].max(axis=1)))
         self.rows_searched += left.size
-        nbr, length = _across(zt.T, 1, left, n, root=False)
-        idx[left] = nbr[:, 0] - np.where(left < n, n, 0)
-        out[left] = length[:, 0]
-        return idx[:n], out[:n], idx[n:], out[n:]
+        found, length = _across(zt.T, 1, left, n)
+        j[left], sq[left] = found[:, 0], length[:, 0]
+        j[:n] -= n
+        return j[:n], sq[:n], j[n:], sq[n:]

@@ -38,11 +38,11 @@ def record_nearest(monkeypatch):
     cloud whose rows it searches: the first cloud's, then the second's."""
     calls = []
 
-    def recorded(pts, k, rows, split, root):
+    def recorded(pts, k, rows, split):
         below = int(np.count_nonzero(rows < split))
         sides = ((below, len(pts) - split), (rows.size - below, split))
         calls.extend(side for side in sides if side[0])
-        return _across(pts, k, rows, split, root)
+        return _across(pts, k, rows, split)
 
     monkeypatch.setattr(graph, "_across", recorded)
     return calls

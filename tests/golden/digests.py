@@ -17,7 +17,11 @@ raw bytes, or over an error's text. The families:
 * ``counts``: ``geocd``'s ``hop_entries`` and ``improved_per_hop``, which
   count the last hop's cross walks only;
 * ``fit``: a default ``fit`` run from the CLI at ``--seed seed``, its
-  ``trace.csv`` and final points.
+  ``trace.csv`` and final points;
+* ``graph``: the ``knn_adjacency`` record (keys, lengths, edges) of the
+  same pair, at its ``k`` and ``symmetrize``;
+* ``nearest``: the outputs of ``nearest`` and of ``graph.GraphNearest``
+  reading that graph, with the read's ``rows_asked`` and ``rows_searched``.
 
 Every instance is drawn from its seed alone, so two trees that compute the
 same outputs print the same lines.
@@ -38,6 +42,8 @@ import numpy as np
 from geocd import GeoCdConfig, GeoCdError, MaskConfig, geocd, geodesic, knn_adjacency, merge
 from geocd import propagate
 from geocd.cli import main as cli_main
+from geocd.distances import nearest
+from geocd.graph import GraphNearest
 from golden.generate import SEEDS, instance
 
 FIT_SEEDS = range(8)
@@ -68,6 +74,30 @@ def _guarded(fn):
         return fn()
     except (GeoCdError, ValueError) as exc:
         return _digest(f"{type(exc).__name__}: {exc}")
+
+
+def graph(seed: int) -> str:
+    spec, pred, gt = instance(seed)
+
+    def run():
+        adj = knn_adjacency(merge(pred, gt), spec["k"], spec["symmetrize"])
+        return _digest(adj.key, adj.dist, adj.edge, str(adj.size))
+
+    return _guarded(run)
+
+
+def nearest_reads(seed: int) -> str:
+    spec, pred, gt = instance(seed)
+
+    def run():
+        adj = knn_adjacency(merge(pred, gt), spec["k"], spec["symmetrize"])
+        read = GraphNearest(adj, spec["k"])
+        p, q = pred.points, gt.points
+        got = read(p, q)
+        counts = json.dumps([read.rows_asked, read.rows_searched])
+        return _digest(*nearest(p, q), *got, counts)
+
+    return _guarded(run)
 
 
 def records(seed: int) -> str:
@@ -126,6 +156,8 @@ FAMILIES = {
     "loss": (loss, SEEDS),
     "counts": (counts, SEEDS),
     "fit": (fit, FIT_SEEDS),
+    "graph": (graph, SEEDS),
+    "nearest": (nearest_reads, SEEDS),
 }
 
 

@@ -313,7 +313,7 @@ def test_table_bipartite_rows_match_the_dense_reference(kind, grids):
         side = np.arange(n) if lo == n else np.arange(n, n + m)
         for rows in [side[s] for s in row_sets(side.size, hi - lo, rng)]:
             before = len(grids)
-            got = distances._table(pts, k, rows, targets, root=False)
+            got = distances._table(pts, k, rows, targets)
             want = first_k(dense_squared(pts[rows], pts[lo:hi]), k, np.arange(lo, hi))
             assert np.array_equal(got[0], want[0])
             assert got[1].tobytes() == want[1].tobytes()
@@ -327,7 +327,7 @@ def test_table_with_as_many_targets_as_k_takes_the_grid(grids):
     rng = np.random.default_rng(23)
     pts = rng.random((1040, 3))
     rows = np.arange(1000)
-    nbr, length = distances._table(pts, 40, rows, (1000, 1040), root=False)
+    nbr, length = distances._table(pts, 40, rows, (1000, 1040))
     assert len(grids) == 1
     assert np.array_equal(nbr, np.tile(np.arange(1000, 1040), (1000, 1)))
     assert length.tobytes() == dense_squared(pts[:1000], pts[1000:]).tobytes()

@@ -682,6 +682,62 @@ def test_graph_nearest_searches_a_pick_that_ties_the_kth_length(monkeypatch):
     same_nearest(got, nearest(p, q))
 
 
+def uncertified_by_own_lists(p, q, k):
+    """Rows of ``merge(p, q)`` whose own k nearest, by the dense reference,
+    hold no point of the other cloud strictly nearer than the k-th."""
+    mask, d = stable_sort_knn_mask(np.vstack([p, q]), k, False)
+    first = np.arange(len(d)) < len(p)
+    kth = np.where(mask, d, -np.inf).max(axis=1)
+    pick = np.where(mask & (first[:, None] != first), d, np.inf).min(axis=1)
+    return np.flatnonzero(~(pick < kth))
+
+
+def read_symmetrized(monkeypatch, p, q, k):
+    """``GraphNearest``'s read of the symmetrized graph, checked against
+    ``nearest``, and the rows it searched."""
+    searched = []
+
+    def recorded(pts, k, rows, split):
+        searched.append(rows.copy())
+        return distances._across(pts, k, rows, split)
+
+    monkeypatch.setattr(graph, "_across", recorded)
+    read = graph.GraphNearest(graph_of(p, q, k, symmetrize=True), k)
+    same_nearest(read(p, q), nearest(p, q))
+    assert read.rows_searched == np.concatenate(searched).size
+    return np.concatenate(searched)
+
+
+def test_graph_nearest_searches_rows_whose_only_cross_edges_are_reverse_edges(monkeypatch):
+    # k = 2: pred 0 and 1 each list target points 2 and 3, which list only
+    # target points. So the symmetrized rows 2 and 3 hold two reverse cross
+    # edges each, both longer than the row's own 2nd length, and are searched
+    p = np.array([[0.5, 0, 0], [1.0, 0.75, 0]])
+    q = np.array([[1.0, 0, 0], [1.125, 0, 0], [1.25, 0, 0]])
+    adj = graph_of(p, q, 2, symmetrize=True)
+    assert list(adj.key[adj.key // 5 == 2] % 5) == [0, 1, 3, 4]
+    assert list(graph_of(p, q, 2).key[4:6] % 5) == [3, 4]
+    want = uncertified_by_own_lists(p, q, 2)
+    assert list(want) == [2, 3, 4]
+    assert list(read_symmetrized(monkeypatch, p, q, 2)) == list(want)
+
+
+def test_graph_nearest_ignores_a_reverse_edge_tied_at_the_kth_length(monkeypatch):
+    # on a line at k = 2: pred 0, 0.25 and target -0.125, -0.25. Row 0's
+    # own list is target 2 and pred 1; target 3 ties pred 1 at the 2nd
+    # length and loses on index, but lists point 0, so the symmetrized row 0
+    # holds 3 too. Row 0's pick, target 2, lies strictly below its 2nd
+    # length, so it stands; the other rows' picks tie their 2nd length
+    p = np.array([[0.0, 0, 0], [0.25, 0, 0]])
+    q = np.array([[-0.125, 0, 0], [-0.25, 0, 0]])
+    adj = graph_of(p, q, 2, symmetrize=True)
+    row0 = adj.key // 4 == 0
+    assert list(adj.key[row0] % 4) == [1, 2, 3] and adj.dist[row0][0] == adj.dist[row0][2]
+    want = uncertified_by_own_lists(p, q, 2)
+    assert list(want) == [1, 2, 3]
+    assert list(read_symmetrized(monkeypatch, p, q, 2)) == list(want)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_graph_nearest_rejects_a_pair_that_is_not_finite(bad):
     rng = np.random.default_rng(5)
