@@ -12,6 +12,7 @@ set beyond ``geodesic.MAX_POINTS`` with more than one hop).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
@@ -417,8 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on the first call and kept: parsing leaves it as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, EmptyFileError, DegenerateCloudError, OSError) as exc:

@@ -207,7 +207,8 @@ class GraphNearest:
         j = nbr[np.arange(size), pick]
         left = np.flatnonzero(~(np.sqrt(sq) < adj.dist[at].max(axis=1)))
         self.rows_searched += left.size
-        found, length = _across(zt.T, 1, left, n)
-        j[left], sq[left] = found[:, 0], length[:, 0]
+        if left.size:
+            found, length = _across(zt.T, 1, left, n)
+            j[left], sq[left] = found[:, 0], length[:, 0]
         j[:n] -= n
         return j[:n], sq[:n], j[n:], sq[n:]

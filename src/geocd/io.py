@@ -4,7 +4,10 @@ Two formats:
 
 * ``xyz``  -- UTF-8 text, one point per line, three whitespace-separated
   floats; lines starting with ``#`` and blank lines are ignored, and so
-  is a leading byte-order mark.
+  is a leading byte-order mark. numpy's C reader parses the records; a
+  file it does not read as finite x, y, z rows goes through a line loop
+  that finds the first faulty line. Either way each token reads as
+  Python's ``float`` reads it.
 * ``bin``  -- magic ``GCPC``, u32 little-endian version (=1), u32
   little-endian point count, then count x 3 little-endian f32 triples.
 """
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 import math
 import struct
-from itertools import chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -64,29 +66,42 @@ def write_cloud(cloud: PointCloud, path, fmt: str = FORMAT_XYZ) -> None:
 
 
 def _read_xyz(path: Path) -> PointCloud:
-    # the file iterator's lines: newlines translated, split on "\n" alone
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().split("\n")
-    fields = list(map(str.split, lines))
-    count = np.fromiter(map(len, fields), np.intp, len(fields))
-    comment = np.fromiter(map(str.startswith, map(str.lstrip, lines), repeat("#")), bool, len(lines))
-    record = (count > 0) & ~comment
-    if not record.any():
-        raise EmptyFileError(f"{path}: no point records")
+    data = path.read_bytes()
     try:
-        if (count[record] != 3).any():
-            raise ValueError
-        # every token in one pass, by Python's float
-        xyz = np.fromiter(map(float, chain.from_iterable(compress(fields, record))), np.float64)
-        if not np.isfinite(xyz).all():
-            raise ValueError
-    except ValueError:
-        _raise_first_fault(path, lines)
-    return PointCloud(xyz.reshape(-1, 3))
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the codec's position counts the bytes after any byte-order mark
+        line = len(_lines(exc.object[: exc.start].decode("utf-8")))
+        byte = exc.object[exc.start]
+        raise ParseError(f"not UTF-8 text: byte 0x{byte:02x}", path=path, line=line) from None
+    lines = _lines(text)
+    records = [line for line in lines if not line.lstrip().startswith("#")] if "#" in text else lines
+    xyz = None
+    # loadtxt warns on text without data, so it reads only text with a record
+    if "".join(records).strip():
+        try:
+            # numpy's C reader rounds each token as Python's float does
+            xyz = np.loadtxt(records, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if xyz is None or xyz.shape[1] != 3 or not xyz.size or not np.isfinite(xyz).all():
+        xyz = _parse_lines(path, lines)
+    return PointCloud(xyz)
 
 
-def _raise_first_fault(path: Path, lines: list[str]) -> None:
-    """Raise the ParseError of the first faulty record line."""
+def _lines(text: str) -> list[str]:
+    """The lines a text-mode file iterator reads: CR LF and a lone CR end a
+    line as LF does, and nothing else does."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def _parse_lines(path: Path, lines: list[str]) -> np.ndarray:
+    """The points of the record lines, one line at a time by Python's float;
+    the EmptyFileError of a file without records, or the ParseError of the
+    first faulty record line."""
+    rows = []
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -100,7 +115,10 @@ def _raise_first_fault(path: Path, lines: list[str]) -> None:
             raise ParseError("non-numeric coordinate", path=path, line=lineno) from None
         if not all(map(math.isfinite, xyz)):
             raise ParseError("non-finite coordinate", path=path, line=lineno)
-    raise AssertionError("no faulty line found")
+        rows.append(xyz)
+    if not rows:
+        raise EmptyFileError(f"{path}: no point records")
+    return np.array(rows, dtype=np.float64)
 
 
 def _read_binary(path: Path) -> PointCloud:

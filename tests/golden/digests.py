@@ -21,7 +21,11 @@ raw bytes, or over an error's text. The families:
 * ``graph``: the ``knn_adjacency`` record (keys, lengths, edges) of the
   same pair, at its ``k`` and ``symmetrize``;
 * ``nearest``: the outputs of ``nearest`` and of ``graph.GraphNearest``
-  reading that graph, with the read's ``rows_asked`` and ``rows_searched``.
+  reading that graph, with the read's ``rows_asked`` and ``rows_searched``;
+* ``xyz``: ``read_cloud``'s points, or its error's text, on an xyz file
+  that ``xyz_text(seed)`` writes: UTF-8 records in one of several number
+  formats, with exotic spaces, comments, blank lines, a byte-order mark or
+  ``\r`` newlines, and on about a third of the seeds a fault.
 
 Every instance is drawn from its seed alone, so two trees that compute the
 same outputs print the same lines.
@@ -40,13 +44,14 @@ from pathlib import Path
 import numpy as np
 
 from geocd import GeoCdConfig, GeoCdError, MaskConfig, geocd, geodesic, knn_adjacency, merge
-from geocd import propagate
+from geocd import propagate, read_cloud
 from geocd.cli import main as cli_main
 from geocd.distances import nearest
 from geocd.graph import GraphNearest
 from golden.generate import SEEDS, instance
 
 FIT_SEEDS = range(8)
+XYZ_SEEDS = range(64)
 COUNTS = ("hop_entries", "improved_per_hop")
 
 
@@ -150,6 +155,51 @@ def fit(seed: int) -> str:
         return _digest(str(code), *(f.read_bytes() for f in files if f.exists()))
 
 
+SPACES = (" ", " ", " ", "  ", "\t", "\x0b", "\x0c", "\x1f", "\xa0", "\u2003", "\x85")
+FORMATS = ("{!r}", "{:.9g}", "{:.3e}", "{:+.6f}", "{:.17g}")
+FAULTS = ("2 tokens", "4 tokens", "x", "nan", "-inf", "1e999", "# inline", "no records")
+
+
+def xyz_text(seed: int) -> str:
+    """The text of the ``xyz`` family's file for ``seed``."""
+    rng = np.random.default_rng([seed, 7])
+    n = int(rng.integers(1, 40))
+    scale = 10.0 ** float(rng.choice([0, 0, -3, 5, -300, 300, -318]))
+    fmt = FORMATS[rng.integers(len(FORMATS))]
+    rows = [[fmt.format(float(v)) for v in xyz] for xyz in rng.normal(size=(n, 3)) * scale]
+    if rng.random() < 0.2:  # a token that only Python's float reads
+        rows[rng.integers(n)][rng.integers(3)] = rng.choice(["1_000.25", "-\u0661\u0662.5e-1"])
+    fault = FAULTS[rng.integers(len(FAULTS))] if rng.random() < 0.35 else None
+    row = rows[rng.integers(n)]
+    if fault == "2 tokens":
+        row.pop()
+    elif fault == "4 tokens":
+        row.append("1")
+    elif fault == "# inline":
+        row.append("# note")
+    elif fault is not None:
+        row[rng.integers(3)] = fault
+    lines = ["".join(t + str(rng.choice(SPACES)) for t in r).rstrip(" ") for r in rows]
+    if fault == "no records":
+        lines = ["# " + line for line in lines]
+    for _ in range(int(rng.integers(0, 4))):  # comments and blank lines
+        at = int(rng.integers(len(lines) + 1))
+        lines.insert(at, str(rng.choice(["# header", "", " ", "\xa0"])))
+    end = str(rng.choice(["\n", "\n", "\r\n", "\r"]))
+    mark = "\ufeff" if rng.random() < 0.2 else ""
+    return mark + end.join(lines) + end * int(rng.integers(2))
+
+
+def xyz(seed: int) -> str:
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out, "cloud.xyz")
+        path.write_text(xyz_text(seed), encoding="utf-8", newline="")
+        try:
+            return _digest(read_cloud(path).points)
+        except GeoCdError as exc:
+            return _digest(f"{type(exc).__name__}: {str(exc).replace(out, '')}")
+
+
 FAMILIES = {
     "records": (records, SEEDS),
     "records-span": (records_span, SEEDS),
@@ -158,6 +208,7 @@ FAMILIES = {
     "fit": (fit, FIT_SEEDS),
     "graph": (graph, SEEDS),
     "nearest": (nearest_reads, SEEDS),
+    "xyz": (xyz, XYZ_SEEDS),
 }
 
 

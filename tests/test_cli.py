@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import geocd
 from geocd import PointCloud, knn_adjacency, merge, normalize_pair, read_cloud, write_cloud
 from geocd import distances, geodesic, graph, propagate
 from geocd import FitConfig, GeoCdConfig
@@ -161,6 +166,16 @@ def test_compute_parse_error_exits_2(tmp_path, small_pair):
     bad.write_text("1 2\n")
     a, _ = small_pair
     assert main(["compute", str(bad), str(a)]) == 2
+
+
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, small_pair, capsys):
+    bad = tmp_path / "latin.xyz"
+    bad.write_bytes(b"0 0 0\n1 1 \xff\n")
+    a, _ = small_pair
+    out = str(tmp_path / "c.bin")
+    for argv in (["compute", str(bad), str(a)], ["convert", str(bad), out, "--to", "bin"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text: byte 0xff\n"
 
 
 def test_compute_missing_file_exits_2(small_pair):
@@ -382,9 +397,36 @@ def test_compute_deterministic_json(small_pair, capsys):
     argv = ["compute", str(a), str(b), "--k", "3", "--deterministic"]
     _, first = run_json(capsys, argv)
     _, second = run_json(capsys, argv)
-    first["manifest"].pop("timings")
-    second["manifest"].pop("timings")
-    assert first == second
+    assert without_timings(first) == without_timings(second)
+
+
+def without_timings(report):
+    report["manifest"].pop("timings")
+    return report
+
+
+def fresh_process_report(argv):
+    """The report of ``geocd argv`` run in a new interpreter, without timings."""
+    src = str(Path(geocd.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-m", "geocd.cli", *argv], capture_output=True, text=True, check=True, env=env
+    )
+    return without_timings(strict_json(run.stdout))
+
+
+def test_main_called_again_reports_what_a_fresh_process_reports(small_pair, capsys):
+    a, b = map(str, small_pair)
+    runs = [["compute", a, b, "--k", "3"], ["compute", a, b, "--k", "5", "--hops", "3"]]
+    fresh = [fresh_process_report(argv) for argv in runs]
+    got = [without_timings(run_json(capsys, argv)[1]) for argv in runs]
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", a, b, "--k", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    got.append(without_timings(run_json(capsys, runs[0])[1]))
+    assert got == [*fresh, fresh[0]]
+    assert fresh[0] != fresh[1]
 
 
 def test_fit_no_steps_trace_is_header_only(tmp_path):

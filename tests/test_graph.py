@@ -738,6 +738,26 @@ def test_graph_nearest_ignores_a_reverse_edge_tied_at_the_kth_length(monkeypatch
     assert list(read_symmetrized(monkeypatch, p, q, 2)) == list(want)
 
 
+def test_graph_nearest_searches_nothing_when_every_row_is_certified(monkeypatch):
+    # a 3x3x3 lattice of spacing 0.5 and its copy 0.01 along x: every
+    # point's twin is its nearest, strictly below its 3rd length
+    p = np.stack(np.meshgrid(*[np.arange(3) * 0.5] * 3), axis=-1).reshape(-1, 3)
+    q = p + [0.01, 0, 0]
+    read = graph.GraphNearest(graph_of(p, q, 3), 3)
+    table, tables = distances._table, []
+
+    def counted(*args):
+        tables.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(distances, "_table", counted)
+    got = read(p, q)
+    assert tables == [] and read.rows_searched == 0 and read.rows_asked == 54
+    monkeypatch.undo()
+    same_nearest(got, nearest(p, q))
+    assert list(got[0]) == list(got[2]) == list(range(27))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_graph_nearest_rejects_a_pair_that_is_not_finite(bad):
     rng = np.random.default_rng(5)

@@ -1,7 +1,11 @@
+import io
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geocd import EmptyFileError, ParseError, PointCloud, read_cloud, write_cloud
 from geocd.io import FORMAT_BINARY, FORMAT_XYZ, MAGIC, sniff_format
@@ -79,6 +83,101 @@ def test_xyz_byte_order_mark(tmp_path):
     with pytest.raises(ParseError) as exc:
         read_cloud(bom)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "data,line,byte",
+    [
+        (b"0 0 \xff 1\n", 1, "0xff"),
+        (b"0 0 0\n1 1 1\n# \xe9t\xe9\n", 3, "0xe9"),  # Latin-1, in a comment
+        (b"\xef\xbb\xbf0 0 0\r\n1 1 1\r2 2 \xc3", 3, "0xc3"),  # cut short, after a mark
+    ],
+)
+def test_xyz_that_is_not_utf8(tmp_path, data, line, byte):
+    f = tmp_path / "latin.xyz"
+    f.write_bytes(data)
+    with pytest.raises(ParseError, match=f"latin.xyz:{line}: not UTF-8 text: byte {byte}$") as exc:
+        read_cloud(f)
+    assert exc.value.line == line
+
+
+def reference_read(data: bytes):
+    """The points of an xyz file, read line by line with ``float`` per
+    token, or the (class, line, message) of the error it is."""
+    rows = []
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) != 3:
+            return ParseError, lineno, f"expected 3 coordinates, got {len(tokens)}"
+        try:
+            xyz = [float(t) for t in tokens]
+        except ValueError:
+            return ParseError, lineno, "non-numeric coordinate"
+        if not all(map(math.isfinite, xyz)):
+            return ParseError, lineno, "non-finite coordinate"
+        rows.append(xyz)
+    return np.array(rows) if rows else (EmptyFileError, None, "no point records")
+
+
+# tokens of well-formed records, and tokens that only float reads, or nothing reads
+NUMBERS = ("0", "-0", "+1", "-2.5", ".5", "7.", "1e3", "-4.5E-7", "1e-320")
+NUMBERS += ("2.4703282292062328e-324", "9007199254740993")
+ODD = ("1_000", "-2_5.0_1", "\u0661\u0662", "\u0663.\u0665e1", "nan", "-inf", "1e999")
+ODD += ("x", "0x10", "#", "#3")
+SPACE = (" ", "  ", "\t", "\x0b", "\x0c", "\x1f", "\xa0", "\u2003", "\x85")
+number = st.one_of(
+    st.sampled_from(NUMBERS), st.floats(allow_nan=False, allow_infinity=False).map(repr)
+)
+
+
+@st.composite
+def xyz_line(draw):
+    """A record, mostly well-formed; an odd line; a comment; or a blank line."""
+    kind = draw(st.sampled_from(("record",) * 6 + ("odd", "comment", "blank")))
+    lead = draw(st.sampled_from(("",) + SPACE))
+    if kind == "blank":
+        return lead
+    if kind == "comment":
+        return lead + "#" + draw(st.sampled_from(("", " header", " 1 2 3")))
+    n = 3 if kind == "record" else draw(st.sampled_from((2, 3, 3, 4)))
+    tokens = draw(st.lists(number, min_size=n, max_size=n))
+    if kind == "odd":
+        tokens[draw(st.integers(0, n - 1))] = draw(st.sampled_from(ODD))
+    gaps = draw(st.lists(st.sampled_from(SPACE), min_size=n - 1, max_size=n - 1))
+    line = lead + "".join(t + g for t, g in zip(tokens, gaps + [""]))
+    return line + draw(st.sampled_from(("", " ") + (" # note",) * (kind == "odd")))
+
+
+@st.composite
+def xyz_file(draw):
+    lines = draw(st.lists(xyz_line(), max_size=10))
+    n = len(lines)
+    ends = draw(st.lists(st.sampled_from(("\n", "\n", "\r", "\r\n")), min_size=n, max_size=n))
+    mark = draw(st.sampled_from(("", "", "\ufeff")))
+    return (mark + "".join(a + b for a, b in zip(lines, ends))).encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=xyz_file())
+@example(data=b"1 2 3\n4_0 5 6\n")  # a token that only float reads
+@example(data=b"\xef\xbb\xbf1\xc2\xa02\xe2\x80\x833\r\n# c\r\n\r\n4 5 6 ")
+@example(data=b"1 2 3\n\xc2\xa0\n")  # a line of Unicode space is blank
+def test_xyz_reads_what_float_reads_line_by_line(tmp_path_factory, data):
+    f = tmp_path_factory.getbasetemp() / "fuzz.xyz"
+    f.write_bytes(data)
+    want = reference_read(data)
+    if isinstance(want, np.ndarray):
+        got = read_cloud(f).points
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        return
+    cls, line, message = want
+    with pytest.raises(cls) as exc:
+        read_cloud(f)
+    assert str(exc.value).endswith(message)
+    assert getattr(exc.value, "line", None) == line
 
 
 def test_empty_file(tmp_path):
