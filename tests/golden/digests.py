@@ -22,6 +22,11 @@ raw bytes, or over an error's text. The families:
   same pair, at its ``k`` and ``symmetrize``;
 * ``nearest``: the outputs of ``nearest`` and of ``graph.GraphNearest``
   reading that graph, with the read's ``rows_asked`` and ``rows_searched``;
+* ``table``: ``distances._table`` on a set of ``table_set(seed)``, for
+  every 7th row, a contiguous run of rows and all rows, each searched in a
+  set's own mode and bipartite through ``_across``, with K = 1, k and
+  ``list_size(k)``: normalized surface pairs, a lattice, duplicate points,
+  a surface at an offset of 1e6 and at scales of 1e-162 and 1e154;
 * ``xyz``: ``read_cloud``'s points, or its error's text, on an xyz file
   that ``xyz_text(seed)`` writes: UTF-8 records in one of several number
   formats, with exotic spaces, comments, blank lines, a byte-order mark or
@@ -44,13 +49,16 @@ from pathlib import Path
 import numpy as np
 
 from geocd import GeoCdConfig, GeoCdError, MaskConfig, geocd, geodesic, knn_adjacency, merge
-from geocd import propagate, read_cloud
+from geocd import PointCloud, ShapeSpec, normalize_pair, propagate, read_cloud, sample_shape
 from geocd.cli import main as cli_main
-from geocd.distances import nearest
+from geocd.distances import _across, _table, list_size, nearest
+from geocd.fit import SHAPE_KINDS
 from geocd.graph import GraphNearest
 from golden.generate import SEEDS, instance
 
 FIT_SEEDS = range(8)
+TABLE_SEEDS = range(48)
+TABLE_KINDS = ("surface", "lattice", "duplicate", "offset", "tiny", "huge")
 XYZ_SEEDS = range(64)
 COUNTS = ("hop_entries", "improved_per_hop")
 
@@ -155,6 +163,42 @@ def fit(seed: int) -> str:
         return _digest(str(code), *(f.read_bytes() for f in files if f.exists()))
 
 
+def table_set(seed: int) -> tuple[np.ndarray, int, int]:
+    """The merged points, the split and k of the ``table`` family's ``seed``."""
+    rng = np.random.default_rng([seed, 11])
+    kind = TABLE_KINDS[seed % len(TABLE_KINDS)]
+    n, m = (int(v) for v in rng.integers(20, 1201, 2))
+    k = int(rng.integers(1, 9))
+    if kind == "lattice":  # shuffled multiples of 1/16: ties at every k
+        pts = rng.integers(0, 12, (n + m, 3)) / 16.0
+    elif kind == "duplicate":
+        pts = rng.random((n + m, 3))
+        pts[rng.integers(0, n + m, (n + m) // 3)] = pts[rng.integers(n + m)]
+    else:
+        shape = SHAPE_KINDS[seed % len(SHAPE_KINDS)]
+        p = sample_shape(ShapeSpec(shape, n, 0.02, seed)).points
+        q = sample_shape(ShapeSpec(shape, m, 0.02, seed + 1000)).points
+        pred, gt, _ = normalize_pair(PointCloud(p), PointCloud(q))
+        pts = np.vstack([pred.points, gt.points])
+        pts = pts * {"tiny": 1e-162, "huge": 1e154}.get(kind, 1.0)
+        if kind == "offset":
+            pts = pts + [1.0e6, -2.5e6, 3.0e5]
+    return pts, n, k
+
+
+def table(seed: int) -> str:
+    pts, split, k = table_set(seed)
+    size = len(pts)
+    parts = []
+    with np.errstate(over="ignore"):  # squared lengths overflow at 1e154
+        for rows in (np.arange(0, size, 7), np.arange(size // 5, size // 5 + size // 3), None):
+            every = np.arange(size) if rows is None else rows
+            for kk in sorted({1, k, list_size(k)}):
+                parts += _table(pts, min(kk, size - 1), rows)
+                parts += _across(pts, min(kk, split, size - split), every, split)
+    return _digest(*parts)
+
+
 SPACES = (" ", " ", " ", "  ", "\t", "\x0b", "\x0c", "\x1f", "\xa0", "\u2003", "\x85")
 FORMATS = ("{!r}", "{:.9g}", "{:.3e}", "{:+.6f}", "{:.17g}")
 FAULTS = ("2 tokens", "4 tokens", "x", "nan", "-inf", "1e999", "# inline", "no records")
@@ -208,6 +252,7 @@ FAMILIES = {
     "fit": (fit, FIT_SEEDS),
     "graph": (graph, SEEDS),
     "nearest": (nearest_reads, SEEDS),
+    "table": (table, TABLE_SEEDS),
     "xyz": (xyz, XYZ_SEEDS),
 }
 

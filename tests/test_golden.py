@@ -94,9 +94,10 @@ def test_golden_fit_18_searches_tracked_rows_on_the_grid(monkeypatch):
 
 
 def test_digests_smoke():
-    # a few seeds of every family, and every xyz file; the full run compares two
-    # trees (see digests.py)
-    seeds, span, got = {"fit": [0], "xyz": digests.XYZ_SEEDS}, geodesic.SPAN, {}
+    # a few seeds of every family, a set of each table kind, and every xyz
+    # file; the full run compares two trees (see digests.py)
+    seeds = {"fit": [0], "table": range(len(digests.TABLE_KINDS)), "xyz": digests.XYZ_SEEDS}
+    span, got = geodesic.SPAN, {}
     for family in digests.FAMILIES:
         picked = seeds.get(family, [0, 1, 2, 3, 200])  # each pair kind, and a surface
         got[family] = digests.lines(family, picked)
