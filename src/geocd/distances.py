@@ -10,6 +10,10 @@ the kNN graph's search, both trackers' full-row search and, through
 ``_across``, ``nearest``'s, each cloud's points against the other cloud.
 The search mode fixes the rank: a set's own search ranks rooted lengths,
 as the kNN graph does, and a bipartite one squared lengths, as ``nearest``.
+The grid screens its candidates in float32, within a proved error bound,
+and settles in float64 only the rows that bound leaves open; a float32
+sample of the rows only sizes its cells, so every length it returns is
+still ``squared_lengths``'s.
 ``CandidateLists`` keeps each row's few nearest points from call to call
 and proves, row by row, that they still hold its nearest ones; it starts
 its lists over on another key or an overflowing move, searches in full only
@@ -20,6 +24,8 @@ one target, and ``graph.GraphTracker`` what ``knn_adjacency`` returns.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,6 +45,11 @@ AHEAD = 4
 SLACK = 2.0**-40
 FLOOR = 2.0**-982
 ROOT_FLOOR, ROOT_CEIL = 2.0**-491, 2.0**511
+# the grid's float32 screen: its error bound on a length scaled into the
+# unit box, relative and absolute (derived in _table)
+SCREEN = 2.0**-21
+# a whole set of at most this many points is searched in one dense pass
+WHOLE = 448
 
 
 def squared_lengths(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -134,28 +145,41 @@ def _select(d: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     return sel, kth[:, 0]
 
 
+def _packed(d: np.ndarray, k: int, out=None):
+    """Each row's k smallest entries, picked through packed words.
+
+    ``d`` holds non-negative float64 or float32 lengths, +inf or NaN, and
+    needs more than k columns. Each entry is packed into one integer word
+    of its width, the bits of its length with the low b bits replaced by
+    its column, b = bits(W - 1) for W columns: non-negative floats, +inf
+    among them, order as their bit patterns do, and NaN's pattern lies
+    above them all, so one ``partition`` of the words puts each row's k
+    smallest words first. Returns their columns, the largest of them, the
+    row's next word and the mask of the low b bits. As lengths' bit
+    patterns, the largest word with those bits set lies at or above every
+    chosen length and with them cleared at or below the largest, and the
+    next word with them cleared at or below every other entry. The words go
+    to ``out``, an integer array of ``d``'s shape and width, if given.
+    """
+    low = (1 << int(d.shape[1] - 1).bit_length()) - 1
+    word = np.bitwise_and(d.view(f"i{d.itemsize}"), ~low, out=out)
+    word |= np.arange(d.shape[1], dtype=word.dtype)
+    word.partition(k, axis=1)
+    first = word[:, :k]
+    return first & low, first.max(axis=1), word[:, k], low
+
+
 def _smallest(d: np.ndarray, k: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Columns of each row's k smallest entries, and the rows where they are certain.
 
-    ``d`` holds non-negative lengths, +inf or NaN, and needs more than k
-    columns. Each entry is packed into one int64 word, the bits of its
-    length with the low b bits replaced by its column, b = bits(W - 1) for
-    W columns: non-negative float64 values, +inf among them, order as their
-    bit patterns do, and NaN's pattern lies above them all, so one
-    ``partition`` of the words puts each row's k smallest words first.
-    Where the largest of them lies below the next word even with its low b
-    bits set, every chosen length is strictly below every other, and the
-    chosen columns are exactly the row's k smallest entries, with no tie
-    to settle. Other rows (an exact tie, a near tie, or lengths too small
-    to keep any bits) are not certain. The words go to ``out``, an int64
-    array of the shape of ``d``, if given.
+    The pick of ``_packed``. Where the largest chosen word, low bits set,
+    lies below the next word, every chosen length is strictly below every
+    other, and the chosen columns are exactly the row's k smallest entries,
+    with no tie to settle. Other rows (an exact tie, a near tie, or lengths
+    too small to keep any bits) are not certain.
     """
-    low = (1 << int(d.shape[1] - 1).bit_length()) - 1
-    word = np.bitwise_and(d.view(np.int64), ~low, out=out)
-    word |= np.arange(d.shape[1])
-    word.partition(k, axis=1)
-    first = word[:, :k]
-    return first & low, (first.max(axis=1) | low) < word[:, k]
+    j, top, nxt, low = _packed(d, k, out)
+    return j, (top | low) < nxt
 
 
 def _first_k(d: np.ndarray, cols: np.ndarray, k: int, out=None, cell=None) -> np.ndarray:
@@ -177,19 +201,18 @@ def _first_k(d: np.ndarray, cols: np.ndarray, k: int, out=None, cell=None) -> np
     return j
 
 
-def _cell_edge(pts: np.ndarray, kth: np.ndarray) -> tuple[float, list[float]]:
+def _cell_edge(extent: float, kth: np.ndarray) -> tuple[float, list[float]]:
     """Cell edge ``h`` from a sample's k-th lengths, and the reach of each grid pass.
 
-    For every radius r of ``RADII``, every point outside the (2r+1)^3 block
-    of cells around a point has a computed length above that pass's reach
-    from it.
+    ``extent`` is the largest extent of the set's box, a finite number. For
+    every radius r of ``RADII``, every point outside the (2r+1)^3 block of
+    cells around a point has a computed length above that pass's reach from
+    it.
     """
     # 1.4 times the sample's 90th percentile k-th length: surfaces and
     # volumes alike get small blocks, few rows fall back to the dense pass,
     # and far outliers up to a tenth of the points leave h unchanged
     kth = np.sort(kth)
-    lo = pts.min(axis=0)
-    extent = float((pts.max(axis=0) - lo).max())
     h = 1.4 * float(kth[9 * (kth.size - 1) // 10])
     h = max(min(h, extent), extent / CELLS, 2 * np.sqrt(np.finfo(np.float64).tiny))
     # With u = 2**-53, the quotient fl(fl(p - lo) / h) behind a cell is off
@@ -200,29 +223,29 @@ def _cell_edge(pts: np.ndarray, kth: np.ndarray) -> tuple[float, list[float]]:
     # roundings of the length's difference, squares, sums and square root
     # shrink it by a relative 4u at most: it is above r*h - 5u * (extent + r*h).
     # A margin of 4 * eps = 8u times (extent + r*h) covers that and the
-    # rounding of the reach itself. An infinite extent gives a NaN reach,
-    # which certifies no row.
+    # rounding of the reach itself.
     eps = np.finfo(np.float64).eps
     return h, [r * h - 4 * eps * (extent + r * h) for r in RADII]
 
 
-def _grid(pts: np.ndarray, h: float, lo: int = 0, hi: int | None = None):
-    """Sort the points ``lo:hi`` of ``pts`` (all by default) into cubic cells of edge ``h``.
+def _grid(zt: np.ndarray, h: float, lo: int = 0, hi: int | None = None):
+    """Sort the points ``lo:hi`` (all by default) into cubic cells of edge ``h``.
 
-    Returns ``order`` (those points' indices sorted by cell), ``cid`` (the
-    cell id of every point of ``pts``) and ``runs(cells, r)``. For each given cell id, in rising order, ``runs`` returns where
-    the (2r+1)^2 z-runs of its (2r+1)^3 block of cells start and stop in
-    ``order``, as two (cells, (2r+1)^2) arrays: cells of one x and y are
-    adjacent in cell order, so each run is one range of positions.
+    ``zt`` holds the coordinate rows of the set. Returns ``order`` (those
+    points' indices sorted by cell), ``cid`` (the cell id of every point)
+    and ``runs(cells, r)``. For each given cell id, in rising order,
+    ``runs`` returns where the (2r+1)^2 z-runs of its (2r+1)^3 block of
+    cells start and stop in ``order``, as two (cells, (2r+1)^2) arrays:
+    cells of one x and y are adjacent in cell order, so each run is one
+    range of positions.
     """
     # cell coordinates start at the largest radius, so that every block cell
     # has coordinates >= 0 and one id, and a run never reaches into the next
-    # column. h >= extent / CELLS bounds them, and fmin also maps the NaN of
-    # an overflowing p - lo into range.
+    # column. h >= extent / CELLS bounds them.
     pad = RADII[-1]
-    cell = np.floor(np.fmin((pts - pts.min(axis=0)) / h, CELLS)).astype(np.intp) + pad
-    dims = cell.max(axis=0) + pad + 1
-    cid = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    cell = np.floor(np.fmin((zt - zt.min(axis=1)[:, None]) / h, CELLS)).astype(np.intp) + pad
+    dims = cell.max(axis=1) + pad + 1
+    cid = (cell[0] * dims[1] + cell[1]) * dims[2] + cell[2]
     order = np.argsort(cid[lo:hi], kind="stable") + lo
     ids, first = np.unique(cid[order], return_index=True)
     bounds = np.r_[first, order.size]  # where each cell starts in order, then the end
@@ -242,8 +265,8 @@ def _grid(pts: np.ndarray, h: float, lo: int = 0, hi: int | None = None):
 
 def _dense(zt: np.ndarray, p: np.ndarray, targets: tuple[int, int] | None, k: int):
     """``_table`` for the points ``p``, read off all targets: ``zt`` holds the
-    coordinate rows of every point. Each block of BLOCK // 2 rows, the
-    sample's size, keeps its lengths and their packed words in one scratch."""
+    coordinate rows of every point. Each block of BLOCK // 2 rows keeps its
+    lengths and their packed words in one scratch."""
     lo, hi = targets or (0, zt.shape[1])
     w = hi - lo
     nbr, length = np.empty((p.size, k), dtype=np.intp), np.empty((p.size, k))
@@ -276,18 +299,18 @@ def _table(
     every other point. Lengths are rooted, or squared with ``targets``.
 
     A search of at most BLOCK rows, or of a part of the set's rows whose
-    count r and w targets give r * r * w <= 2**25, is one dense pass
-    (``_dense``). Otherwise BLOCK // 2 evenly spaced rows are searched
-    against all targets, and their k-th lengths size a grid of cells over
-    the targets, anchored at the corner of the whole set. Every other row
-    searches the 3x3x3 block of cells around its point, and the rows that
-    block cannot certify then search the 5x5x5 block. The result stands
-    when the row's k-th length, rooted, is at most the block's reach,
-    which every point outside the block exceeds. Rows whose block holds
-    over a quarter of all targets, and the rows neither block certifies,
-    are searched against all targets. Either way a row gets the neighbours
-    and lengths of its full distance row, and each row of the table is
-    written once.
+    count r and w targets give r * r * w <= 2**25, or of a whole set of at
+    most WHOLE points, is one dense pass (``_dense``). Otherwise BLOCK // 2
+    evenly spaced rows estimate their k-th lengths in float32 against all
+    targets, which only sizes a grid of cells over the targets, anchored at
+    the corner of the whole set. Every row searches the 3x3x3 block of
+    cells around its point, and the rows that block cannot certify then
+    search the 5x5x5 block. The result stands when the row's k-th length,
+    rooted, is at most the block's reach, which every point outside the
+    block exceeds. Rows whose block holds over a quarter of all targets,
+    and the rows neither block certifies, are searched against all
+    targets. Either way a row gets the neighbours and lengths of its full
+    distance row.
 
     A grid pass orders its rows by the width of their block, the rows of one
     cell together, and cuts them into chunks whose candidate matrix, as
@@ -297,11 +320,20 @@ def _table(
     point is found by its position in the centre run of its block. Rows
     with fewer than k other candidates go on to the next pass unsearched.
 
-    Every row, grid or dense, picks its k smallest lengths with
-    ``_first_k``, which keeps the lowest point indices among entries tied
-    at the k-th length; each row's neighbours come sorted by index. A dense
-    pass with ``targets`` and k=1 takes each row's ``argmin`` instead,
-    which keeps the lowest index too.
+    A chunk screens its candidates: it ranks their float32 squared lengths,
+    from coordinates centred on the set's box and scaled by a power of two,
+    and picks each row's k through int32 packed words (``_packed``). A pick
+    stands where a bound on the float32 error proves that the k chosen are
+    strictly the k smallest float64 lengths, with a normal k-th squared
+    length and no float64 length past the range (the certificate below).
+    Every other row of the chunk settles in float64 on the same candidates,
+    as a dense pass does. Every dense or settled row picks its k smallest
+    lengths with ``_first_k``, which keeps the lowest point indices among
+    entries tied at the k-th length. At the end each row's neighbours are
+    sorted by index and their lengths measured with ``squared_lengths``,
+    rooted for a set's own search. A dense pass returns the same; with
+    ``targets`` and k=1 it takes each row's ``argmin``, which keeps the
+    lowest index too.
     """
     n = len(pts)
     rows = np.arange(n) if rows is None else rows
@@ -311,21 +343,65 @@ def _table(
     # A part of the rows rarely shares a cell, so each grid row gathers its
     # own block. Measured on 2 cores, the grid breaks even at about r*r*w =
     # 2**25: 180 graph rows of 1024 points, 90 of 4096, 64 of 8192, and 450
-    # nearest rows against 512 targets. A whole set takes it past BLOCK.
-    if r <= BLOCK or (r < n and r * r * w <= 2**25):
+    # nearest rows against 512 targets. A whole set takes it past WHOLE.
+    if r <= BLOCK or (r * r * w <= 2**25 if r < n else n <= WHOLE):
         return _dense(zt, rows, targets, k)
-    # coordinates, and a padding point n that measures +inf from every point
-    cols = [np.r_[c, np.inf] for c in zt]
-    nbr, length = np.empty((r, k), dtype=np.intp), np.empty((r, k))
-    sample = np.arange(0, r, -(-r // (BLOCK // 2)))
-    nbr[sample], length[sample] = _dense(zt, rows[sample], targets, k)
-    kth = length[sample].max(axis=1)
-    h, reach = _cell_edge(pts, kth if own else np.sqrt(kth))
-    order, cid, runs = _grid(pts, h, lo, hi)
+    lo_c, hi_c = zt.min(axis=1), zt.max(axis=1)
+    extent = float((hi_c - lo_c).max())
+    if not np.isfinite(extent):  # no cell coordinates to give
+        return _dense(zt, rows, targets, k)
+    # the screen's coordinates: centred on the box and scaled by 2**-e, which
+    # brings its largest extent into [0.5, 1), so that every coordinate lies
+    # in (-1, 1) and no float32 square or sum overflows; and a padding point
+    # n, which measures +inf from every point
+    e = math.frexp(extent)[1]
+    z32 = np.full((3, n + 1), np.inf, dtype=np.float32)
+    z32[:, :n] = np.ldexp(zt - (lo_c + (hi_c - lo_c) / 2)[:, None], -e)
+    # The certificate of a screened pick. Scaled by 2**-e, the coordinates
+    # lie in (-1, 1), and the float32 ones within 2**-25 + 2**-53 of the
+    # exact scaled values (their cast, and the rounding of the float64
+    # centring). With u = 2**-24, a float32 axis difference is then within
+    # 2 * (2**-25 + 2**-53) + u * (1 + 2**-23) < 2**-23 of the exact one, so
+    # the length l' of the float32 differences lies within sqrt(3) * 2**-23
+    # < 2**-22.2 of the exact scaled length l. The squares and the two sums
+    # round by a relative 3.01u at most, and by an absolute 5 * 2**-150
+    # where they go subnormal, so a screened squared length s gives
+    # sqrt(s) * (1 - 2u) - 2**-70 <= l' <= sqrt(s) * (1 + 2u) + 2**-70.
+    # SCREEN = 2**-21 covers both errors twice over, which leaves room for a
+    # relative 2**-40 and for the rounding of the bounds in float64. So
+    # where sqrt(s) * (1 + SCREEN) + SCREEN, from the largest chosen word
+    # with its low bits set, lies below sqrt(s) * (1 - SCREEN) - SCREEN,
+    # from the next word with them cleared, every chosen exact length lies
+    # a relative 2**-40 below every other candidate's. Unscaled, with
+    # e <= 510 every squared length lies below 3 * 4**510 < 2**1022, and
+    # where sqrt(s) * (1 - SCREEN) - SCREEN, from the largest chosen word
+    # with its low bits cleared, is at least 2**(-510 - e), the chosen
+    # k-th exact squared length is at least 2**-1020. The float64 squared
+    # lengths, within a relative 5 * 2**-53 and an absolute 5 * 2**-1075 of
+    # the exact squares, are then finite, the k-th and every other one
+    # normal, and the others strictly above every chosen one, and so are
+    # their roots: the pick is the row's k smallest float64 lengths, with
+    # no tie to settle. The first bound, unscaled, lies above the pick's
+    # float64 k-th length, rooted, which the reach is checked against.
+    trusted, floor = e <= 510, math.ldexp(1.0, -510 - e)
+    nbr = np.empty((r, k), dtype=np.intp)
+    # BLOCK // 2 evenly spaced rows' float32 k-th lengths size the cells
+    sample = rows[:: -(-r // (BLOCK // 2))]
+    est = np.empty((2, sample.size, w), dtype=np.float32)
+    squared_lengths([c[sample, None] for c in z32], z32[:, lo:hi], *est)
+    if own:
+        est[0, np.arange(sample.size), sample] = np.inf
+    # non-negative floats order as their bit patterns: ints partition faster
+    kth = np.partition(est[0].view(np.int32), k - 1, axis=1)[:, k - 1].view(np.float32)
+    kth = np.sqrt(kth, dtype=np.float64)
+    h, reach = _cell_edge(extent, np.ldexp(kth, e))
+    order, cid, runs = _grid(zt, h, lo, hi)
     if own:  # each point's position in order
         place = np.empty(n, dtype=np.intp)
         place[order] = np.arange(n)
-    left, rest = np.delete(np.arange(r), sample), []  # the rows left, as table rows
+    # coordinates, each with the padding point n
+    cols = [np.r_[c, np.inf] for c in zt]
+    left, rest = np.arange(r), []  # the rows left, as table rows
     for radius, reach_r in zip(RADII, reach):
         cells, local = np.unique(cid[rows[left]], return_inverse=True)
         start, stop = runs(cells, radius)
@@ -359,35 +435,57 @@ def _table(
             # entries; widths rise, so the last row's is the chunk's
             cost = row_width[c0:] * np.arange(1, left.size - c0 + 1)
             c1 = c0 + max(1, int(np.searchsorted(cost, CHUNK * w, "right")))
-            g0, g1, cw = rank[c0], rank[c1 - 1] + 1, row_width[c1 - 1]
+            # at least one column past the k chosen, for _packed
+            g0, g1, cw = rank[c0], rank[c1 - 1] + 1, max(row_width[c1 - 1], k + 1)
             cand = np.full((g1 - g0, cw), n)  # the chunk's cells' blocks, padded with n
             cand[np.arange(cw) < width[seq[g0:g1], None]] = block[bound[g0] : bound[g1]]
-            row_cell = rank[c0:c1] - g0
-            xyz = [c[cand] for c in cols]  # gathered once per cell, copied per row
-            d, words = np.empty((c1 - c0, cw)), np.empty((c1 - c0, cw), dtype=np.int64)
+            row_cell, pc = rank[c0:c1] - g0, p[c0:c1]
+            xyz = [c.take(cand) for c in z32]  # gathered once per cell, copied per row
+            d = np.empty((2, c1 - c0, cw), dtype=np.float32)
             b = (c.take(row_cell, axis=0) for c in xyz)
-            squared_lengths([c[p[c0:c1], None] for c in cols], b, d, words.view(np.float64))
-            if own:  # rooted, and self is never its own neighbour
-                np.sqrt(d, out=d)
-                d[np.arange(c1 - c0), own_col[c0:c1]] = np.nan
-            j = _first_k(d, cand, k, words, cell=row_cell)
-            dj = np.take_along_axis(d, j, axis=1)
-            kth = dj.max(axis=1)
-            done = (kth if own else np.sqrt(kth)) <= reach_r
+            squared_lengths([c[pc, None] for c in z32], b, *d)
+            if own:  # self is never its own neighbour
+                d[0, np.arange(c1 - c0), own_col[c0:c1]] = np.inf
+            j, top, nxt, low = _packed(d[0], k, d[0].view(np.int32))
+            # bounds on the exact scaled lengths (see the certificate above):
+            # above every chosen one, below the k-th and below every other
+            words = (top | low, top & ~low, nxt & ~low)
+            top, kth, nxt = (np.sqrt(x.view(np.float32), dtype=np.float64) for x in words)
+            top = top * (1 + SCREEN) + SCREEN
+            kth, nxt = (x * (1 - SCREEN) - SCREEN for x in (kth, nxt))
+            if trusted:
+                sure, kth = (top < nxt) & (kth >= floor), np.ldexp(top, e)
+            else:  # every row settles
+                sure, kth = np.zeros(c1 - c0, dtype=bool), np.empty(c1 - c0)
             at = left[c0:c1]
-            nbr[at[done]] = cand[row_cell[done, None], j[done]]
-            length[at[done]] = dj[done]
-            unsure.append(at[~done])
+            nbr[at] = cand[row_cell[:, None], j]
+            settle = np.flatnonzero(~sure)
+            if settle.size:  # in float64 on the same candidates, as a dense pass
+                ci = cand[row_cell[settle]]
+                ds = np.empty(ci.shape)
+                b = (c[ci] for c in cols)
+                squared_lengths([c[pc[settle], None] for c in zt], b, ds, np.empty_like(ds))
+                if own:  # rooted, and self is never its own neighbour
+                    np.sqrt(ds, out=ds)
+                    ds[np.arange(settle.size), own_col[c0:c1][settle]] = np.nan
+                js = _first_k(ds, cand, k, cell=row_cell[settle])
+                nbr[at[settle]] = np.take_along_axis(ci, js, axis=1)
+                kth_s = np.take_along_axis(ds, js, axis=1).max(axis=1)
+                kth[settle] = kth_s if own else np.sqrt(kth_s)
+            # every row is written; a later pass writes those left unsure again
+            unsure.append(at[kth > reach_r])
             c0 = c1
         left = np.concatenate(unsure)
     rest.append(left)
     rest = np.concatenate(rest)
     if rest.size:
-        nbr[rest], length[rest] = _dense(zt, rows[rest], targets, k)
-    # each row's neighbours by index, with their columns in the low part
-    col = nbr * k + np.arange(k)
-    col.sort(axis=1)
-    return col // k, length[np.arange(r)[:, None], col % k]
+        nbr[rest] = _dense(zt, rows[rest], targets, k)[0]
+    # each row's neighbours by index, and their lengths, measured as a dense
+    # pass does, k rows of the table's rows
+    nbr.sort(axis=1)
+    nb, sq = nbr.T, np.empty((k, r))
+    squared_lengths([c[rows] for c in zt], (c.take(nb) for c in zt), sq, np.empty_like(sq))
+    return nbr, (np.sqrt(sq, out=sq) if own else sq).T
 
 
 def _uncertified(kth: np.ndarray, far: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cloud import PointCloud, normalize_pair
-from .distances import BLOCK, nearest
+from .distances import WHOLE, nearest
 from .geodesic import propagate
 from .graph import GraphNearest, knn_adjacency, merge
 from .loss import GeoCdConfig, geocd
@@ -107,7 +107,7 @@ def _graph_instance(rng, trial: int, smallest: int):
 def check_graph(trials: int, seed: int) -> dict:
     """Compare ``knn_adjacency`` with the dense reference, edge for edge.
 
-    The merged sizes run from BLOCK + 1 to 600, so the grid passes run (see
+    The merged sizes run from WHOLE + 1 to 600, so the grid passes run (see
     ``_graph_instance``). A mismatch is an edge that only one side has, or a
     shared edge whose lengths differ in any bit.
     """
@@ -115,7 +115,7 @@ def check_graph(trials: int, seed: int) -> dict:
     mismatches = 0
     offenders = []
     for trial in range(trials):
-        pts, n, k, symmetrize = _graph_instance(rng, trial, BLOCK + 1)
+        pts, n, k, symmetrize = _graph_instance(rng, trial, WHOLE + 1)
         size = len(pts)
         z = merge(PointCloud(pts[:n]), PointCloud(pts[n:]))
         adj = knn_adjacency(z, k, symmetrize)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from geocd import ShapeSpec, distances, oracle, sample_shape
+from geocd import ShapeSpec, distances, graph, oracle, sample_shape
 from geocd.distances import NearestTracker, nearest, pairwise_distances
 from geocd.oracle import stable_sort_knn_mask
 from conftest import record_search
@@ -347,3 +347,94 @@ def test_tracker_searches_on_the_grid_and_returns_what_nearest_returns(grids):
         assert_same(track(p, q), nearest(p, q))
     assert len(grids) > first
     assert track.rows_searched < track.rows_asked
+
+
+# ------------------------------------------------------- the float32 screen
+
+
+def screen_set(kind, rng, exp, offset):
+    """600 points at 2**exp times integers below 2**40, plus ``offset``.
+
+    Eight of them each get a family of 23 points about 2**25.3 units away,
+    their nearest, whose squared lengths, exact in float64, differ by 0-50
+    units in 2**50.6-2**51.6: exact ties, and near ties of about 1-64 ulps
+    in the rooted lengths, which float32 cannot order, at the centre's k-th
+    neighbour.
+    """
+    if kind == "lattice":  # ties at every k
+        base = rng.integers(0, 2**4, (416, 3)) * 2**36
+    else:
+        base = rng.integers(0, 2**40, (416, 3))
+        if kind == "duplicate":
+            base[rng.integers(0, 416, 140)] = base[0]
+    family = []
+    for centre in base[rng.choice(416, 8, replace=False)]:
+        a, c = (int(v) for v in rng.integers(int(2**24.5), 2**25, 2))
+        for i in range(6):  # (a + i, a - i, c) in every order: 2 * a**2 + c**2 + 2 * i**2
+            for v in {(a + i, a - i, c), (a - i, a + i, c), (c, a + i, a - i), (a + i, c, a - i)}:
+                family.append(centre + np.array(v) * rng.choice([-1, 1], 3))
+    pts = np.vstack([base, family])[rng.permutation(416 + len(family))].astype(np.float64)
+    return np.ldexp(pts, exp) + offset
+
+
+@pytest.fixture
+def screen_rows(monkeypatch):
+    """Rows that grid chunks screen in float32 and rows they settle in float64."""
+    counts, packed, first_k = {"screened": 0, "settled": 0}, distances._packed, distances._first_k
+
+    def counted_packed(d, k, out=None):
+        if d.dtype == np.float32:
+            counts["screened"] += len(d)
+        return packed(d, k, out)
+
+    def counted_first_k(d, cols, k, out=None, cell=None):
+        if cell is not None:
+            counts["settled"] += len(d)
+        return first_k(d, cols, k, out, cell)
+
+    monkeypatch.setattr(distances, "_packed", counted_packed)
+    monkeypatch.setattr(distances, "_first_k", counted_first_k)
+    return counts
+
+
+# 1e-170 and 1e200 are about 2**-565 and 2**664: these scale the largest
+# extent from below the subnormal squares to past the float64 range, across
+# both ends of the range where the screen may certify
+EXPONENTS = (-605, -600, -520, -519, -200, -40, 0, 100, 470, 471, 624)
+
+
+def test_screened_picks_are_the_dense_picks_bit_for_bit(screen_rows):
+    # near ties that float32 cannot order must settle in float64; a zero
+    # margin in the screen's certificate lets wrong picks stand here
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(("random", "lattice", "duplicate")),
+        exp=st.sampled_from(EXPONENTS),
+        offset=st.sampled_from((0.0, 1e6)),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="random", exp=-40, offset=0.0, k=5, seed=0)
+    @example(kind="random", exp=-32, offset=1e6, k=8, seed=1)
+    @example(kind="duplicate", exp=0, offset=0.0, k=4, seed=2)
+    @example(kind="lattice", exp=-40, offset=1e6, k=6, seed=3)
+    def check(kind, exp, offset, k, seed):
+        rng = np.random.default_rng(seed)
+        pts = screen_set(kind, rng, exp, offset)
+        n = len(pts)
+        z = graph.MergedSet(pts, n // 2, n - n // 2)
+        with np.errstate(over="ignore"):  # squared lengths overflow past about 1e154
+            ref, d = stable_sort_knn_mask(pts, k, False)
+            nbr, length = distances._table(pts, k)
+            adj = graph.knn_adjacency(z, k)
+            want = np.argwhere(ref)[:, 1].reshape(n, k)
+            assert np.array_equal(nbr, want)
+            assert length.tobytes() == d[np.arange(n)[:, None], want].tobytes()
+            assert np.array_equal(adj.key, np.flatnonzero(ref))
+            assert adj.dist.tobytes() == d[ref].tobytes()
+            p, q = pts[: n // 2], pts[n // 2 :]
+            assert_same(nearest(p, q), oracle.nearest(p, q))
+
+    check()
+    # both certified and settled rows occurred
+    assert 0 < screen_rows["settled"] < screen_rows["screened"]

@@ -74,7 +74,7 @@ def test_k_must_be_positive(rng):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("n", [30, 200])  # one dense block, and the grid
+@pytest.mark.parametrize("n", [30, 500])  # one dense block, and the grid
 def test_graph_rejects_coordinates_that_are_not_finite(bad, n):
     # a hand-built set skips PointCloud's check: every row needs k edges,
     # and no point may be its own neighbour
@@ -177,19 +177,19 @@ def grid_case(name):
     if name == "outlier":
         # a dense patch and a sparse cluster far away: the cluster's k-th
         # lengths exceed the cell edge, so its rows take the dense pass
-        return np.vstack([rng.random((300, 3)) * 0.1, 5.0 + rng.random((12, 3))])
+        return np.vstack([rng.random((500, 3)) * 0.1, 5.0 + rng.random((12, 3))])
     if name == "identical":
         return np.full((40, 3), 0.25)
     if name == "collinear":
-        x = rng.integers(0, 50, 150) / 64.0
-        return np.c_[x, np.full(150, 0.5), np.full(150, 0.5)]
+        x = rng.integers(0, 50, 460) / 64.0
+        return np.c_[x, np.full(460, 0.5), np.full(460, 0.5)]
     if name == "coplanar":
-        return np.c_[rng.random((200, 2)), np.full(200, 0.25)]
+        return np.c_[rng.random((460, 2)), np.full(460, 0.25)]
     if name == "underflow":  # squared lengths near and below the smallest normal
-        return rng.integers(0, 9, (200, 3)) / 8.0 * 1e-162
+        return rng.integers(0, 9, (460, 3)) / 8.0 * 1e-162
     if name == "tiny":  # 1-point clouds
         return rng.random((2, 3))
-    if name == "block":  # the sample holds every row
+    if name == "block":  # one dense block
         return rng.random((distances.BLOCK, 3))
     if name == "volume":  # k-th lengths all over, some just below the reach
         return rng.random((700, 3))
@@ -212,21 +212,21 @@ def test_grid_matches_dense_reference(name, monkeypatch):
     n = len(pts)
     z = merge(PointCloud(pts[: n // 2]), PointCloud(pts[n // 2 :]))
     dense_rows, grid_rows = [], []  # rows of every dense call and of every grid chunk
-    real, smallest = distances._dense, distances._smallest
+    real, packed = distances._dense, distances._packed
     monkeypatch.setattr(
         distances, "_dense", lambda zt, p, *a: dense_rows.append(len(p)) or real(zt, p, *a)
     )
 
-    def counted_smallest(d, k, out=None):
-        if d.shape[1] < n:  # a grid chunk; a dense row spans all n points
+    def counted_packed(d, k, out=None):
+        if d.dtype == np.float32:  # a grid chunk's screen
             grid_rows.append(len(d))
-        return smallest(d, k, out)
+        return packed(d, k, out)
 
-    monkeypatch.setattr(distances, "_smallest", counted_smallest)
-    if n <= distances.BLOCK:  # the dense sample is every row: no grid to build
+    monkeypatch.setattr(distances, "_packed", counted_packed)
+    if n <= distances.WHOLE:  # the whole set is one dense pass: no grid to build
 
         def no_grid(*_):
-            raise AssertionError("grid built for a set the sample covers")
+            raise AssertionError("grid built for a set of at most WHOLE points")
 
         monkeypatch.setattr(distances, "_cell_edge", no_grid)
         monkeypatch.setattr(distances, "_grid", no_grid)
@@ -240,18 +240,17 @@ def test_grid_matches_dense_reference(name, monkeypatch):
             builds.append((k, dense_rows[:], grid_rows[:]))
             assert np.array_equal(np.c_[np.divmod(adj.key, z.size)], np.argwhere(ref))
             assert np.array_equal(adj.dist, d[ref])
-    if name == "outlier":  # one dense call per build sizes the cells; the rest are fallbacks
-        assert sum(len(full) for _, full, _ in builds) > len(builds)
+    if name == "outlier":  # every build leaves the far cluster's rows to the dense pass
+        assert all(full for _, full, _ in builds)
     if name in ("volume", "chunks"):
         assert sum(len(grid) for _, _, grid in builds) > 2 * len(builds)
     if name == "sparse":
-        # every grid row takes the first pass, so the excess took the second,
-        # and no row but the sample's reached the dense pass
-        sample = len(range(0, n, -(-n // (distances.BLOCK // 2))))
+        # every row takes the first pass, so the excess took the second, and
+        # no row reached the dense pass
         for k, full, grid in builds:
             if k < n - 1:  # at k = n - 1 every block is too wide
-                assert sum(grid) > n - sample
-                assert full == [sample]
+                assert sum(grid) > n
+                assert full == []
 
 
 def selection_case(name):
@@ -261,8 +260,11 @@ def selection_case(name):
         # (k+1)-th lengths, and the lowest point indices must win
         pts = np.stack(np.meshgrid(*[np.arange(10)] * 3), -1).reshape(-1, 3) / 16.0
         return pts[rng.permutation(len(pts))], (3, 8)
-    if name == "underflow":  # subnormal lengths keep too few bits to certify
-        return rng.integers(0, 9, (300, 3)) / 8.0 * 1e-162, (1, 5)
+    if name == "underflow":
+        # each point with a twin at most 2e-162 away: at k = 1 every row's
+        # squared length is subnormal, and no screened pick may stand
+        p = rng.random((230, 3))
+        return np.vstack([p, p + rng.integers(0, 9, (230, 3)) / 8.0 * 1e-162]), (1, 5)
     if name == "k64":
         # a plane: blocks of up to 400 candidates, so a word carries more
         # than 8 column bits
@@ -274,42 +276,54 @@ def selection_case(name):
 def test_packed_selection_matches_dense_reference(name, monkeypatch):
     pts, ks = selection_case(name)
     n = len(pts)
-    assert n > distances.BLOCK  # the grid is built
+    assert n > distances.WHOLE  # the grid is built
     z = merge(PointCloud(pts[: n // 2]), PointCloud(pts[n // 2 :]))
-    dense_rows, grid_widths, grid_tied, tied = [], [], [], []
-    real, smallest, select = distances._dense, distances._smallest, distances._select
+    dense_rows, grid_widths, screened, settled, grid_tied = [], [], [], [], []
+    real, packed, first_k = distances._dense, distances._packed, distances._first_k
+    select = distances._select
     monkeypatch.setattr(
         distances, "_dense", lambda zt, p, *a: dense_rows.append(len(p)) or real(zt, p, *a)
     )
 
-    def counted_smallest(d, k, out=None):
-        if d.shape[1] < n:  # a grid chunk; a dense row spans all n points
+    def counted_packed(d, k, out=None):
+        if d.dtype == np.float32:  # a grid chunk's screen
             grid_widths.append(d.shape[1])
-        return smallest(d, k, out)
+            screened.append(len(d))
+        return packed(d, k, out)
+
+    def counted_first_k(d, cols, k, out=None, cell=None):
+        if cell is not None:  # the rows a grid chunk settles in float64
+            settled.append(len(d))
+        return first_k(d, cols, k, out, cell)
 
     def counted_select(d, cols, k):
-        (grid_tied if d.shape[1] < n else tied).append(len(d))
+        if d.shape[1] < n:  # a grid chunk; a dense row spans all n points
+            grid_tied.append(len(d))
         return select(d, cols, k)
 
-    monkeypatch.setattr(distances, "_smallest", counted_smallest)
+    monkeypatch.setattr(distances, "_packed", counted_packed)
+    monkeypatch.setattr(distances, "_first_k", counted_first_k)
     monkeypatch.setattr(distances, "_select", counted_select)
     for k in ks:
         for symmetrize in (False, True):
             ref, d = stable_sort_knn_mask(z.points, k, symmetrize)
             dense_rows.clear()
+            screened.clear()
+            settled.clear()
             adj = knn_adjacency(z, k, symmetrize=symmetrize)
             assert np.array_equal(np.c_[np.divmod(adj.key, z.size)], np.argwhere(ref))
             assert np.array_equal(adj.dist, d[ref])
-            if name == "ties":  # every tied grid row was settled on the grid
-                assert dense_rows == [len(range(0, n, -(-n // (distances.BLOCK // 2))))]
-    if name != "underflow":
-        assert grid_widths
+            if name == "ties":  # every tied row was settled within its grid chunk
+                assert dense_rows == []
+            if name == "underflow" and k == 1:  # subnormal lengths: every row settles
+                assert sum(settled) == sum(screened) >= n
+            elif name != "ties":  # the screen certifies rows off a lattice
+                assert sum(settled) < sum(screened)
+    assert grid_widths
     if name == "ties":
         assert sum(grid_tied) > n
-    if name == "k64":
+    if name == "k64":  # words with more than 8 column bits
         assert max(grid_widths) > 256
-    if name == "underflow":
-        assert sum(tied) > n
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
@@ -321,8 +335,8 @@ def test_grid_reach_bounds_every_point_outside_the_block(offset):
     _, d = stable_sort_knn_mask(pts, 1, False)
     np.fill_diagonal(d, 0.0)
     kth = np.sort(d, axis=1)[::7, 3]  # every 7th row's 3rd neighbour; column 0 is the row
-    h, reach = distances._cell_edge(pts, kth)
-    order, cid, runs = distances._grid(pts, h)
+    h, reach = distances._cell_edge(float((pts.max(axis=0) - pts.min(axis=0)).max()), kth)
+    order, cid, runs = distances._grid(pts.T, h)
     cell = np.floor((pts - pts.min(axis=0)) / h)
     assert distances.RADII == (1, 2)
     cells = np.unique(cid)
@@ -636,11 +650,13 @@ def graph_of(p, q, k, symmetrize=False):
     symmetrize=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-# one-point clouds, and merged sets at and just above BLOCK
+# one-point clouds, merged sets at and just above BLOCK, and one past WHOLE,
+# whose graph takes the grid
 @example(kind="uniform", n=1, m=1, k=1, symmetrize=False, seed=0)
 @example(kind="noisy copy", n=1, m=40, k=8, symmetrize=True, seed=1)
 @example(kind="lattice", n=32, m=32, k=8, symmetrize=True, seed=2)
 @example(kind="noisy copy", n=40, m=25, k=8, symmetrize=False, seed=3)
+@example(kind="noisy copy", n=240, m=230, k=5, symmetrize=True, seed=4)
 def test_graph_nearest_returns_what_nearest_returns(kind, n, m, k, symmetrize, seed):
     rng = np.random.default_rng(seed)
     p, q = read_pair(kind, rng, n, m)
