@@ -48,7 +48,9 @@ ROOT_FLOOR, ROOT_CEIL = 2.0**-491, 2.0**511
 # the grid's float32 screen: its error bound on a length scaled into the
 # unit box, relative and absolute (derived in _table)
 SCREEN = 2.0**-21
-# a whole set of at most this many points is searched in one dense pass
+# a whole set of at most this many points is searched in one dense pass: the
+# grid breaks even at 384-512 points, by k and shape (hemisphere and lattice
+# sets, k = 5-12, paired runs on 2 cores)
 WHOLE = 448
 
 

@@ -297,7 +297,7 @@ def test_table_rows_of_a_set_match_the_dense_reference(kind, grids):
         want = np.argwhere(ref[rows])[:, 1].reshape(rows.size, k)
         assert np.array_equal(nbr, want)
         assert length.tobytes() == d[rows[:, None], want].tobytes()
-        # a part of the rows takes the grid past the size rule, the whole set past BLOCK
+        # a part of the rows takes the grid past the size rule, the whole set past WHOLE
         assert (len(grids) > before) == (rows.size > int(np.sqrt(2**25 / n)))
 
 

@@ -74,7 +74,7 @@ def test_k_must_be_positive(rng):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("n", [30, 500])  # one dense block, and the grid
+@pytest.mark.parametrize("n", [30, 200])  # one dense block, and several
 def test_graph_rejects_coordinates_that_are_not_finite(bad, n):
     # a hand-built set skips PointCloud's check: every row needs k edges,
     # and no point may be its own neighbour
@@ -438,9 +438,11 @@ def merged(pts, n_pred):
 )
 # an exact tie among a row's candidates, settled by point index
 @example(kind="lattice", n=4, k=1, symmetrize=False, seed=1, moves=[])
+# a set past WHOLE, where the start's search and knn_adjacency take the grid
+@example(kind="random", n=460, k=5, symmetrize=False, seed=2, moves=["adam", "jump", "zero"])
 def test_graph_tracker_returns_what_knn_adjacency_returns(kind, n, k, symmetrize, seed, moves):
-    # n runs from below the list size plus one to past BLOCK, where the start's
-    # search and knn_adjacency take the grid
+    # n runs from below the list size plus one to past BLOCK, which dense
+    # passes serve; the example past WHOLE takes the grid
     k = min(k, n - 1)
     rng = np.random.default_rng(seed)
     pts = tracked_cloud(kind, rng, n)
