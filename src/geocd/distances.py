@@ -452,11 +452,11 @@ def _table(
             # bounds on the exact scaled lengths (see the certificate above):
             # above every chosen one, below the k-th and below every other
             words = (top | low, top & ~low, nxt & ~low)
-            top, kth, nxt = (np.sqrt(x.view(np.float32), dtype=np.float64) for x in words)
-            top = top * (1 + SCREEN) + SCREEN
-            kth, nxt = (x * (1 - SCREEN) - SCREEN for x in (kth, nxt))
+            above, below_k, below = (np.sqrt(x.view(np.float32), dtype=np.float64) for x in words)
+            above = above * (1 + SCREEN) + SCREEN
+            below_k, below = (x * (1 - SCREEN) - SCREEN for x in (below_k, below))
             if trusted:
-                sure, kth = (top < nxt) & (kth >= floor), np.ldexp(top, e)
+                sure, kth = (above < below) & (below_k >= floor), np.ldexp(above, e)
             else:  # every row settles
                 sure, kth = np.zeros(c1 - c0, dtype=bool), np.empty(c1 - c0)
             at = left[c0:c1]

@@ -397,10 +397,12 @@ def screen_rows(monkeypatch):
     return counts
 
 
-# 1e-170 and 1e200 are about 2**-565 and 2**664: these scale the largest
-# extent from below the subnormal squares to past the float64 range, across
-# both ends of the range where the screen may certify
-EXPONENTS = (-605, -600, -520, -519, -200, -40, 0, 100, 470, 471, 624)
+# the largest extent is about 2**(exp + 40): 1e-170 at -605 and 1e200 at 624.
+# Below about -550 the cell edge's floor leaves one cell, and a dense pass
+# runs; near -540 the families' k-th squared lengths fall below the screen's
+# normal floor, and their rows settle; past 470 no float64 length is sure to
+# stay finite, and every row settles
+EXPONENTS = (-605, -560, -545, -540, -530, -200, -40, 0, 100, 469, 470, 471, 624)
 
 
 def test_screened_picks_are_the_dense_picks_bit_for_bit(screen_rows):
