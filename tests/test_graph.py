@@ -262,7 +262,7 @@ def selection_case(name):
         return pts[rng.permutation(len(pts))], (3, 8)
     if name == "underflow":
         # each point with a twin at most 2e-162 away: at k = 1 every row's
-        # squared length is subnormal, and no screened pick may stand
+        # squared length is zero or subnormal, and no screened pick may stand
         p = rng.random((230, 3))
         return np.vstack([p, p + rng.integers(0, 9, (230, 3)) / 8.0 * 1e-162]), (1, 5)
     if name == "k64":
